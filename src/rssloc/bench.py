@@ -1,15 +1,19 @@
 """Monte Carlo benchmark harness.
 
 Reproduces the bias/RMSE/timing experiment protocol: a registry of the three
-scenario families (2-D fixed ring, 2-D random square, 3-D fixed), sweeps over
-rounds T, noise sigma, or random-deployment size n, and deterministic
-parallel trial execution.
+scenario families (2-D fixed ring, 2-D random square, 3-D fixed) and sweeps
+over rounds T, noise sigma, or random-deployment size n.
+
+The engine handles a whole sweep point at once. Each trial's draws are
+reduced, as soon as they are drawn, to per-sensor means of y and of
+10**(2*y) over the rounds (``sweep_point``); the estimators then run on all
+trials together (``estimate_point``). In exact arithmetic this gives the
+estimates of the per-call API on the trial's n tiled measurements.
 
 Per-trial randomness is a counter-based substream keyed by
-(master_seed, sweep_index, trial_index), so results are bit-identical
-regardless of worker count or scheduling order. Wall-clock timing is the one
-nondeterministic output; configs can disable it (``measure_time=False``) when
-byte-identical reports are required.
+(master_seed, sweep_index, trial_index), so every trial can be replayed on
+its own. Wall-clock timing is the one nondeterministic output; configs can
+disable it (``measure_time=False``) when byte-identical reports are required.
 """
 
 from __future__ import annotations
@@ -18,41 +22,34 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, RssLocError
 from .estimators import (
-    ls_known_variance,
-    ls_unknown_variance,
+    gn_steps,
+    known_variance_theta,
     ml_reference,
+    source_from_beta,
     two_step,
+    unknown_variance_beta,
 )
 from .inference import fisher_information
-from .model import MeasurementSet, NoiseModel, Scenario, generate_measurements, trial_rng
+from .model import (
+    MeasurementSet,
+    NoiseModel,
+    Scenario,
+    draw_rounds,
+    generate_measurements,
+    trial_rng,
+)
 
 SWEEP_PARAMS = ("rounds", "sigma", "n_random")
 
 # Estimator ids accepted in configs and on the CLI.
 ESTIMATOR_IDS = ("ls", "ls+gn", "ls-u", "ls-u+gn", "ml")
-
-
-def _run_estimator(est_id: str, ms: MeasurementSet, noise: NoiseModel):
-    if est_id == "ls":
-        return ls_known_variance(ms, noise.bias_b)
-    if est_id == "ls+gn":
-        return two_step(ms, noise)
-    if est_id == "ls-u":
-        return ls_unknown_variance(ms)
-    if est_id == "ls-u+gn":
-        return two_step(ms, None)
-    if est_id == "ml":
-        init = ls_known_variance(ms, noise.bias_b)
-        return ml_reference(ms, init.p_hat)
-    raise InvalidInputError(f"unknown estimator id {est_id!r}")
 
 
 @dataclass(frozen=True)
@@ -239,35 +236,98 @@ class TrialReport:
             fh.write(text)
 
 
-def _trial_scenario(cfg: ExperimentConfig, sweep_index: int, value, trial: int) -> Scenario:
+@dataclass(frozen=True)
+class SweepPoint:
+    """Per-sensor sufficient statistics of every trial at one sweep point.
+
+    ``sensors`` is (g, k, m): g = 1 when the geometry is shared by all
+    trials, g = trials when each trial draws its own. ``ybar`` and ``zbar``
+    are (trials, k): each trial's per-sensor means of y and of 10**(2*y)
+    over its rounds.
+    """
+
+    sensors: np.ndarray
+    source: np.ndarray
+    ybar: np.ndarray
+    zbar: np.ndarray
+    bias_b: float
+    rcrlb: float
+    n: int
+
+
+def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
+    """Draw every trial of one sweep point and reduce it to its means.
+
+    Trial t's noise comes from ``trial_rng(seed, sweep_index, t, 1)``; fresh
+    random geometry from ``trial_rng(seed, sweep_index, t, 0)``, pinned
+    geometry from ``trial_rng(seed, sweep_index, 0, 0)``.
+    """
+    value = cfg.sweep_values[sweep_index]
+    seed = cfg.master_seed
     if cfg.sweep_param == "rounds":
-        return cfg.scenario.with_rounds(int(value))
-    if cfg.sweep_param == "sigma":
-        return cfg.scenario.with_sigma(float(value))
-    # Random deployment: fresh geometry each trial unless pinned.
-    geom_trial = 0 if cfg.fixed_geometry else trial
-    rng = trial_rng(cfg.master_seed, sweep_index, geom_trial, 0)
-    return cfg.scenario.sample(int(value), rng)
+        fixed = cfg.scenario.with_rounds(int(value))
+    elif cfg.sweep_param == "sigma":
+        fixed = cfg.scenario.with_sigma(float(value))
+    elif cfg.fixed_geometry:
+        fixed = cfg.scenario.sample(int(value), trial_rng(seed, sweep_index, 0, 0))
+    else:
+        fixed = None
+    layouts, rcrlbs, ybar, zbar = [], [], [], []
+    for trial in range(cfg.trials):
+        scenario = fixed
+        if fixed is None:
+            scenario = cfg.scenario.sample(int(value), trial_rng(seed, sweep_index, trial, 0))
+            layouts.append(scenario.sensors)
+            if scenario.sigma_db > 0:
+                rcrlbs.append(fisher_information(scenario).rcrlb)
+        _, y = draw_rounds(scenario, trial_rng(seed, sweep_index, trial, 1))
+        ybar.append(y.mean(axis=0))
+        zbar.append(np.power(10.0, 2.0 * y).mean(axis=0))
+    if fixed is not None:
+        layouts = [fixed.sensors]
+        rcrlbs = [fisher_information(fixed).rcrlb] if fixed.sigma_db > 0 else []
+    if scenario.n_measurements < scenario.dimension + 1:
+        raise InvalidInputError(f"need at least m+1 = {scenario.dimension + 1} measurements")
+    return SweepPoint(
+        sensors=np.array(layouts),
+        source=scenario.source,
+        ybar=np.array(ybar),
+        zbar=np.array(zbar),
+        bias_b=NoiseModel(sigma_db=scenario.sigma_db, alpha=scenario.alpha).bias_b,
+        rcrlb=float(np.mean(rcrlbs)) if rcrlbs else 0.0,
+        n=scenario.n_measurements,
+    )
 
 
-def _run_trial(cfg: ExperimentConfig, sweep_index: int, value, trial: int) -> dict:
-    scenario = _trial_scenario(cfg, sweep_index, value, trial)
-    noise_rng = trial_rng(cfg.master_seed, sweep_index, trial, 1)
-    ms = generate_measurements(scenario, noise_rng)
-    noise = NoiseModel(sigma_db=scenario.sigma_db, alpha=scenario.alpha)
-    result = {"source": scenario.source, "estimates": {}, "rcrlb": None}
-    if scenario.sigma_db > 0:
-        result["rcrlb"] = fisher_information(scenario).rcrlb
-    for est_id in cfg.estimators:
-        t0 = time.perf_counter()
-        try:
-            estimate = _run_estimator(est_id, ms, noise)
-        except RssLocError:
-            result["estimates"][est_id] = None
-            continue
-        elapsed = time.perf_counter() - t0
-        result["estimates"][est_id] = (estimate.p_hat, elapsed)
-    return result
+def estimate_point(est_id: str, point: SweepPoint) -> Tuple[np.ndarray, np.ndarray]:
+    """One estimator on every trial of a sweep point: (p_hat (trials, m), ok).
+
+    Outcomes match the per-call API trial by trial: a singular LS design
+    fails the trial (for ``ls+gn`` and ``ml`` too); a GN step that would
+    raise keeps the stage-1 estimate, as ``two_step`` does; ``ml`` runs
+    ``ml_reference`` on the per-sensor means from the known-variance LS
+    estimate and fails the trial when it raises.
+    """
+    m = point.source.shape[0]
+    if est_id in ("ls", "ls+gn", "ml"):
+        theta, singular = known_variance_theta(point.sensors, point.zbar, point.bias_b)
+        p_hat = theta[:, :m]
+    else:
+        beta, singular = unknown_variance_beta(point.sensors, point.zbar)
+        p_hat = source_from_beta(beta, m)
+    ok = np.ones(len(p_hat), dtype=bool) & ~singular
+    if est_id in ("ls+gn", "ls-u+gn"):
+        refined, failure = gn_steps(p_hat, point.sensors, point.ybar)
+        p_hat = np.where((failure == 0)[:, None], refined, p_hat)
+    elif est_id == "ml":
+        layouts = np.broadcast_to(point.sensors, (len(p_hat),) + point.sensors.shape[1:])
+        for trial in np.flatnonzero(ok):
+            try:
+                ms = MeasurementSet(sensor_coords=layouts[trial], y=point.ybar[trial])
+                p_hat[trial] = ml_reference(ms, p_hat[trial]).p_hat
+            except RssLocError:
+                ok[trial] = False
+    return p_hat, ok
 
 
 def _median_of_means(times: List[float], batches: int = 10) -> float:
@@ -279,49 +339,28 @@ def _median_of_means(times: List[float], batches: int = 10) -> float:
     return value
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> TrialReport:
+def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     """Run all trials at every sweep point and aggregate bias/RMSE/RCRLB.
 
     Bias is the sum of componentwise absolute mean errors; RMSE the root mean
-    squared Euclidean error. Trials where an estimator raises are excluded
-    from that estimator's statistics and counted as failed.
+    squared Euclidean error. Trials where an estimator fails are excluded
+    from that estimator's statistics and counted as failed. With
+    ``measure_time``, ``mean_time_s`` is the wall time of the estimator's
+    computation over all trials of the point, divided by the trial count;
+    drawing and reducing the measurements is not included.
     """
     rows: List[ReportRow] = []
     for sweep_index, value in enumerate(cfg.sweep_values):
-        jobs = [
-            (cfg, sweep_index, value, trial) for trial in range(cfg.trials)
-        ]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda args: _run_trial(*args), jobs))
-        else:
-            results = [_run_trial(*args) for args in jobs]
-
-        source = results[0]["source"]
-        m = source.shape[0]
-        rcrlbs = [r["rcrlb"] for r in results if r["rcrlb"] is not None]
-        rcrlb = float(np.mean(rcrlbs)) if rcrlbs else 0.0
-        if cfg.sweep_param == "rounds":
-            n_total = cfg.scenario.n_sensors * int(value)
-        elif cfg.sweep_param == "sigma":
-            n_total = cfg.scenario.n_measurements
-        else:
-            n_total = int(value)
-
+        point = sweep_point(cfg, sweep_index)
         for est_id in cfg.estimators:
-            hits = [r["estimates"][est_id] for r in results]
-            ok = [h for h in hits if h is not None]
-            failed = len(hits) - len(ok)
-            if ok:
-                p_hats = np.array([h[0] for h in ok])
-                errors = p_hats - source
+            t0 = time.perf_counter()
+            p_hat, ok = estimate_point(est_id, point)
+            elapsed = time.perf_counter() - t0
+            if ok.any():
+                errors = p_hat[ok] - point.source
                 bias = float(np.sum(np.abs(errors.mean(axis=0))))
                 rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
-                mean_time = (
-                    _median_of_means([h[1] for h in ok])
-                    if cfg.measure_time
-                    else None
-                )
+                mean_time = elapsed / cfg.trials if cfg.measure_time else None
             else:
                 bias = math.nan
                 rmse = math.nan
@@ -331,12 +370,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> TrialReport:
                     estimator=est_id,
                     sweep_param=cfg.sweep_param,
                     sweep_value=float(value),
-                    n=n_total,
-                    trials_ok=len(ok),
-                    trials_failed=failed,
+                    n=point.n,
+                    trials_ok=int(ok.sum()),
+                    trials_failed=int(cfg.trials - ok.sum()),
                     bias_m=bias,
                     rmse_m=rmse,
-                    rcrlb_m=rcrlb,
+                    rcrlb_m=point.rcrlb,
                     mean_time_s=mean_time,
                     master_seed=cfg.master_seed,
                 )

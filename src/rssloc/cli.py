@@ -121,7 +121,7 @@ def _cmd_experiment(args) -> int:
     if args.fixed_geometry:
         cfg_dict["fixed_geometry"] = True
     cfg = bench.ExperimentConfig.from_dict(cfg_dict, seed=args.seed)
-    report = bench.run_experiment(cfg, workers=args.workers)
+    report = bench.run_experiment(cfg)
     text = report.to_csv() if args.format == "csv" else report.to_json()
     _emit(text, args.out)
     return 0
@@ -176,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--estimators", help="comma-separated estimator ids")
     p_exp.add_argument("--fixed-geometry", action="store_true",
                        help="pin random-deployment geometry across trials")
-    p_exp.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_time = sub.add_parser("time-scaling", help="two-step wall time vs n")

@@ -8,7 +8,15 @@ iterated-to-convergence Gauss-Newton solver serves as the ML reference.
 The linear problems are always solved by an orthogonal/SVD factorization,
 never by explicitly inverting the Gram matrix: the regressand 10**(2*y)
 spans orders of magnitude and conditioning matters. Explicit Gram inverses
-exist only inside the test oracles.
+exist only inside the test oracles. One SVD per matrix both gates and solves.
+
+The kernels work on stacks of problems: ``known_variance_theta``,
+``unknown_variance_beta`` and ``gn_steps`` take (g, k, m) sensor layouts
+with g either 1 (shared geometry) or one per problem, and one (k,) data row
+per problem. The single-problem estimators below call them with one problem
+of n rows; the Monte Carlo engine calls them on per-sensor means over the
+rounds, which give the same estimates as the n tiled rows because tiling
+multiplies both sides of every normal equation by the number of rounds.
 """
 
 from __future__ import annotations
@@ -28,15 +36,22 @@ from .errors import (
     SingularPointError,
 )
 from .geometry import hyperplane_design, hypersphere_design
-from .model import LN10, MeasurementSet, NoiseModel, lognormal_bias
+from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel
 
 # Gram condition estimate above which a linear LS problem is declared
 # singular; squares of the design-matrix singular-value ratio.
 GRAM_CONDITION_LIMIT = 1e12
 
-# Evaluation points closer than this to a sensor make log10(distance)
-# numerically meaningless.
-SENSOR_CLEARANCE = 1e-12
+_SQRT_LIMIT = math.sqrt(GRAM_CONDITION_LIMIT)
+
+# Outcomes of one Gauss-Newton step, indexed by the failure codes of
+# gn_steps, in the order gn_step checks them: 0 is success.
+GN_FAILURES = (
+    None,
+    (SingularPointError, "evaluation point coincides with a sensor"),
+    (DegenerateJacobianError, "J^T J is numerically singular"),
+    (NumericError, "Gauss-Newton step is not finite"),
+)
 
 
 class Stage(str, Enum):
@@ -76,27 +91,38 @@ class Estimate:
 
 @dataclass(frozen=True)
 class GnConfig:
-    """Stopping rules for the iterated Gauss-Newton reference solver.
-
-    ``damping_floor`` enables an opt-in Levenberg fallback; it defaults to
-    off and is excluded from acceptance runs.
-    """
+    """Stopping rules for the iterated Gauss-Newton reference solver."""
 
     max_iterations: int = 100
     step_tolerance: float = 1e-10
-    damping_floor: float = 0.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
         if not (self.step_tolerance > 0):
             raise InvalidInputError("step_tolerance must be positive")
-        if self.damping_floor < 0:
-            raise InvalidInputError("damping_floor must be nonnegative")
 
 
-def _lstsq_checked(design: np.ndarray, rhs: np.ndarray, error_message: str) -> np.ndarray:
-    """Solve min ||design @ x - rhs|| via SVD, rejecting singular Grams.
+def _gated_solve(a: np.ndarray, rhs: np.ndarray):
+    """min ||a x - rhs|| for a stack a (g, k, c), g in {1, t}, and rhs (t, k).
+
+    One SVD per matrix gates and solves. A matrix fails the gate when it has
+    fewer rows than columns, a zero singular value, or a Gram condition
+    (s_max / s_min)^2 above GRAM_CONDITION_LIMIT. Returns (x (t, c), bad
+    (g,)); rows of x whose matrix is bad are finite but meaningless.
+    """
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    s_min = s[:, -1]
+    bad = ~((s_min > 0) & (s[:, 0] <= _SQRT_LIMIT * s_min))
+    if s.shape[-1] < a.shape[-1]:
+        bad[:] = True
+    s[bad] = 1.0
+    coef = (rhs[:, None, :] @ u)[:, 0] / s
+    return (coef[:, None, :] @ vt)[:, 0], bad
+
+
+def _lstsq_batch(design: np.ndarray, rhs: np.ndarray):
+    """Gated least squares for stacked designs; returns (x, singular (g,)).
 
     Columns are equilibrated to unit norm first: the design mixes units
     (coordinates, constants, squared norms), and the singularity check should
@@ -104,14 +130,34 @@ def _lstsq_checked(design: np.ndarray, rhs: np.ndarray, error_message: str) -> n
     so exact degeneracies (cohyperplanar / cohyperspherical layouts) still
     trip the condition limit.
     """
-    norms = np.linalg.norm(design, axis=0)
+    norms = np.sqrt(np.einsum("...kc,...kc->...c", design, design))[..., None, :]
     norms[norms == 0] = 1.0
-    scaled = design / norms
-    s = np.linalg.svd(scaled, compute_uv=False)
-    if s[-1] <= 0 or (s[0] / s[-1]) ** 2 > GRAM_CONDITION_LIMIT:
+    x, singular = _gated_solve(design / norms, rhs)
+    return x / norms[:, 0], singular
+
+
+def known_variance_theta(sensors: np.ndarray, z: np.ndarray, b: float):
+    """Regress z - b*||p_i||^2 on b*[-2*p_i^T, 1]; z holds 10**(2*y).
+
+    Returns (theta (t, m+1), singular (g,)), one flag per layout.
+    """
+    design = b * hyperplane_design(sensors)
+    return _lstsq_batch(design, z - b * np.einsum("...km,...km->...k", sensors, sensors))
+
+
+def unknown_variance_beta(sensors: np.ndarray, z: np.ndarray):
+    """Regress z = 10**(2*y) on [-2*p_i^T, 1, ||p_i||^2].
+
+    Returns (beta (t, m+2), singular (g,)), one flag per layout.
+    """
+    return _lstsq_batch(hypersphere_design(sensors), z)
+
+
+def _single(solved, error_message: str) -> np.ndarray:
+    x, singular = solved
+    if singular[0]:
         raise SingularGramError(error_message)
-    solution, _, _, _ = np.linalg.lstsq(scaled, rhs, rcond=None)
-    return solution / norms
+    return x[0]
 
 
 def _distances_checked(p: np.ndarray, sensors: np.ndarray) -> np.ndarray:
@@ -148,12 +194,9 @@ def ls_known_variance(ms: MeasurementSet, b: float) -> Estimate:
     if not (b >= 1.0):
         raise InvalidInputError("b must be >= 1")
     m = ms.dimension
-    sq = np.sum(ms.sensor_coords**2, axis=1)
-    design = b * hyperplane_design(ms.sensor_coords)
-    rhs = np.power(10.0, 2.0 * ms.y) - b * sq
-    theta = _lstsq_checked(
-        design,
-        rhs,
+    z = np.power(10.0, 2.0 * ms.y)
+    theta = _single(
+        known_variance_theta(ms.sensor_coords[None], z[None], b),
         "singular Gram matrix: sensors are (nearly) collinear/coplanar, "
         "violating the non-cohyperplanarity condition",
     )
@@ -165,10 +208,10 @@ def source_from_beta(beta: np.ndarray, m: int) -> np.ndarray:
 
     Divides the first m entries by max(1, last entry); the floor guards
     against small-sample draws where the estimated b dips below its
-    theoretical lower bound of 1.
+    theoretical lower bound of 1. Leading axes of ``beta`` are kept.
     """
     beta = np.asarray(beta, dtype=float)
-    return beta[:m] / max(1.0, beta[m + 1])
+    return beta[..., :m] / np.maximum(1.0, beta[..., m + 1 : m + 2])
 
 
 def ls_unknown_variance(ms: MeasurementSet) -> Estimate:
@@ -181,11 +224,9 @@ def ls_unknown_variance(ms: MeasurementSet) -> Estimate:
     m = ms.dimension
     if ms.n < m + 2:
         raise InvalidInputError(f"need at least m+2 = {m + 2} measurements")
-    design = hypersphere_design(ms.sensor_coords)
-    rhs = np.power(10.0, 2.0 * ms.y)
-    beta = _lstsq_checked(
-        design,
-        rhs,
+    z = np.power(10.0, 2.0 * ms.y)
+    beta = _single(
+        unknown_variance_beta(ms.sensor_coords[None], z[None]),
         "singular Gram matrix: sensors are (nearly) concyclic/cospherical, "
         "violating the non-cohypersphericity condition",
     )
@@ -212,28 +253,36 @@ def estimate_sigma_from_b(b_hat: float, alpha: float) -> float:
     return alpha / LN10 * math.sqrt(50.0 * math.log(b_hat))
 
 
-def _jacobian(p: np.ndarray, sensors: np.ndarray, d: np.ndarray) -> np.ndarray:
+def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray):
+    """One Gauss-Newton step on the ML objective for each of t problems.
+
+    ``p`` is (t, m), ``sensors`` (g, k, m) with g in {1, t}, ``y`` (t, k).
+    Each step is p + (J^T J)^{-1} J^T (y - f(p)) with f_i(p) =
+    log10||p_i - p||, solved by one SVD of J. Returns (p_next (t, m),
+    failure (t,)): failure indexes GN_FAILURES and is 0 where the step
+    succeeded; elsewhere p_next is meaningless.
+    """
+    diff = p[:, None, :] - sensors
+    d = np.linalg.norm(diff, axis=-1)
+    near = d.min(axis=-1) < SENSOR_CLEARANCE
+    d = np.maximum(d, SENSOR_CLEARANCE)
     # Rows (p - p_i)^T / (d_i^2 ln 10): gradient of log10||p_i - p||.
-    return (p - sensors) / (d[:, None] ** 2 * LN10)
+    jac = diff / (d[..., None] ** 2 * LN10)
+    step, degenerate = _gated_solve(jac, y - np.log10(d))
+    failure = np.where(np.isfinite(step).all(axis=-1), 0, 3)
+    failure[degenerate] = 2
+    failure[near] = 1
+    return p + step, failure
 
 
 def gn_step(p, ms: MeasurementSet) -> np.ndarray:
-    """One Gauss-Newton step on the ML objective from p.
-
-    Returns p + (J^T J)^{-1} J^T (y - f(p)) computed via a stable
-    factorization, where f_i(p) = log10||p_i - p||.
-    """
+    """One Gauss-Newton step on the ML objective from p (see gn_steps)."""
     p = np.asarray(p, dtype=float)
-    d = _distances_checked(p, ms.sensor_coords)
-    jac = _jacobian(p, ms.sensor_coords, d)
-    residual = ms.y - np.log10(d)
-    s = np.linalg.svd(jac, compute_uv=False)
-    if s[-1] <= 0 or (s[0] / s[-1]) ** 2 > GRAM_CONDITION_LIMIT:
-        raise DegenerateJacobianError("J^T J is numerically singular")
-    step, _, _, _ = np.linalg.lstsq(jac, residual, rcond=None)
-    if not np.all(np.isfinite(step)):
-        raise NumericError("Gauss-Newton step is not finite")
-    return p + step
+    p_next, failure = gn_steps(p[None], ms.sensor_coords[None], ms.y[None])
+    if failure[0]:
+        error, message = GN_FAILURES[failure[0]]
+        raise error(message)
+    return p_next[0]
 
 
 def two_step(ms: MeasurementSet, noise: Optional[NoiseModel] = None) -> Estimate:
@@ -269,10 +318,7 @@ def ml_reference(ms: MeasurementSet, init, cfg: GnConfig = GnConfig()) -> Estima
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        if cfg.damping_floor > 0:
-            p_next = _damped_step(p, ms, cfg.damping_floor)
-        else:
-            p_next = gn_step(p, ms)
+        p_next = gn_step(p, ms)
         step_norm = float(np.linalg.norm(p_next - p))
         p = p_next
         if step_norm < cfg.step_tolerance:
@@ -285,18 +331,3 @@ def ml_reference(ms: MeasurementSet, init, cfg: GnConfig = GnConfig()) -> Estima
         gn_iterations=iterations,
         converged=converged,
     )
-
-
-def _damped_step(p: np.ndarray, ms: MeasurementSet, damping: float) -> np.ndarray:
-    # Levenberg fallback: augment the Jacobian with sqrt(damping) * I rows.
-    p = np.asarray(p, dtype=float)
-    d = _distances_checked(p, ms.sensor_coords)
-    jac = _jacobian(p, ms.sensor_coords, d)
-    residual = ms.y - np.log10(d)
-    m = p.shape[0]
-    aug = np.vstack([jac, math.sqrt(damping) * np.eye(m)])
-    rhs = np.concatenate([residual, np.zeros(m)])
-    step, _, _, _ = np.linalg.lstsq(aug, rhs, rcond=None)
-    if not np.all(np.isfinite(step)):
-        raise NumericError("damped Gauss-Newton step is not finite")
-    return p + step

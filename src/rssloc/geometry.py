@@ -58,16 +58,20 @@ class LocalizabilityReport:
 
 
 def hyperplane_design(sensors: np.ndarray) -> np.ndarray:
-    """Rows [-2*p_i^T, 1]; the known-variance design matrix up to the b factor."""
-    n = sensors.shape[0]
-    return np.hstack([-2.0 * sensors, np.ones((n, 1))])
+    """Rows [-2*p_i^T, 1]; the known-variance design matrix up to the b factor.
+
+    Leading axes of ``sensors`` (..., n, m) are kept, so a stack of layouts
+    gives a stack of designs.
+    """
+    ones = np.ones(sensors.shape[:-1] + (1,))
+    return np.concatenate([-2.0 * sensors, ones], axis=-1)
 
 
 def hypersphere_design(sensors: np.ndarray) -> np.ndarray:
     """Rows [-2*p_i^T, 1, ||p_i||^2]; the unknown-variance design matrix."""
-    n = sensors.shape[0]
-    sq = np.sum(sensors**2, axis=1, keepdims=True)
-    return np.hstack([-2.0 * sensors, np.ones((n, 1)), sq])
+    ones = np.ones(sensors.shape[:-1] + (1,))
+    sq = np.einsum("...km,...km->...k", sensors, sensors)[..., None]
+    return np.concatenate([-2.0 * sensors, ones, sq], axis=-1)
 
 
 def _full_rank(matrix: np.ndarray) -> bool:

@@ -25,7 +25,8 @@ from .errors import (
     InvalidInputError,
     SingularPointError,
 )
-from .model import LN10, Scenario
+from .estimators import GRAM_CONDITION_LIMIT
+from .model import LN10, SENSOR_CLEARANCE, Scenario
 
 _SWEEP_PARAMS = ("rounds", "sigma")
 
@@ -48,26 +49,6 @@ class FisherSummary:
         }
 
 
-def _inv_small(mat: np.ndarray) -> np.ndarray:
-    """Closed-form inverse for the 2x2 / 3x3 information matrix."""
-    m = mat.shape[0]
-    det = np.linalg.det(mat)
-    if not np.isfinite(det) or abs(det) < np.finfo(float).tiny:
-        raise DegenerateGeometryError("Fisher information matrix is singular")
-    if m == 2:
-        a, b = mat[0, 0], mat[0, 1]
-        c, d = mat[1, 0], mat[1, 1]
-        return np.array([[d, -b], [-c, a]]) / det
-    cof = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(mat, i, axis=0), j, axis=1)
-            cof[i, j] = (-1) ** (i + j) * (
-                minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0]
-            )
-    return cof.T / det
-
-
 def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
     """Fisher information, CRLB/RCRLB, and M_n at ``eval_point``.
 
@@ -84,16 +65,21 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
         raise InvalidInputError("eval_point must be an m-vector")
     diff = p - scenario.sensors
     d2 = np.sum(diff**2, axis=1)
-    if np.any(np.sqrt(d2) < 1e-12):
+    if np.any(np.sqrt(d2) < SENSOR_CLEARANCE):
         raise SingularPointError("eval_point coincides with a sensor")
     terms = diff[:, :, None] * diff[:, None, :] / (d2**2 * LN10**2)[:, None, None]
     n = scenario.n_measurements
     m_n = terms.mean(axis=0)  # rounds repeat identical terms
     scale = 100.0 * scenario.alpha**2 / scenario.sigma_db**2
     fisher = scale * n * m_n
-    crlb = float(np.trace(_inv_small(fisher)))
-    if crlb <= 0:
-        raise DegenerateGeometryError("CRLB is not positive; degenerate geometry")
+    # CRLB = tr(F^-1) = sum 1/lambda over the eigenvalues of F. The same
+    # condition limit as the estimators' Gram gate rejects (nearly)
+    # singular information: e.g. collinear sensors with the source on or
+    # next to their line.
+    eig = np.linalg.eigvalsh(fisher)
+    if not eig[0] > eig[-1] / GRAM_CONDITION_LIMIT:
+        raise DegenerateGeometryError("Fisher information matrix is singular")
+    crlb = float(np.sum(1.0 / eig))
     return FisherSummary(
         F=fisher,
         crlb=crlb,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,9 +24,12 @@ from .errors import DegenerateGeometryError, InvalidInputError
 
 LN10 = math.log(10.0)
 
-# Scenarios whose source sits closer than this to a sensor are rejected:
-# log10(d) blows up and the model is meaningless.
-MIN_SOURCE_DISTANCE = 1e-9
+# The one near-sensor threshold (meters). A source closer than this to a
+# sensor is rejected, and evaluating log10(distance) or its gradient closer
+# than this raises SingularPointError: one nanometre is the coordinate
+# resolution (one ulp) at UTM-scale coordinates of ~5e6 m, so any smaller
+# distance cannot be told apart from a coincidence there.
+SENSOR_CLEARANCE = 1e-9
 
 
 def _as_points(points, name: str) -> np.ndarray:
@@ -78,10 +81,10 @@ class Scenario:
         if self.rounds < 1:
             raise InvalidInputError("rounds must be a positive integer")
         d = np.linalg.norm(sensors - source, axis=1)
-        if np.any(d < MIN_SOURCE_DISTANCE):
+        if np.any(d < SENSOR_CLEARANCE):
             raise DegenerateGeometryError(
                 "a sensor coincides with the source (distance < "
-                f"{MIN_SOURCE_DISTANCE})"
+                f"{SENSOR_CLEARANCE})"
             )
         object.__setattr__(self, "sensors", sensors)
         object.__setattr__(self, "source", source)
@@ -257,24 +260,32 @@ def trial_rng(master_seed: int, *path: int) -> np.random.Generator:
     )
 
 
-def generate_measurements(scenario: Scenario, seed) -> MeasurementSet:
-    """Draw one synthetic MeasurementSet from a scenario.
+def draw_rounds(scenario: Scenario, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """Draw one trial's readings in the round-major layout.
 
     Noise is sampled in dB space (eps ~ N(0, sigma^2)) and converted through
     the raw-dB pathway, exercising the same conversion applied to field data.
-    Rounds are laid out round-major: all sensors for round 0, then round 1,
-    and so on. ``seed`` may be an int or a Generator.
+    Returns (raw_db, y), each of shape (rounds, n_sensors): row t holds
+    round t of every sensor.
+    """
+    clean_db = 10.0 * math.log10(scenario.p0_const) - 10.0 * scenario.alpha * np.log10(
+        scenario.distances()
+    )
+    eps = rng.normal(0.0, scenario.sigma_db, size=(scenario.rounds, scenario.n_sensors))
+    raw_db = clean_db + eps
+    return raw_db, equivalent_measurement(raw_db, scenario.p0_const, scenario.alpha)
+
+
+def generate_measurements(scenario: Scenario, seed) -> MeasurementSet:
+    """Draw one synthetic MeasurementSet from a scenario.
+
+    The rows are those of :func:`draw_rounds`, flattened round-major: all
+    sensors for round 0, then round 1, and so on. ``seed`` may be an int or
+    a Generator.
 
     Identical (scenario, seed) always yields a bit-identical result.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    d = scenario.distances()
-    if np.any(d <= 0):
-        raise DegenerateGeometryError("zero sensor-source distance")
+    raw_db, y = draw_rounds(scenario, rng)
     coords = np.tile(scenario.sensors, (scenario.rounds, 1))
-    d_all = np.tile(d, scenario.rounds)
-    clean_db = 10.0 * math.log10(scenario.p0_const) - 10.0 * scenario.alpha * np.log10(d_all)
-    eps = rng.normal(0.0, scenario.sigma_db, size=d_all.shape[0])
-    raw_db = clean_db + eps
-    y = equivalent_measurement(raw_db, scenario.p0_const, scenario.alpha)
-    return MeasurementSet(sensor_coords=coords, y=y, raw_db=raw_db)
+    return MeasurementSet(sensor_coords=coords, y=y.ravel(), raw_db=raw_db.ravel())

@@ -1,14 +1,23 @@
 """Shared fixtures and independent oracles.
 
-The oracles here deliberately avoid the library's solution paths: explicit
-cofactor inverses for normal equations, circumcircle fits for concyclicity,
-finite differences for Jacobians.
+The numerical oracles here deliberately avoid the library's solution paths:
+explicit cofactor inverses for normal equations, circumcircle fits for
+concyclicity, finite differences for Jacobians. The replay oracle checks the
+batched Monte Carlo engine against the per-call estimators, trial by trial.
 """
 
 import numpy as np
 import pytest
 
-from rssloc.bench import scenario_registry
+from rssloc.bench import estimate_point, scenario_registry, sweep_point
+from rssloc.errors import RssLocError
+from rssloc.estimators import (
+    ls_known_variance,
+    ls_unknown_variance,
+    ml_reference,
+    two_step,
+)
+from rssloc.model import NoiseModel, generate_measurements, trial_rng
 
 
 @pytest.fixture(scope="session")
@@ -93,3 +102,58 @@ def points_concyclic(points, tol=1e-9):
         return False
     center, radius = fit
     return bool(np.all(np.abs(np.linalg.norm(points - center, axis=1) - radius) < tol))
+
+
+# The per-call reference of each estimator id, on one trial's tiled data.
+PER_CALL = {
+    "ls": lambda ms, noise: ls_known_variance(ms, noise.bias_b),
+    "ls+gn": lambda ms, noise: two_step(ms, noise),
+    "ls-u": lambda ms, noise: ls_unknown_variance(ms),
+    "ls-u+gn": lambda ms, noise: two_step(ms, None),
+    "ml": lambda ms, noise: ml_reference(ms, ls_known_variance(ms, noise.bias_b).p_hat),
+}
+
+
+def replay_scenario(cfg, sweep_index, trial):
+    """The scenario of one trial, rebuilt from its substream path."""
+    value = cfg.sweep_values[sweep_index]
+    if cfg.sweep_param == "rounds":
+        return cfg.scenario.with_rounds(int(value))
+    if cfg.sweep_param == "sigma":
+        return cfg.scenario.with_sigma(float(value))
+    geom_trial = 0 if cfg.fixed_geometry else trial
+    return cfg.scenario.sample(
+        int(value), trial_rng(cfg.master_seed, sweep_index, geom_trial, 0)
+    )
+
+
+def replay_against_engine(cfg):
+    """Replay every trial of ``cfg`` through the per-call API.
+
+    Returns (failures of the engine, failures of the replay, largest
+    ||p_hat_engine - p_hat_replay|| / ||p_hat_replay|| over the trials both
+    solved). Failures are sets of (sweep_index, trial, estimator); ``ml``
+    trials whose replay did not converge are left out of the comparison.
+    """
+    engine_failed, replay_failed, worst = set(), set(), 0.0
+    for sweep_index in range(len(cfg.sweep_values)):
+        point = sweep_point(cfg, sweep_index)
+        batched = {est: estimate_point(est, point) for est in cfg.estimators}
+        for trial in range(cfg.trials):
+            sc = replay_scenario(cfg, sweep_index, trial)
+            ms = generate_measurements(sc, trial_rng(cfg.master_seed, sweep_index, trial, 1))
+            noise = NoiseModel(sc.sigma_db, sc.alpha)
+            for est in cfg.estimators:
+                p_hat, ok = batched[est]
+                key = (sweep_index, trial, est)
+                if not ok[trial]:
+                    engine_failed.add(key)
+                try:
+                    ref = PER_CALL[est](ms, noise)
+                except RssLocError:
+                    replay_failed.add(key)
+                    continue
+                if ok[trial] and ref.converged:
+                    gap = np.linalg.norm(p_hat[trial] - ref.p_hat) / np.linalg.norm(ref.p_hat)
+                    worst = max(worst, float(gap))
+    return engine_failed, replay_failed, worst

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import replay_against_engine
 from rssloc.bench import ExperimentConfig, get_scenario, run_experiment, time_scaling
 from rssloc.errors import SingularGramError
 from rssloc.estimators import (
@@ -32,7 +33,6 @@ from rssloc.model import (
     trial_rng,
 )
 
-WORKERS = 4
 TRIALS = 1000
 ROUNDS_SWEEP = (3, 30, 100, 200, 400)
 SIGMA_SWEEP = (0.1, 0.3, 0.5, 1.0, 2.0)
@@ -58,7 +58,7 @@ def rounds_rows():
         master_seed=MASTER_SEED,
         measure_time=False,
     )
-    report = run_experiment(cfg, workers=WORKERS)
+    report = run_experiment(cfg)
     return {(row.estimator, row.sweep_value): row for row in report.rows}
 
 
@@ -74,7 +74,7 @@ def sigma_rows():
         master_seed=MASTER_SEED + 1,
         measure_time=False,
     )
-    report = run_experiment(cfg, workers=WORKERS)
+    report = run_experiment(cfg)
     return {row.sweep_value: row for row in report.rows}
 
 
@@ -294,12 +294,14 @@ def test_11_deterministic_reports():
         master_seed=99,
         measure_time=False,
     )
-    first = run_experiment(cfg, workers=1).to_csv()
-    second = run_experiment(cfg, workers=1).to_csv()
-    threaded = run_experiment(cfg, workers=WORKERS).to_csv()
-    ok = first == second == threaded
+    first = run_experiment(cfg).to_csv()
+    second = run_experiment(cfg).to_csv()
+    engine_failed, replay_failed, worst = replay_against_engine(cfg)
+    ok = first == second and engine_failed == replay_failed and worst <= 1e-12
     _criterion(
         11,
-        "byte-identical CSV across repeat runs and 1 vs 4 worker threads",
+        "byte-identical CSV across repeat runs; every trial replayed through "
+        "the per-call API fails alike and agrees within 1e-12 relative",
         ok,
+        f"largest relative gap {worst:.1e}",
     )

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import COLLINEAR_2D
+from conftest import COLLINEAR_2D, SQUARE_CORNERS, replay_against_engine
 from rssloc.bench import (
     ESTIMATOR_IDS,
     ExperimentConfig,
     RandomScenarioFamily,
+    SweepPoint,
+    estimate_point,
     get_scenario,
     run_experiment,
     scenario_registry,
@@ -172,6 +174,29 @@ class TestRunExperiment:
         )
         assert fresh.rows[0].rmse_m != pinned.rows[0].rmse_m
 
+    def test_failed_refinement_keeps_first_stage(self, scenario_2d):
+        # Trial 0 is noisy data from the true source; trial 1 noise-free data
+        # from a point 1e-10 m off a sensor, where the GN step raises
+        # SingularPointError.
+        points = [scenario_2d.source, scenario_2d.sensors[4] + [1e-10, 0.0]]
+        d = np.array([np.linalg.norm(scenario_2d.sensors - p, axis=1) for p in points])
+        y = np.log10(d)
+        y[0] += np.random.default_rng(2).normal(0.0, 0.05, size=d.shape[1])
+        point = SweepPoint(
+            sensors=scenario_2d.sensors[None],
+            source=scenario_2d.source,
+            ybar=y,
+            zbar=np.power(10.0, 2.0 * y),
+            bias_b=1.0,
+            rcrlb=0.0,
+            n=scenario_2d.n_sensors,
+        )
+        first, _ = estimate_point("ls", point)
+        refined, ok = estimate_point("ls+gn", point)
+        assert ok.all()
+        assert np.array_equal(refined[1], first[1])
+        assert np.linalg.norm(refined[0] - first[0]) > 1e-3
+
     def test_timing_column(self, scenario_2d):
         cfg = _cfg(scenario_2d, trials=3, measure_time=True)
         for row in run_experiment(cfg).rows:
@@ -179,12 +204,51 @@ class TestRunExperiment:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_runs_and_workers(self, scenario_2d):
+    def test_byte_identical_across_runs(self, scenario_2d):
         cfg = _cfg(scenario_2d, sweep_values=(3, 10), trials=30)
-        first = run_experiment(cfg, workers=1).to_csv()
-        second = run_experiment(cfg, workers=1).to_csv()
-        threaded = run_experiment(cfg, workers=4).to_csv()
-        assert first == second == threaded
+        assert run_experiment(cfg).to_csv() == run_experiment(cfg).to_csv()
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "2d-fixed-rounds", "3d-fixed-sigma", "2d-random-fresh", "2d-random-pinned",
+            "collinear-rounds", "concyclic-rounds",
+        ],
+    )
+    def test_engine_matches_per_call_replay(self, case, scenario_2d, scenario_3d):
+        configs = {
+            "2d-fixed-rounds": dict(scenario=scenario_2d, sweep_values=(1, 3, 10)),
+            "3d-fixed-sigma": dict(
+                scenario=scenario_3d.with_rounds(2),
+                sweep_param="sigma",
+                sweep_values=(0.0, 1.0, 6.0),
+            ),
+            "2d-random-fresh": dict(
+                scenario=RandomScenarioFamily(sigma_db=4.0),
+                sweep_param="n_random",
+                sweep_values=(10, 30),
+            ),
+            "2d-random-pinned": dict(
+                scenario=RandomScenarioFamily(sigma_db=4.0),
+                sweep_param="n_random",
+                sweep_values=(10, 30),
+                fixed_geometry=True,
+            ),
+            # Every LS design is singular: all five estimators fail.
+            "collinear-rounds": dict(
+                scenario=Scenario(sensors=COLLINEAR_2D, source=[5.0, 1.0], sigma_db=2.0),
+                sweep_values=(1, 4),
+            ),
+            # Only the unknown-variance design is singular.
+            "concyclic-rounds": dict(
+                scenario=Scenario(sensors=10 * SQUARE_CORNERS, source=[3.0, 4.0], sigma_db=2.0),
+                sweep_values=(1, 4),
+            ),
+        }
+        cfg = _cfg(estimators=ESTIMATOR_IDS, trials=40, master_seed=17, **configs[case])
+        engine_failed, replay_failed, worst = replay_against_engine(cfg)
+        assert engine_failed == replay_failed
+        assert worst <= 1e-12
 
     def test_json_mirrors_csv_numbers(self, scenario_2d):
         import json

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import COLLINEAR_2D, SQUARE_CORNERS, normal_equations_solve
-from rssloc.errors import InvalidInputError, SingularGramError, SingularPointError
+from rssloc.errors import (
+    DegenerateGeometryError,
+    DegenerateJacobianError,
+    InvalidInputError,
+    SingularGramError,
+    SingularPointError,
+)
 from rssloc.estimators import (
+    GN_FAILURES,
     GnConfig,
     Stage,
     estimate_sigma_from_b,
     gn_step,
+    gn_steps,
     ls_known_variance,
     ls_unknown_variance,
     ml_objective,
@@ -18,8 +26,11 @@ from rssloc.estimators import (
     two_step,
 )
 from rssloc.geometry import hyperplane_design, hypersphere_design
+from rssloc.inference import fisher_information
 from rssloc.model import (
     LN10,
+    SENSOR_CLEARANCE,
+    MeasurementSet,
     NoiseModel,
     Scenario,
     generate_measurements,
@@ -201,7 +212,85 @@ class TestGnStep:
             gn_step(ms.sensor_coords[3], ms)
 
 
+class TestGnSteps:
+    def test_flags_failing_rows_and_matches_gn_step_elsewhere(self, scenario_2d):
+        rng = np.random.default_rng(12)
+        sc = scenario_2d.with_rounds(3)
+        layouts, ys, points = [], [], []
+        for trial in range(12):
+            ms = generate_measurements(sc, trial_rng(14, trial))
+            layouts.append(ms.sensor_coords)
+            ys.append(ms.y)
+            points.append(sc.source + rng.normal(0.0, 5.0, size=2))
+        # Row 3: the evaluation point sits on a sensor.
+        points[3] = layouts[3][4].copy()
+        # Row 7: every sensor on one line through the evaluation point, so
+        # all Jacobian rows are parallel.
+        line = np.array([0.6, 0.8])
+        points[7] = np.array([10.0, -5.0])
+        layouts[7] = points[7] + np.outer(np.linspace(-90.0, 90.0, 31)[:30] + 1.5, line)
+        p, sensors, y = np.array(points), np.array(layouts), np.array(ys)
+
+        p_next, failure = gn_steps(p, sensors, y)
+
+        assert np.flatnonzero(failure).tolist() == [3, 7]
+        for row in range(len(p)):
+            ms = MeasurementSet(sensor_coords=sensors[row], y=y[row])
+            if failure[row]:
+                with pytest.raises(GN_FAILURES[failure[row]][0]):
+                    gn_step(p[row], ms)
+                continue
+            expected = gn_step(p[row], ms)
+            gap = np.linalg.norm(p_next[row] - expected) / np.linalg.norm(expected)
+            assert gap <= 1e-12
+        assert GN_FAILURES[failure[3]][0] is SingularPointError
+        assert GN_FAILURES[failure[7]][0] is DegenerateJacobianError
+
+    def test_shared_layout_broadcasts(self, scenario_2d):
+        ms = generate_measurements(scenario_2d.with_rounds(2), 3)
+        p = np.array([[60.0, 25.0], [75.0, 35.0]])
+        y = np.array([ms.y, ms.y[::-1]])
+        p_next, failure = gn_steps(p, ms.sensor_coords[None], y)
+        assert not failure.any()
+        shared = np.array([ms.sensor_coords, ms.sensor_coords])
+        np.testing.assert_array_equal(p_next, gn_steps(p, shared, y)[0])
+
+
+class TestNearSensorThreshold:
+    def test_one_threshold_for_scenario_gn_and_fisher(self, scenario_2d):
+        sensor = scenario_2d.sensors[0]
+        inside = sensor + [0.5 * SENSOR_CLEARANCE, 0.0]
+        outside = sensor + [2.0 * SENSOR_CLEARANCE, 0.0]
+        with pytest.raises(DegenerateGeometryError):
+            Scenario(sensors=scenario_2d.sensors, source=inside, sigma_db=2.0)
+        Scenario(sensors=scenario_2d.sensors, source=outside, sigma_db=2.0)
+        ms = generate_measurements(scenario_2d, 0)
+        with pytest.raises(SingularPointError):
+            gn_step(inside, ms)
+        # Just outside, the point is evaluated; its huge Jacobian row then
+        # trips the conditioning gate instead.
+        with pytest.raises(DegenerateJacobianError):
+            gn_step(outside, ms)
+        with pytest.raises(SingularPointError):
+            fisher_information(scenario_2d, eval_point=inside)
+
+
 class TestTwoStep:
+    def test_failed_refinement_returns_flagged_first_stage(self, scenario_2d):
+        # Noise-free data from a point 1e-10 m off a sensor: the LS estimate
+        # lands within the clearance of that sensor, so the GN step raises.
+        p = scenario_2d.sensors[4] + [1e-10, 0.0]
+        d = np.linalg.norm(scenario_2d.sensors - p, axis=1)
+        ms = MeasurementSet(sensor_coords=scenario_2d.sensors, y=np.log10(d))
+        noise = NoiseModel(0.0, 2.0)
+        with pytest.raises(SingularPointError):
+            gn_step(ls_known_variance(ms, noise.bias_b).p_hat, ms)
+        est = two_step(ms, noise)
+        assert est.refinement_degraded
+        assert est.stage is Stage.TWO_STEP
+        assert est.gn_iterations == 0
+        np.testing.assert_array_equal(est.p_hat, ls_known_variance(ms, noise.bias_b).p_hat)
+
     def test_is_ls_composed_with_one_gn_step(self, scenario_2d):
         ms = generate_measurements(scenario_2d.with_rounds(10), 21)
         est = two_step(ms, NOISE)

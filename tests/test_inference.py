@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from rssloc.errors import InfiniteInformationError, InvalidInputError, SingularPointError
+from rssloc.errors import (
+    DegenerateGeometryError,
+    InfiniteInformationError,
+    InvalidInputError,
+    SingularPointError,
+)
 from rssloc.inference import fisher_information, rcrlb_curve
 from rssloc.model import LN10, Scenario
 
@@ -82,6 +87,18 @@ class TestFisherInformation:
     def test_eval_point_at_sensor_rejected(self, scenario_2d):
         with pytest.raises(SingularPointError):
             fisher_information(scenario_2d, eval_point=scenario_2d.sensors[0])
+
+    def test_nearly_collinear_layout_rejected(self):
+        # The x = 0 sensors of the 2-D fixed layout with the source 1e-7 m
+        # off their line: F is singular to within rounding, and an explicit
+        # inverse of it yields a meaningless finite CRLB (4.1e17 m^2).
+        sc = Scenario(
+            sensors=[[0.0, 20.0], [0.0, 50.0], [0.0, -50.0], [0.0, -20.0]],
+            source=[1e-7, 0.0],
+            sigma_db=2.0,
+        )
+        with pytest.raises(DegenerateGeometryError):
+            fisher_information(sc)
 
     def test_three_dimensional_inverse(self, scenario_3d):
         fs = fisher_information(scenario_3d)
