@@ -32,7 +32,6 @@ from .estimators import (
     gn_steps,
     known_variance_theta,
     ml_reference,
-    source_from_beta,
     two_step,
     unknown_variance_beta,
 )
@@ -308,13 +307,10 @@ def estimate_point(est_id: str, point: SweepPoint) -> Tuple[np.ndarray, np.ndarr
     ``ml_reference`` on the per-sensor means from the known-variance LS
     estimate and fails the trial when it raises.
     """
-    m = point.source.shape[0]
     if est_id in ("ls", "ls+gn", "ml"):
-        theta, singular = known_variance_theta(point.sensors, point.zbar, point.bias_b)
-        p_hat = theta[:, :m]
+        p_hat, _, singular = known_variance_theta(point.sensors, point.zbar, point.bias_b)
     else:
-        beta, singular = unknown_variance_beta(point.sensors, point.zbar)
-        p_hat = source_from_beta(beta, m)
+        p_hat, _, singular = unknown_variance_beta(point.sensors, point.zbar)
     ok = np.ones(len(p_hat), dtype=bool) & ~singular
     if est_id in ("ls+gn", "ls-u+gn"):
         refined, failure = gn_steps(p_hat, point.sensors, point.ybar)

@@ -5,10 +5,12 @@ provide sqrt(n)-consistent initial estimates; a single Gauss-Newton step on
 the maximum-likelihood objective then attains asymptotic efficiency. An
 iterated-to-convergence Gauss-Newton solver serves as the ML reference.
 
-The linear problems are always solved by an orthogonal/SVD factorization,
-never by explicitly inverting the Gram matrix: the regressand 10**(2*y)
-spans orders of magnitude and conditioning matters. Explicit Gram inverses
-exist only inside the test oracles. One SVD per matrix both gates and solves.
+Each linear problem is solved by one SVD that both gates
+(``geometry.singular``) and solves; no Gram matrix is inverted (explicit
+inverses exist only in the test oracles). The LS designs are those of the
+layout normalised to its centroid and unit RMS radius, so the estimators gate
+on the condition ``geometry.localizability`` reports, and their estimates are
+translation, rotation and scale equivariant.
 
 The kernels work on stacks of problems: ``known_variance_theta``,
 ``unknown_variance_beta`` and ``gn_steps`` take (g, k, m) sensor layouts
@@ -35,14 +37,8 @@ from .errors import (
     SingularGramError,
     SingularPointError,
 )
-from .geometry import hyperplane_design, hypersphere_design
+from .geometry import hyperplane_design, hypersphere_design, normalise, singular
 from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel
-
-# Gram condition estimate above which a linear LS problem is declared
-# singular; squares of the design-matrix singular-value ratio.
-GRAM_CONDITION_LIMIT = 1e12
-
-_SQRT_LIMIT = math.sqrt(GRAM_CONDITION_LIMIT)
 
 # Outcomes of one Gauss-Newton step, indexed by the failure codes of
 # gn_steps, in the order gn_step checks them: 0 is success.
@@ -106,58 +102,65 @@ class GnConfig:
 def _gated_solve(a: np.ndarray, rhs: np.ndarray):
     """min ||a x - rhs|| for a stack a (g, k, c), g in {1, t}, and rhs (t, k).
 
-    One SVD per matrix gates and solves. A matrix fails the gate when it has
-    fewer rows than columns, a zero singular value, or a Gram condition
-    (s_max / s_min)^2 above GRAM_CONDITION_LIMIT. Returns (x (t, c), bad
-    (g,)); rows of x whose matrix is bad are finite but meaningless.
+    One SVD per matrix gates (geometry.singular) and solves. Returns (x (t, c),
+    bad (g,)); rows of x whose matrix is bad are finite but meaningless.
     """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    s_min = s[:, -1]
-    bad = ~((s_min > 0) & (s[:, 0] <= _SQRT_LIMIT * s_min))
-    if s.shape[-1] < a.shape[-1]:
-        bad[:] = True
+    bad = singular(s, a.shape[-1])
     s[bad] = 1.0
     coef = (rhs[:, None, :] @ u)[:, 0] / s
     return (coef[:, None, :] @ vt)[:, 0], bad
 
 
-def _lstsq_batch(design: np.ndarray, rhs: np.ndarray):
-    """Gated least squares for stacked designs; returns (x, singular (g,)).
-
-    Columns are equilibrated to unit norm first: the design mixes units
-    (coordinates, constants, squared norms), and the singularity check should
-    measure geometry, not the coordinate scale. Equilibration preserves rank,
-    so exact degeneracies (cohyperplanar / cohyperspherical layouts) still
-    trip the condition limit.
-    """
-    norms = np.sqrt(np.einsum("...kc,...kc->...c", design, design))[..., None, :]
-    norms[norms == 0] = 1.0
-    x, singular = _gated_solve(design / norms, rhs)
-    return x / norms[:, 0], singular
-
-
 def known_variance_theta(sensors: np.ndarray, z: np.ndarray, b: float):
-    """Regress z - b*||p_i||^2 on b*[-2*p_i^T, 1]; z holds 10**(2*y).
+    """Known-variance LS for a stack of layouts; z holds 10**(2*y).
 
-    Returns (theta (t, m+1), singular (g,)), one flag per layout.
+    On the normalised layout sensors = c + s*q (geometry.normalise),
+    z / (b s^2) - ||q_i||^2 is regressed on [-2*q_i^T, 1], the design that
+    localizability gates. Both design column spaces hold every affine
+    function of p_i, so the coefficients map back exactly to those of
+    z - b*||p_i||^2 on b*[-2*p_i^T, 1]. Returns (p_hat (t, m), theta
+    (t, m+1), singular (g,)), one flag per layout.
     """
-    design = b * hyperplane_design(sensors)
-    return _lstsq_batch(design, z - b * np.einsum("...km,...km->...k", sensors, sensors))
+    q, c, s = normalise(sensors)
+    m = c.shape[-1]
+    rhs = z / (b * s * s)[:, None] - (q * q).sum(axis=-1)
+    x, bad = _gated_solve(hyperplane_design(q), rhs)
+    t, tau = x[:, :m], x[:, m]
+    p_hat = c + s[:, None] * t
+    last = s * (s * tau + 2.0 * (c * t).sum(axis=-1)) + (c * c).sum(axis=-1)
+    return p_hat, np.concatenate([p_hat, last[:, None]], axis=1), bad
 
 
 def unknown_variance_beta(sensors: np.ndarray, z: np.ndarray):
-    """Regress z = 10**(2*y) on [-2*p_i^T, 1, ||p_i||^2].
+    """Unknown-variance LS for a stack of layouts; z holds 10**(2*y).
 
-    Returns (beta (t, m+2), singular (g,)), one flag per layout.
+    Regresses z / s^2 on [-2*q_i^T, 1, ||q_i||^2] of the normalised layout
+    and maps beta back to that of z on [-2*p_i^T, 1, ||p_i||^2]. The source
+    is c + s * source_from_beta(beta'), so the b_hat >= 1 floor acts in the
+    centred frame and the estimate stays equivariant. Returns (p_hat (t, m),
+    beta (t, m+2), singular (g,)).
     """
-    return _lstsq_batch(hypersphere_design(sensors), z)
+    q, c, s = normalise(sensors)
+    m = c.shape[-1]
+    x, bad = _gated_solve(hypersphere_design(q), z / (s * s)[:, None])
+    t, tau, kappa = x[:, :m], x[:, m], x[:, m + 1]
+    p_hat = c + s[:, None] * source_from_beta(x, m)
+    last = s * (s * tau + 2.0 * (c * t).sum(axis=-1)) + kappa * (c * c).sum(axis=-1)
+    beta = np.concatenate([s[:, None] * t + kappa[:, None] * c, last[:, None], kappa[:, None]], axis=1)
+    return p_hat, beta, bad
 
 
-def _single(solved, error_message: str) -> np.ndarray:
-    x, singular = solved
-    if singular[0]:
+def _solve_one(kernel, ms: MeasurementSet, error_message: str, *args):
+    """One LS kernel on one measurement set: (p_hat, coefficients)."""
+    # An overflowing 10**(2*y) makes the coefficients non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_hat, coef, bad = kernel(ms.sensor_coords[None], np.power(10.0, 2.0 * ms.y)[None], *args)
+    if bad[0]:
         raise SingularGramError(error_message)
-    return x[0]
+    if not np.isfinite(coef).all():
+        raise NumericError("10**(2*y) or the least-squares coefficients are not finite")
+    return p_hat[0], coef[0]
 
 
 def _distances_checked(p: np.ndarray, sensors: np.ndarray) -> np.ndarray:
@@ -189,18 +192,20 @@ def ls_known_variance(ms: MeasurementSet, b: float) -> Estimate:
     Regresses 10**(2*y_i) - b*||p_i||^2 on b*[-2*p_i^T, 1]; the source is the
     first m entries of the coefficient vector. The norm-coupling constraint
     between those entries and the last one is deliberately ignored: the
-    unconstrained solution is already sqrt(n)-consistent.
+    unconstrained solution is already sqrt(n)-consistent. Raises
+    SingularGramError when localizability's hyperplane test fails and
+    NumericError when 10**(2*y) or the coefficients are not finite.
     """
     if not (b >= 1.0):
         raise InvalidInputError("b must be >= 1")
-    m = ms.dimension
-    z = np.power(10.0, 2.0 * ms.y)
-    theta = _single(
-        known_variance_theta(ms.sensor_coords[None], z[None], b),
+    p_hat, theta = _solve_one(
+        known_variance_theta,
+        ms,
         "singular Gram matrix: sensors are (nearly) collinear/coplanar, "
         "violating the non-cohyperplanarity condition",
+        b,
     )
-    return _finish(theta[:m], ms, stage=Stage.LS_KNOWN_VAR, theta_hat=theta)
+    return _finish(p_hat, ms, stage=Stage.LS_KNOWN_VAR, theta_hat=theta)
 
 
 def source_from_beta(beta: np.ndarray, m: int) -> np.ndarray:
@@ -208,7 +213,8 @@ def source_from_beta(beta: np.ndarray, m: int) -> np.ndarray:
 
     Divides the first m entries by max(1, last entry); the floor guards
     against small-sample draws where the estimated b dips below its
-    theoretical lower bound of 1. Leading axes of ``beta`` are kept.
+    theoretical lower bound of 1. Leading axes of ``beta`` are kept. The
+    estimators apply it in the normalised frame, independent of the origin.
     """
     beta = np.asarray(beta, dtype=float)
     return beta[..., :m] / np.maximum(1.0, beta[..., m + 1 : m + 2])
@@ -219,23 +225,22 @@ def ls_unknown_variance(ms: MeasurementSet) -> Estimate:
 
     Regresses 10**(2*y_i) on [-2*p_i^T, 1, ||p_i||^2]; the extra quadratic
     column absorbs the unknown lognormal bias b, at the price of requiring
-    the sensors not to be concyclic/cospherical.
+    the sensors not to be concyclic/cospherical (localizability's
+    hypersphere test, which fewer than m+2 rows also fail). Raises
+    NumericError like ls_known_variance.
     """
-    m = ms.dimension
-    if ms.n < m + 2:
-        raise InvalidInputError(f"need at least m+2 = {m + 2} measurements")
-    z = np.power(10.0, 2.0 * ms.y)
-    beta = _single(
-        unknown_variance_beta(ms.sensor_coords[None], z[None]),
+    p_hat, beta = _solve_one(
+        unknown_variance_beta,
+        ms,
         "singular Gram matrix: sensors are (nearly) concyclic/cospherical, "
         "violating the non-cohypersphericity condition",
     )
     return _finish(
-        source_from_beta(beta, m),
+        p_hat,
         ms,
         stage=Stage.LS_UNKNOWN_VAR,
         beta_hat=beta,
-        b_hat=float(beta[m + 1]),
+        b_hat=float(beta[-1]),
     )
 
 

@@ -1,7 +1,6 @@
-"""Sensor-geometry localizability diagnostics.
+"""Sensor-geometry localizability and the library's one degeneracy gate.
 
-Two finite-sample rank tests decide which estimators a sensor layout can
-support:
+Two conditions decide which estimators a sensor layout can support:
 
 * hyperplane test -- the sensors do not all lie on a line (2-D) / plane
   (3-D); required by the known-variance least-squares path;
@@ -9,15 +8,18 @@ support:
   additionally required by the unknown-variance path, whose design matrix
   carries a ||p_i||^2 column.
 
-Both are singular-value rank tests with a relative threshold. The report is
-advisory: estimators perform their own conditioning checks and near-degenerate
-layouts are reported, not rejected.
+Both are similarity-invariant, so both are decided on the layout normalised
+to its centroid and unit RMS radius (:func:`normalise`) by the one gate
+:func:`singular`. The least-squares estimators solve on these designs behind
+this gate, so :func:`localizability` reports their decision and the Gram
+condition they gate on.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,9 +27,9 @@ import numpy as np
 from .errors import InsufficientSensorsError
 from .model import _as_points
 
-# Relative singular-value threshold separating exact degeneracy from mere
-# ill-conditioning (which is reported via the Gram condition numbers).
-TOL_RANK = 1e-8
+# Gram condition (s_max / s_min)^2 above which a least-squares design, a
+# Gauss-Newton Jacobian or a Fisher information matrix is singular.
+GRAM_CONDITION_LIMIT = 1e12
 
 
 class Localizability(str, Enum):
@@ -45,13 +47,7 @@ class LocalizabilityReport:
     verdict: Localizability
 
     def to_dict(self) -> dict:
-        return {
-            "hyperplane_ok": self.hyperplane_ok,
-            "hypersphere_ok": self.hypersphere_ok,
-            "gram_condition_known": self.gram_condition_known,
-            "gram_condition_unknown": self.gram_condition_unknown,
-            "verdict": self.verdict.value,
-        }
+        return {**asdict(self), "verdict": self.verdict.value}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -74,70 +70,76 @@ def hypersphere_design(sensors: np.ndarray) -> np.ndarray:
     return np.concatenate([-2.0 * sensors, ones, sq], axis=-1)
 
 
-def _full_rank(matrix: np.ndarray) -> bool:
-    s = np.linalg.svd(matrix, compute_uv=False)
-    return bool(s[-1] > TOL_RANK * s[0])
+def normalise(sensors: np.ndarray):
+    """Centre each layout of a stack (..., n, m) at its centroid c and scale
+    it to unit RMS radius s.
+
+    Returns (q, c, s) with sensors = c + s * q; q is (..., n, m), c (..., m)
+    and s (...). A layout whose sensors all coincide keeps s = 1.
+    """
+    c = sensors.mean(axis=-2)
+    q = sensors - c[..., None, :]
+    s = np.sqrt(np.einsum("...km,...km->...", q, q) / q.shape[-2])
+    s = np.where(s > 0, s, 1.0)
+    return q / s[..., None, None], c, s
+
+
+def singular(s: np.ndarray, columns: int) -> np.ndarray:
+    """The one degeneracy gate, on the singular values s (..., r) of matrices
+    with ``columns`` columns, in descending order.
+
+    True where a matrix has fewer rows than columns, a zero smallest singular
+    value, or a Gram condition (s_max / s_min)^2 above GRAM_CONDITION_LIMIT.
+    """
+    if s.shape[-1] < columns:
+        return np.ones(s.shape[:-1], dtype=bool)
+    return ~((s[..., -1] > 0) & (s[..., 0] <= math.sqrt(GRAM_CONDITION_LIMIT) * s[..., -1]))
+
+
+def _gate(design: np.ndarray):
+    """(Gram condition, passes the gate) of one normalised design."""
+    s = np.linalg.svd(design, compute_uv=False)
+    full = s.shape[-1] == design.shape[-1] and s[-1] > 0
+    return (float((s[0] / s[-1]) ** 2) if full else math.inf), not singular(s, design.shape[-1])
+
+
+def _enough(pts: np.ndarray, extra: int, test: str) -> np.ndarray:
+    n, m = pts.shape
+    if n < m + extra:
+        raise InsufficientSensorsError(
+            f"{test} test needs at least m+{extra} = {m + extra} sensors, got {n}"
+        )
+    return pts
 
 
 def check_hyperplane(sensors) -> bool:
-    """True iff the sensors affinely span the full space.
-
-    Centered sensor matrix must have rank m; fails exactly when all sensors
-    lie on a common line (2-D) or plane (3-D).
-    """
-    pts = _as_points(sensors, "sensors")
-    n, m = pts.shape
-    if n < m + 1:
-        raise InsufficientSensorsError(
-            f"hyperplane test needs at least m+1 = {m + 1} sensors, got {n}"
-        )
-    centered = pts - pts.mean(axis=0)
-    return _full_rank(centered)
+    """True iff the sensors affinely span the full space: not all of them lie
+    on one line (2-D) or plane (3-D). See :func:`localizability`."""
+    return localizability(sensors).hyperplane_ok
 
 
 def check_hypersphere(sensors) -> bool:
     """True iff no single circle (2-D) / sphere (3-D) contains all sensors.
 
-    Tests full column rank of the n x (m+2) design with rows
-    [-2*p_i^T, 1, ||p_i||^2]: a null vector with nonzero last component
-    certifies concyclicity/cosphericity, one with zero last component
-    certifies cohyperplanarity, so this condition subsumes the hyperplane
-    test.
+    A null vector of the n x (m+2) design [-2*q_i^T, 1, ||q_i||^2] with
+    nonzero last component certifies concyclicity/cosphericity, one with
+    zero last component cohyperplanarity, so this test subsumes the
+    hyperplane test. See :func:`localizability`.
     """
-    pts = _as_points(sensors, "sensors")
-    n, m = pts.shape
-    if n < m + 2:
-        raise InsufficientSensorsError(
-            f"hypersphere test needs at least m+2 = {m + 2} sensors, got {n}"
-        )
-    # Concyclicity is similarity-invariant; center and scale-normalize so the
-    # ||p||^2 column cannot dominate the rank test for far-from-origin layouts.
-    centered = pts - pts.mean(axis=0)
-    scale = np.sqrt(np.mean(np.sum(centered**2, axis=1)))
-    if scale > 0:
-        centered = centered / scale
-    return _full_rank(hypersphere_design(centered))
-
-
-def gram_condition(design: np.ndarray) -> float:
-    """Condition number of design^T design / n."""
-    n = design.shape[0]
-    return float(np.linalg.cond(design.T @ design / n))
+    pts = _enough(_as_points(sensors, "sensors"), 2, "hypersphere")
+    return localizability(pts).hypersphere_ok
 
 
 def localizability(sensors) -> LocalizabilityReport:
-    """Combine both rank tests into an advisory report.
+    """Both tests and the Gram conditions they gate on, one SVD per design.
 
     Verdict: NotLocalizable if the hyperplane test fails, KnownVarianceOnly
     if only the hypersphere test fails (or there are too few sensors for it),
     else FullyLocalizable.
     """
-    pts = _as_points(sensors, "sensors")
-    hyperplane_ok = check_hyperplane(pts)
-    try:
-        hypersphere_ok = check_hypersphere(pts)
-    except InsufficientSensorsError:
-        hypersphere_ok = False
+    q = normalise(_enough(_as_points(sensors, "sensors"), 1, "hyperplane"))[0]
+    condition_known, hyperplane_ok = _gate(hyperplane_design(q))
+    condition_unknown, hypersphere_ok = _gate(hypersphere_design(q))
     if not hyperplane_ok:
         verdict = Localizability.NOT_LOCALIZABLE
     elif not hypersphere_ok:
@@ -147,7 +149,7 @@ def localizability(sensors) -> LocalizabilityReport:
     return LocalizabilityReport(
         hyperplane_ok=hyperplane_ok,
         hypersphere_ok=hypersphere_ok,
-        gram_condition_known=gram_condition(hyperplane_design(pts)),
-        gram_condition_unknown=gram_condition(hypersphere_design(pts)),
+        gram_condition_known=condition_known,
+        gram_condition_unknown=condition_unknown,
         verdict=verdict,
     )

@@ -25,7 +25,7 @@ from .errors import (
     InvalidInputError,
     SingularPointError,
 )
-from .estimators import GRAM_CONDITION_LIMIT
+from .geometry import singular
 from .model import LN10, SENSOR_CLEARANCE, Scenario
 
 _SWEEP_PARAMS = ("rounds", "sigma")
@@ -67,19 +67,18 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
     d2 = np.sum(diff**2, axis=1)
     if np.any(np.sqrt(d2) < SENSOR_CLEARANCE):
         raise SingularPointError("eval_point coincides with a sensor")
-    terms = diff[:, :, None] * diff[:, None, :] / (d2**2 * LN10**2)[:, None, None]
-    n = scenario.n_measurements
-    m_n = terms.mean(axis=0)  # rounds repeat identical terms
+    # Rows: the gradients of log10 d_i, which every round repeats.
+    grad = diff / (d2 * LN10)[:, None]
+    m_n = grad.T @ grad / len(grad)
     scale = 100.0 * scenario.alpha**2 / scenario.sigma_db**2
-    fisher = scale * n * m_n
-    # CRLB = tr(F^-1) = sum 1/lambda over the eigenvalues of F. The same
-    # condition limit as the estimators' Gram gate rejects (nearly)
-    # singular information: e.g. collinear sensors with the source on or
-    # next to their line.
-    eig = np.linalg.eigvalsh(fisher)
-    if not eig[0] > eig[-1] / GRAM_CONDITION_LIMIT:
+    fisher = scale * scenario.n_measurements * m_n
+    # F = scale * rounds * grad^T grad, so CRLB = tr(F^-1) is a sum over the
+    # singular values of grad, which the library's one gate checks: it
+    # rejects e.g. collinear sensors with the source on or next to their line.
+    s = np.linalg.svd(grad, compute_uv=False)
+    if singular(s, len(p)):
         raise DegenerateGeometryError("Fisher information matrix is singular")
-    crlb = float(np.sum(1.0 / eig))
+    crlb = float(np.sum(1.0 / (scale * scenario.rounds * s**2)))
     return FisherSummary(
         F=fisher,
         crlb=crlb,

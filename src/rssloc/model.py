@@ -242,12 +242,6 @@ class NoiseModel:
             self, "bias_b", lognormal_bias(self.sigma_db, self.alpha)
         )
 
-    @property
-    def eta_variance(self) -> float:
-        """Variance b^2*(b^2-1) of the centered lognormal factor."""
-        b = self.bias_b
-        return b * b * (b * b - 1.0)
-
 
 def trial_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Counter-based substream generator.

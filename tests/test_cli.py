@@ -95,6 +95,19 @@ class TestEstimate:
         assert code == 2
         assert json.loads(err)["error"] == "schema"
 
+    @pytest.mark.parametrize("sigma_db", [None, 2.0])
+    def test_overflowing_reading_exits_1_numeric(self, capsys, tmp_path, scenario_2d, sigma_db):
+        # 10**(2*200) overflows a double; the error is typed and alone on stderr.
+        payload = {"sensors": scenario_2d.sensors[:5].tolist(), "y": [200.0, 1.0, 1.0, 1.0, 1.0]}
+        if sigma_db is not None:
+            payload["sigma_db"] = sigma_db
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "numeric"
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["estimate", "--input", str(tmp_path / "nope.json")])
         assert code == 2

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import COLLINEAR_2D, SQUARE_CORNERS, normal_equations_solve
+from conftest import COLLINEAR_2D, PER_CALL, SQUARE_CORNERS, normal_equations_solve
+from rssloc.bench import scenario_registry
 from rssloc.errors import (
     DegenerateGeometryError,
     DegenerateJacobianError,
     InvalidInputError,
+    NumericError,
+    RssLocError,
     SingularGramError,
     SingularPointError,
 )
@@ -25,7 +30,7 @@ from rssloc.estimators import (
     source_from_beta,
     two_step,
 )
-from rssloc.geometry import hyperplane_design, hypersphere_design
+from rssloc.geometry import Localizability, hyperplane_design, hypersphere_design, localizability
 from rssloc.inference import fisher_information
 from rssloc.model import (
     LN10,
@@ -333,13 +338,110 @@ class TestTwoStep:
                 two_step(ms_a, noise).p_hat,
                 atol=1e-6,
             )
-            # The unknown-variance path is equivariant only while the
-            # max(1, b_hat) denominator guard stays inactive.
-            est_a = two_step(ms_a, None)
-            if est_a.b_hat >= 1.0:
-                np.testing.assert_allclose(
-                    two_step(ms_b, None).p_hat - shift, est_a.p_hat, atol=1e-6
-                )
+            # The max(1, b_hat) floor acts in the centred frame, so the
+            # unknown-variance path is equivariant for every b_hat.
+            np.testing.assert_allclose(
+                two_step(ms_b, None).p_hat - shift, two_step(ms_a, None).p_hat, atol=1e-6
+            )
+
+
+# The LS and two-step paths of the per-call API, by estimator id.
+LS_PATHS = ("ls", "ls-u", "ls+gn", "ls-u+gn")
+
+
+@st.composite
+def registry_trials(draw):
+    """One measurement set on a registry layout and its noise model."""
+    sc = scenario_registry()[draw(st.sampled_from(["2d-fixed", "3d-fixed"]))]
+    sc = sc.with_rounds(draw(st.sampled_from([1, 3, 30]))).with_sigma(
+        draw(st.sampled_from([0.0, 2.0, 6.0]))
+    )
+    ms = generate_measurements(sc, draw(st.integers(0, 2**32 - 1)))
+    return ms, NoiseModel(sc.sigma_db, sc.alpha)
+
+
+def _outcomes(ms, noise):
+    """p_hat per LS path, or the type of the typed error it raised."""
+    out = {}
+    for est in LS_PATHS:
+        try:
+            out[est] = PER_CALL[est](ms, noise).p_hat
+        except RssLocError as exc:
+            out[est] = type(exc)
+    return out
+
+
+class TestEquivariance:
+    """p_hat moves with the layout: p -> lam * R p + o with y -> y + log10(lam)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trial=registry_trials(),
+        offset=st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+    )
+    def test_translation(self, trial, offset):
+        ms, noise = trial
+        shift = np.array(offset[: ms.dimension])
+        moved = _outcomes(MeasurementSet(ms.sensor_coords + shift, ms.y), noise)
+        for est, local in _outcomes(ms, noise).items():
+            if isinstance(local, type) or isinstance(moved[est], type):
+                assert moved[est] is local, est
+            else:
+                np.testing.assert_allclose(moved[est] - shift, local, rtol=0, atol=1e-6, err_msg=est)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trial=registry_trials(),
+        log_scale=st.floats(-3.0, 3.0),
+        rotation_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rotation_and_scaling(self, trial, log_scale, rotation_seed):
+        ms, noise = trial
+        rng = np.random.default_rng(rotation_seed)
+        rot, _ = np.linalg.qr(rng.normal(size=(ms.dimension, ms.dimension)))
+        lam = 10.0**log_scale
+        moved = _outcomes(
+            MeasurementSet(lam * ms.sensor_coords @ rot.T, ms.y + log_scale), noise
+        )
+        for est, local in _outcomes(ms, noise).items():
+            if isinstance(local, type) or isinstance(moved[est], type):
+                assert moved[est] is local, est
+            else:
+                back = moved[est] @ rot / lam
+                assert np.linalg.norm(back - local) <= 1e-9 * (1.0 + np.linalg.norm(local)), est
+
+
+UTM_OFFSET = np.array([5e5, 4.5e6, 0.0])
+
+
+class TestUtmFrame:
+    @pytest.mark.parametrize("scenario_id", ["2d-fixed", "3d-fixed"])
+    @pytest.mark.parametrize("rounds", [3, 100])
+    def test_unknown_variance_two_step_moves_with_the_layout(self, scenario_id, rounds):
+        sc = scenario_registry()[scenario_id].with_rounds(rounds)
+        offset = UTM_OFFSET[: sc.dimension]
+        for trial in range(20):
+            ms = generate_measurements(sc, trial_rng(61, rounds, trial))
+            utm = MeasurementSet(ms.sensor_coords + offset, ms.y)
+            np.testing.assert_allclose(
+                two_step(utm, None).p_hat - offset, two_step(ms, None).p_hat, rtol=0, atol=1e-6
+            )
+        local = localizability(sc.sensors)
+        shifted = localizability(sc.sensors + offset)
+        assert shifted.verdict is Localizability.FULLY_LOCALIZABLE
+        assert shifted.gram_condition_known == pytest.approx(local.gram_condition_known, rel=1e-9)
+        assert shifted.gram_condition_unknown == pytest.approx(local.gram_condition_unknown, rel=1e-9)
+
+
+class TestOverflow:
+    # 10**(2*200) overflows a double.
+    Y = [200.0, 1.0, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("est", LS_PATHS)
+    def test_typed_error_instead_of_nan_or_linalg_error(self, est, scenario_2d):
+        ms = MeasurementSet(sensor_coords=scenario_2d.sensors[:5], y=self.Y)
+        with pytest.raises(NumericError):
+            PER_CALL[est](ms, NOISE)
 
 
 class TestMlReference:

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import COLLINEAR_2D, SQUARE_CORNERS, points_concyclic
-from rssloc.errors import InsufficientSensorsError
+from rssloc.bench import scenario_registry
+from rssloc.errors import InsufficientSensorsError, SingularGramError
+from rssloc.estimators import ls_known_variance, ls_unknown_variance
 from rssloc.geometry import (
     Localizability,
     check_hyperplane,
     check_hypersphere,
     localizability,
 )
+from rssloc.model import MeasurementSet
 
 
 class TestCheckHyperplane:
@@ -129,3 +134,64 @@ class TestLocalizability:
                 )
                 shift = rng.uniform(-100, 100, size=2)
                 assert localizability(pts @ rot.T + shift).verdict is base
+
+
+def _base_layout(kind, m, n, rng):
+    """n points in m dimensions: generic, on a hyperplane, on a hypersphere,
+    or a registry layout (n ignored)."""
+    if kind == "registry":
+        return scenario_registry()["2d-fixed" if m == 2 else "3d-fixed"].sensors
+    if kind == "generic":
+        return rng.uniform(-50.0, 50.0, size=(n, m))
+    if kind == "hyperplane":
+        basis = np.linalg.qr(rng.normal(size=(m, m)))[0][:, : m - 1]
+        return rng.uniform(-50.0, 50.0, size=(n, m - 1)) @ basis.T + rng.normal(size=m)
+    direction = rng.normal(size=(n, m))
+    return rng.uniform(1.0, 50.0) * direction / np.linalg.norm(direction, axis=1, keepdims=True)
+
+
+def _raises_singular_gram(estimator, *args):
+    try:
+        estimator(*args)
+    except SingularGramError:
+        return True
+    return False
+
+
+class TestVerdictIsTheEstimatorGate:
+    """On the same rows: FullyLocalizable iff neither LS path raises
+    SingularGramError, KnownVarianceOnly iff only the unknown-variance path
+    does, NotLocalizable iff both do."""
+
+    VERDICTS = {
+        (False, False): Localizability.FULLY_LOCALIZABLE,
+        (False, True): Localizability.KNOWN_VARIANCE_ONLY,
+        (True, True): Localizability.NOT_LOCALIZABLE,
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["generic", "hyperplane", "hypersphere", "registry"]),
+        m=st.sampled_from([2, 3]),
+        # n = 4 is m + 1 in 3-D: four points always lie on one sphere.
+        n=st.integers(4, 12),
+        # Relative size of the perturbation off the degenerate layout; the
+        # middle values put the Gram condition near the gate's limit.
+        jitter=st.sampled_from([0.0, 1e-9, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 1e-3]),
+        log_scale=st.floats(-3.0, 3.0),
+        offset=st.floats(-1e6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_matches_gate(self, kind, m, n, jitter, log_scale, offset, seed):
+        rng = np.random.default_rng(seed)
+        base = _base_layout(kind, m, n, rng)
+        base = base + jitter * np.ptp(base) * rng.normal(size=base.shape)
+        sensors = 10.0**log_scale * base + offset
+        source = sensors.mean(axis=0) + 10.0**log_scale * 7.0
+        y = np.log10(np.linalg.norm(sensors - source, axis=1)) + rng.normal(0.0, 0.05, len(sensors))
+        ms = MeasurementSet(sensor_coords=sensors, y=y)
+        gates = (
+            _raises_singular_gram(ls_known_variance, ms, 1.0),
+            _raises_singular_gram(ls_unknown_variance, ms),
+        )
+        assert self.VERDICTS.get(gates) is localizability(sensors).verdict

@@ -113,7 +113,6 @@ class TestNoiseModel:
         nm = NoiseModel(sigma_db=2.0, alpha=2.0)
         assert nm.omega_std == pytest.approx(0.1)
         assert nm.bias_b == pytest.approx(lognormal_bias(2.0, 2.0))
-        assert nm.eta_variance == pytest.approx(lognormal_variance(2.0, 2.0))
 
 
 class TestScenario:
