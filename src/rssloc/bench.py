@@ -6,9 +6,11 @@ over rounds T, noise sigma, or random-deployment size n.
 
 The engine handles a whole sweep point at once. Each trial's draws are
 reduced, as soon as they are drawn, to per-sensor means of y and of
-10**(2*y) over the rounds (``sweep_point``); the estimators then run on all
-trials together (``estimate_point``). In exact arithmetic this gives the
-estimates of the per-call API on the trial's n tiled measurements.
+10**(2*y) over the rounds (``sweep_point``); each estimator then runs on all
+trials together through ``estimators.estimate_stack``, the one
+implementation of the estimator policy that the per-call API also runs on a
+trial's n tiled measurements. In exact arithmetic the two give the same
+estimates; ``ml`` iterates all unconverged trials at once.
 
 Per-trial randomness is a counter-based substream keyed by
 (master_seed, sweep_index, trial_index), so every trial can be replayed on
@@ -22,22 +24,15 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, RssLocError
-from .estimators import (
-    gn_steps,
-    known_variance_theta,
-    ml_reference,
-    two_step,
-    unknown_variance_beta,
-)
+from .errors import ConfigError, InvalidInputError
+from .estimators import ESTIMATOR_IDS, estimate_stack, two_step
 from .inference import fisher_information
 from .model import (
-    MeasurementSet,
     NoiseModel,
     Scenario,
     draw_rounds,
@@ -46,9 +41,6 @@ from .model import (
 )
 
 SWEEP_PARAMS = ("rounds", "sigma", "n_random")
-
-# Estimator ids accepted in configs and on the CLI.
-ESTIMATOR_IDS = ("ls", "ls+gn", "ls-u", "ls-u+gn", "ml")
 
 
 @dataclass(frozen=True)
@@ -193,11 +185,7 @@ class ReportRow:
     master_seed: int
 
 
-CSV_COLUMNS = (
-    "estimator", "sweep_param", "sweep_value", "n", "trials_ok",
-    "trials_failed", "bias_m", "rmse_m", "rcrlb_m", "mean_time_s",
-    "master_seed",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _fmt(value) -> str:
@@ -298,34 +286,6 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     )
 
 
-def estimate_point(est_id: str, point: SweepPoint) -> Tuple[np.ndarray, np.ndarray]:
-    """One estimator on every trial of a sweep point: (p_hat (trials, m), ok).
-
-    Outcomes match the per-call API trial by trial: a singular LS design
-    fails the trial (for ``ls+gn`` and ``ml`` too); a GN step that would
-    raise keeps the stage-1 estimate, as ``two_step`` does; ``ml`` runs
-    ``ml_reference`` on the per-sensor means from the known-variance LS
-    estimate and fails the trial when it raises.
-    """
-    if est_id in ("ls", "ls+gn", "ml"):
-        p_hat, _, singular = known_variance_theta(point.sensors, point.zbar, point.bias_b)
-    else:
-        p_hat, _, singular = unknown_variance_beta(point.sensors, point.zbar)
-    ok = np.ones(len(p_hat), dtype=bool) & ~singular
-    if est_id in ("ls+gn", "ls-u+gn"):
-        refined, failure = gn_steps(p_hat, point.sensors, point.ybar)
-        p_hat = np.where((failure == 0)[:, None], refined, p_hat)
-    elif est_id == "ml":
-        layouts = np.broadcast_to(point.sensors, (len(p_hat),) + point.sensors.shape[1:])
-        for trial in np.flatnonzero(ok):
-            try:
-                ms = MeasurementSet(sensor_coords=layouts[trial], y=point.ybar[trial])
-                p_hat[trial] = ml_reference(ms, p_hat[trial]).p_hat
-            except RssLocError:
-                ok[trial] = False
-    return p_hat, ok
-
-
 def _median_of_means(times: List[float], batches: int = 10) -> float:
     # Median over batch means resists scheduler noise outliers.
     chunks = np.array_split(np.asarray(times), min(batches, len(times)))
@@ -350,10 +310,11 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
         point = sweep_point(cfg, sweep_index)
         for est_id in cfg.estimators:
             t0 = time.perf_counter()
-            p_hat, ok = estimate_point(est_id, point)
+            out = estimate_stack(est_id, point.sensors, point.ybar, point.zbar, point.bias_b)
             elapsed = time.perf_counter() - t0
+            ok = out.failure == 0
             if ok.any():
-                errors = p_hat[ok] - point.source
+                errors = out.p_hat[ok] - point.source
                 bias = float(np.sum(np.abs(errors.mean(axis=0))))
                 rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
                 mean_time = elapsed / cfg.trials if cfg.measure_time else None

@@ -47,6 +47,14 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _table(columns, rows, fmt: str) -> str:
+    """Rows of numbers as a JSON list of objects, or as CSV with %.17g."""
+    if fmt == "json":
+        return json.dumps([dict(zip(columns, row)) for row in rows], indent=2)
+    lines = [",".join(columns)] + [",".join(format(v, ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _measurements_from_file(payload: dict):
     """Parse {sensors, raw_db|y, alpha?, p0?, sigma_db?} into a MeasurementSet.
 
@@ -100,17 +108,14 @@ def _cmd_crlb(args) -> int:
         scenario = bench.get_scenario(args.scenario, sigma_db=args.sigma)
         if isinstance(scenario, bench.RandomScenarioFamily):
             raise ConfigError("crlb needs a fixed scenario, not the random family")
-    values = [float(v) for v in args.sweep_values.split(",")]
+    try:
+        values = [float(v) for v in args.sweep_values.split(",")]
+        if not np.all(np.isfinite(values)):
+            raise ValueError(args.sweep_values)
+    except ValueError as exc:
+        raise ConfigError(f"--sweep-values must be comma-separated finite numbers: {exc}") from exc
     curve = rcrlb_curve(scenario, values, param=args.sweep_param)
-    if args.format == "json":
-        text = json.dumps(
-            [{args.sweep_param: x, "rcrlb_m": r} for x, r in curve], indent=2
-        )
-    else:
-        lines = [f"{args.sweep_param},rcrlb_m"]
-        lines += [f"{x:.17g},{r:.17g}" for x, r in curve]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(_table((args.sweep_param, "rcrlb_m"), curve, args.format), args.out)
     return 0
 
 
@@ -129,15 +134,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_time_scaling(args) -> int:
     results = bench.time_scaling(args.n, runs=args.runs, master_seed=args.seed)
-    if args.format == "json":
-        text = json.dumps(
-            [{"n": n, "mean_time_s": t} for n, t in results], indent=2
-        )
-    else:
-        lines = ["n,mean_time_s"]
-        lines += [f"{n},{t:.17g}" for n, t in results]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(_table(("n", "mean_time_s"), results, args.format), args.out)
     return 0
 
 

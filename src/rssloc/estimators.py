@@ -12,21 +12,21 @@ layout normalised to its centroid and unit RMS radius, so the estimators gate
 on the condition ``geometry.localizability`` reports, and their estimates are
 translation, rotation and scale equivariant.
 
-The kernels work on stacks of problems: ``known_variance_theta``,
-``unknown_variance_beta`` and ``gn_steps`` take (g, k, m) sensor layouts
-with g either 1 (shared geometry) or one per problem, and one (k,) data row
-per problem. The single-problem estimators below call them with one problem
-of n rows; the Monte Carlo engine calls them on per-sensor means over the
-rounds, which give the same estimates as the n tiled rows because tiling
-multiplies both sides of every normal equation by the number of rounds.
+The estimator policy lives in one function, ``estimate_stack``, which runs
+on a stack of problems. The single-problem estimators run it on one problem
+of n rows and raise the failure it reports (``ml_reference`` runs its ML
+iteration, ``gn_iterate``, from the caller's start point); the Monte Carlo
+engine runs it on per-sensor means over the rounds, which give the same
+estimates as the n tiled rows because tiling multiplies both sides of every
+normal equation, LS and Gauss-Newton alike, by the number of rounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,14 +40,22 @@ from .errors import (
 from .geometry import hyperplane_design, hypersphere_design, normalise, singular
 from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel
 
-# Outcomes of one Gauss-Newton step, indexed by the failure codes of
-# gn_steps, in the order gn_step checks them: 0 is success.
-GN_FAILURES = (
+ESTIMATOR_IDS = ("ls", "ls+gn", "ls-u", "ls-u+gn", "ml")
+
+# The typed error behind each failure code of gn_steps and estimate_stack (0 is
+# success): one Gauss-Newton step, in the order gn_steps checks, then LS.
+FAILURES = (
     None,
     (SingularPointError, "evaluation point coincides with a sensor"),
     (DegenerateJacobianError, "J^T J is numerically singular"),
     (NumericError, "Gauss-Newton step is not finite"),
+    (SingularGramError, "singular Gram matrix: sensors are (nearly) collinear/coplanar, "
+     "violating the non-cohyperplanarity condition"),
+    (SingularGramError, "singular Gram matrix: sensors are (nearly) concyclic/cospherical, "
+     "violating the non-cohypersphericity condition"),
+    (NumericError, "10**(2*y) or the least-squares coefficients are not finite"),
 )
+_NEAR, _DEGENERATE, _STEP_NONFINITE, _SINGULAR_KNOWN, _SINGULAR_UNKNOWN, _LS_NONFINITE = range(1, 7)
 
 
 class Stage(str, Enum):
@@ -72,17 +80,10 @@ class Estimate:
     refinement_degraded: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "p_hat": np.asarray(self.p_hat).tolist(),
-            "stage": self.stage.value,
-            "residual_norm": self.residual_norm,
-            "theta_hat": None if self.theta_hat is None else np.asarray(self.theta_hat).tolist(),
-            "beta_hat": None if self.beta_hat is None else np.asarray(self.beta_hat).tolist(),
-            "b_hat": self.b_hat,
-            "gn_iterations": self.gn_iterations,
-            "converged": self.converged,
-            "refinement_degraded": self.refinement_degraded,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key in ("p_hat", "theta_hat", "beta_hat"):
+            d[key] = None if d[key] is None else np.asarray(d[key]).tolist()
+        return {**d, "stage": self.stage.value}
 
 
 @dataclass(frozen=True)
@@ -112,78 +113,74 @@ def _gated_solve(a: np.ndarray, rhs: np.ndarray):
     return (coef[:, None, :] @ vt)[:, 0], bad
 
 
-def known_variance_theta(sensors: np.ndarray, z: np.ndarray, b: float):
-    """Known-variance LS for a stack of layouts; z holds 10**(2*y).
+def _least_squares(sensors: np.ndarray, z: np.ndarray, b: Optional[float]):
+    """Closed-form LS for a stack of layouts (g, k, m); z (t, k) holds 10**(2*y).
 
-    On the normalised layout sensors = c + s*q (geometry.normalise),
-    z / (b s^2) - ||q_i||^2 is regressed on [-2*q_i^T, 1], the design that
-    localizability gates. Both design column spaces hold every affine
-    function of p_i, so the coefficients map back exactly to those of
-    z - b*||p_i||^2 on b*[-2*p_i^T, 1]. Returns (p_hat (t, m), theta
-    (t, m+1), singular (g,)), one flag per layout.
+    On the normalised layout sensors = c + s*q (geometry.normalise), regresses
+    z / s^2 on [-2*q_i^T, 1, ||q_i||^2], the design localizability gates; with
+    b known (b not None) the last coefficient is fixed at 1 and z / (b s^2) -
+    ||q_i||^2 is regressed on [-2*q_i^T, 1]. Both column spaces hold every
+    affine function of p_i, so the coefficients map back exactly to those in
+    p_i. Returns (p_hat (t, m), theta (t, m+1) or beta (t, m+2), singular (g,)).
     """
     q, c, s = normalise(sensors)
     m = c.shape[-1]
-    rhs = z / (b * s * s)[:, None] - (q * q).sum(axis=-1)
-    x, bad = _gated_solve(hyperplane_design(q), rhs)
+    if b is None:
+        x, bad = _gated_solve(hypersphere_design(q), z / (s * s)[:, None])
+        kappa = x[:, m + 1]
+    else:
+        x, bad = _gated_solve(hyperplane_design(q), z / (b * s * s)[:, None] - (q * q).sum(axis=-1))
+        kappa = 1.0
     t, tau = x[:, :m], x[:, m]
-    p_hat = c + s[:, None] * t
-    last = s * (s * tau + 2.0 * (c * t).sum(axis=-1)) + (c * c).sum(axis=-1)
-    return p_hat, np.concatenate([p_hat, last[:, None]], axis=1), bad
-
-
-def unknown_variance_beta(sensors: np.ndarray, z: np.ndarray):
-    """Unknown-variance LS for a stack of layouts; z holds 10**(2*y).
-
-    Regresses z / s^2 on [-2*q_i^T, 1, ||q_i||^2] of the normalised layout
-    and maps beta back to that of z on [-2*p_i^T, 1, ||p_i||^2]. The source
-    is c + s * source_from_beta(beta'), so the b_hat >= 1 floor acts in the
-    centred frame and the estimate stays equivariant. Returns (p_hat (t, m),
-    beta (t, m+2), singular (g,)).
-    """
-    q, c, s = normalise(sensors)
-    m = c.shape[-1]
-    x, bad = _gated_solve(hypersphere_design(q), z / (s * s)[:, None])
-    t, tau, kappa = x[:, :m], x[:, m], x[:, m + 1]
-    p_hat = c + s[:, None] * source_from_beta(x, m)
     last = s * (s * tau + 2.0 * (c * t).sum(axis=-1)) + kappa * (c * c).sum(axis=-1)
+    if b is not None:
+        p_hat = c + s[:, None] * t
+        return p_hat, np.concatenate([p_hat, last[:, None]], axis=1), bad
+    p_hat = c + s[:, None] * source_from_beta(x, m)
     beta = np.concatenate([s[:, None] * t + kappa[:, None] * c, last[:, None], kappa[:, None]], axis=1)
     return p_hat, beta, bad
 
 
-def _solve_one(kernel, ms: MeasurementSet, error_message: str, *args):
-    """One LS kernel on one measurement set: (p_hat, coefficients)."""
-    # An overflowing 10**(2*y) makes the coefficients non-finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_hat, coef, bad = kernel(ms.sensor_coords[None], np.power(10.0, 2.0 * ms.y)[None], *args)
-    if bad[0]:
-        raise SingularGramError(error_message)
-    if not np.isfinite(coef).all():
-        raise NumericError("10**(2*y) or the least-squares coefficients are not finite")
-    return p_hat[0], coef[0]
-
-
-def _distances_checked(p: np.ndarray, sensors: np.ndarray) -> np.ndarray:
-    d = np.linalg.norm(sensors - p, axis=1)
-    if np.any(d < SENSOR_CLEARANCE):
-        raise SingularPointError("evaluation point coincides with a sensor")
-    return d
-
-
 def ml_objective(p, ms: MeasurementSet) -> float:
     """Mean squared equivalent-measurement residual (1/n) sum (y_i - log10 d_i)^2."""
-    p = np.asarray(p, dtype=float)
-    d = _distances_checked(p, ms.sensor_coords)
+    d = np.linalg.norm(ms.sensor_coords - np.asarray(p, dtype=float), axis=1)
+    if np.any(d < SENSOR_CLEARANCE):
+        _raise(_NEAR)
     r = ms.y - np.log10(d)
     return float(np.mean(r * r))
 
 
-def _finish(p_hat: np.ndarray, ms: MeasurementSet, **kwargs) -> Estimate:
+def _raise(code: int) -> None:
+    if code:
+        error, message = FAILURES[code]
+        raise error(message)
+
+
+def _residual(p_hat: np.ndarray, ms: MeasurementSet) -> float:
+    """sqrt(ml_objective) at the final estimate; NaN on a sensor."""
     try:
-        residual = math.sqrt(ml_objective(p_hat, ms))
+        return math.sqrt(ml_objective(p_hat, ms))
     except SingularPointError:
-        residual = float("nan")
-    return Estimate(p_hat=p_hat, residual_norm=residual, **kwargs)
+        return float("nan")
+
+
+def _estimate(est_id: str, ms: MeasurementSet, stage: Stage, b: float = 1.0) -> Estimate:
+    """estimate_stack on the n rows of ``ms``; raises the failure it reports."""
+    # An overflowing 10**(2*y) makes the coefficients non-finite (_LS_NONFINITE).
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.power(10.0, 2.0 * ms.y)[None]
+        out = estimate_stack(est_id, ms.sensor_coords[None], ms.y[None], z, b)
+    _raise(out.failure[0])
+    p_hat, coef = out.p_hat[0], out.coef[0]
+    coefs = {"beta_hat": coef, "b_hat": float(coef[-1])} if est_id.startswith("ls-u") else {"theta_hat": coef}
+    return Estimate(
+        p_hat=p_hat,
+        stage=stage,
+        residual_norm=_residual(p_hat, ms),
+        gn_iterations=int(out.iterations[0]),
+        refinement_degraded=bool(out.degraded[0]),
+        **coefs,
+    )
 
 
 def ls_known_variance(ms: MeasurementSet, b: float) -> Estimate:
@@ -198,14 +195,7 @@ def ls_known_variance(ms: MeasurementSet, b: float) -> Estimate:
     """
     if not (b >= 1.0):
         raise InvalidInputError("b must be >= 1")
-    p_hat, theta = _solve_one(
-        known_variance_theta,
-        ms,
-        "singular Gram matrix: sensors are (nearly) collinear/coplanar, "
-        "violating the non-cohyperplanarity condition",
-        b,
-    )
-    return _finish(p_hat, ms, stage=Stage.LS_KNOWN_VAR, theta_hat=theta)
+    return _estimate("ls", ms, Stage.LS_KNOWN_VAR, b)
 
 
 def source_from_beta(beta: np.ndarray, m: int) -> np.ndarray:
@@ -229,19 +219,7 @@ def ls_unknown_variance(ms: MeasurementSet) -> Estimate:
     hypersphere test, which fewer than m+2 rows also fail). Raises
     NumericError like ls_known_variance.
     """
-    p_hat, beta = _solve_one(
-        unknown_variance_beta,
-        ms,
-        "singular Gram matrix: sensors are (nearly) concyclic/cospherical, "
-        "violating the non-cohypersphericity condition",
-    )
-    return _finish(
-        p_hat,
-        ms,
-        stage=Stage.LS_UNKNOWN_VAR,
-        beta_hat=beta,
-        b_hat=float(beta[-1]),
-    )
+    return _estimate("ls-u", ms, Stage.LS_UNKNOWN_VAR)
 
 
 def estimate_sigma_from_b(b_hat: float, alpha: float) -> float:
@@ -264,8 +242,8 @@ def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray):
     ``p`` is (t, m), ``sensors`` (g, k, m) with g in {1, t}, ``y`` (t, k).
     Each step is p + (J^T J)^{-1} J^T (y - f(p)) with f_i(p) =
     log10||p_i - p||, solved by one SVD of J. Returns (p_next (t, m),
-    failure (t,)): failure indexes GN_FAILURES and is 0 where the step
-    succeeded; elsewhere p_next is meaningless.
+    failure (t,)): failure indexes FAILURES and is 0 where the step
+    succeeded; elsewhere p_next is meaningless. ``p`` must be finite.
     """
     diff = p[:, None, :] - sensors
     d = np.linalg.norm(diff, axis=-1)
@@ -274,9 +252,9 @@ def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray):
     # Rows (p - p_i)^T / (d_i^2 ln 10): gradient of log10||p_i - p||.
     jac = diff / (d[..., None] ** 2 * LN10)
     step, degenerate = _gated_solve(jac, y - np.log10(d))
-    failure = np.where(np.isfinite(step).all(axis=-1), 0, 3)
-    failure[degenerate] = 2
-    failure[near] = 1
+    failure = np.where(np.isfinite(step).all(axis=-1), 0, _STEP_NONFINITE)
+    failure[degenerate] = _DEGENERATE
+    failure[near] = _NEAR
     return p + step, failure
 
 
@@ -284,10 +262,88 @@ def gn_step(p, ms: MeasurementSet) -> np.ndarray:
     """One Gauss-Newton step on the ML objective from p (see gn_steps)."""
     p = np.asarray(p, dtype=float)
     p_next, failure = gn_steps(p[None], ms.sensor_coords[None], ms.y[None])
-    if failure[0]:
-        error, message = GN_FAILURES[failure[0]]
-        raise error(message)
+    _raise(failure[0])
     return p_next[0]
+
+
+def _layouts(sensors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The layouts of the selected problems; a shared layout stays shared."""
+    return sensors if len(sensors) == 1 else sensors[rows]
+
+
+def gn_iterate(p: np.ndarray, sensors: np.ndarray, y: np.ndarray, cfg: GnConfig = GnConfig()):
+    """Iterate gn_steps over the problems that have neither converged (a step
+    shorter than cfg.step_tolerance) nor failed, at most cfg.max_iterations
+    times. Returns (p, failure, iterations, converged), one row per problem;
+    iterations counts the steps taken, a failing one included.
+    """
+    p = np.array(p, dtype=float)
+    t = len(p)
+    failure = np.zeros(t, dtype=int)
+    iterations = np.zeros(t, dtype=int)
+    converged = np.zeros(t, dtype=bool)
+    active = np.arange(t)
+    for iteration in range(1, cfg.max_iterations + 1):
+        if not active.size:
+            break
+        p_next, step_failure = gn_steps(p[active], _layouts(sensors, active), y[active])
+        iterations[active] = iteration
+        failure[active] = step_failure
+        stepped = step_failure == 0
+        active, p_next = active[stepped], p_next[stepped]
+        done = np.linalg.norm(p_next - p[active], axis=-1) < cfg.step_tolerance
+        p[active] = p_next
+        converged[active[done]] = True
+        active = active[~done]
+    return p, failure, iterations, converged
+
+
+class StackOutcome(NamedTuple):
+    """What estimate_stack returns for t problems (see there)."""
+
+    p_hat: np.ndarray
+    coef: np.ndarray
+    failure: np.ndarray
+    degraded: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
+def estimate_stack(est_id: str, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndarray, b: float) -> StackOutcome:
+    """The estimator ``est_id`` on t problems: ``sensors`` (g, k, m) with g in
+    {1, t}, and each problem's y and 10**(2*y) on its k rows (or their means
+    over rounds) in ``ybar`` and ``zbar`` (t, k); ``b`` is the lognormal bias.
+
+    ``ls``, ``ls+gn`` and ``ml`` start from the known-variance LS, ``ls-u``
+    and ``ls-u+gn`` from the unknown-variance LS; a singular design or
+    non-finite coefficients fail the problem (``failure`` indexes FAILURES,
+    0 where solved). ``+gn`` takes one Gauss-Newton step and, where it fails,
+    keeps the LS estimate flagged ``degraded``. ``ml`` iterates (gn_iterate,
+    default GnConfig) and fails the problem where a step fails. ``coef``
+    holds the LS coefficients, theta or beta.
+    """
+    if est_id not in ESTIMATOR_IDS:
+        raise InvalidInputError(f"unknown estimator {est_id!r}; known: {list(ESTIMATOR_IDS)}")
+    unknown = est_id.startswith("ls-u")
+    p_hat, coef, bad = _least_squares(sensors, zbar, None if unknown else b)
+    t = len(p_hat)
+    singular_code = _SINGULAR_UNKNOWN if unknown else _SINGULAR_KNOWN
+    failure = np.where(bad, singular_code, np.where(np.isfinite(coef).all(axis=-1), 0, _LS_NONFINITE))
+    degraded = np.zeros(t, dtype=bool)
+    iterations = np.zeros(t, dtype=int)
+    converged = np.ones(t, dtype=bool)
+    rows = np.flatnonzero(failure == 0)
+    if est_id.endswith("+gn"):
+        refined, step_failure = gn_steps(p_hat[rows], _layouts(sensors, rows), ybar[rows])
+        stepped = step_failure == 0
+        p_hat[rows[stepped]] = refined[stepped]
+        iterations[rows[stepped]] = 1
+        degraded[rows[~stepped]] = True
+    elif est_id == "ml":
+        p_hat[rows], failure[rows], iterations[rows], converged[rows] = gn_iterate(
+            p_hat[rows], _layouts(sensors, rows), ybar[rows]
+        )
+    return StackOutcome(p_hat, coef, failure, degraded, iterations, converged)
 
 
 def two_step(ms: MeasurementSet, noise: Optional[NoiseModel] = None) -> Estimate:
@@ -298,41 +354,23 @@ def two_step(ms: MeasurementSet, noise: Optional[NoiseModel] = None) -> Estimate
     stage-1 estimate is returned flagged as degraded rather than erroring:
     small-sample trials can produce iterates arbitrarily close to a sensor.
     """
-    if noise is not None:
-        first = ls_known_variance(ms, noise.bias_b)
-    else:
-        first = ls_unknown_variance(ms)
-    try:
-        refined = gn_step(first.p_hat, ms)
-    except (SingularPointError, DegenerateJacobianError, NumericError):
-        return replace(first, stage=Stage.TWO_STEP, refinement_degraded=True)
-    return _finish(
-        refined,
-        ms,
-        stage=Stage.TWO_STEP,
-        theta_hat=first.theta_hat,
-        beta_hat=first.beta_hat,
-        b_hat=first.b_hat,
-        gn_iterations=1,
-    )
+    if noise is None:
+        return _estimate("ls-u+gn", ms, Stage.TWO_STEP)
+    return _estimate("ls+gn", ms, Stage.TWO_STEP, noise.bias_b)
 
 
 def ml_reference(ms: MeasurementSet, init, cfg: GnConfig = GnConfig()) -> Estimate:
-    """Iterate Gauss-Newton to convergence; reference approximation of the ML estimator."""
-    p = np.asarray(init, dtype=float).copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        p_next = gn_step(p, ms)
-        step_norm = float(np.linalg.norm(p_next - p))
-        p = p_next
-        if step_norm < cfg.step_tolerance:
-            converged = True
-            break
-    return _finish(
-        p,
-        ms,
+    """Iterate Gauss-Newton to convergence; reference approximation of the ML estimator.
+
+    Runs gn_iterate, estimate_stack's ML iteration, from ``init``.
+    """
+    init = np.asarray(init, dtype=float)
+    p, failure, iterations, converged = gn_iterate(init[None], ms.sensor_coords[None], ms.y[None], cfg)
+    _raise(failure[0])
+    return Estimate(
+        p_hat=p[0],
         stage=Stage.ML_REFERENCE,
-        gn_iterations=iterations,
-        converged=converged,
+        residual_norm=_residual(p[0], ms),
+        gn_iterations=int(iterations[0]),
+        converged=bool(converged[0]),
     )

@@ -47,10 +47,13 @@ class LocalizabilityReport:
     verdict: Localizability
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "verdict": self.verdict.value}
+        """JSON-ready fields; an infinite condition (a design with fewer rows
+        than columns or a zero singular value) becomes None."""
+        d = {**asdict(self), "verdict": self.verdict.value}
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in d.items()}
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
 
 def hyperplane_design(sensors: np.ndarray) -> np.ndarray:

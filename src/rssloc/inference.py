@@ -40,13 +40,7 @@ class FisherSummary:
     eval_point: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "F": self.F.tolist(),
-            "crlb": self.crlb,
-            "rcrlb": self.rcrlb,
-            "M_n": self.M_n.tolist(),
-            "eval_point": self.eval_point.tolist(),
-        }
+        return {k: np.asarray(v).tolist() for k, v in vars(self).items()}
 
 
 def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InvalidInputError
+from .errors import DegenerateGeometryError, InvalidInputError, NumericError
 
 LN10 = math.log(10.0)
 
@@ -207,19 +207,25 @@ def lognormal_bias(sigma_db: float, alpha: float) -> float:
 
     b = exp((ln 10)^2 * sigma^2 / (50 * alpha^2)) >= 1, with equality iff
     sigma == 0. The matching variance is b^2 * (b^2 - 1); see
-    :func:`lognormal_variance`.
+    :func:`lognormal_variance`. NumericError where b overflows a double.
     """
     if not (sigma_db >= 0):
         raise InvalidInputError("sigma_db must be nonnegative")
     if not (alpha > 0):
         raise InvalidInputError("alpha must be positive")
-    return math.exp(LN10**2 * sigma_db**2 / (50.0 * alpha**2))
+    try:
+        return math.exp(LN10**2 * sigma_db**2 / (50.0 * alpha**2))
+    except OverflowError:
+        raise NumericError(f"lognormal bias overflows at sigma_db={sigma_db}, alpha={alpha}") from None
 
 
 def lognormal_variance(sigma_db: float, alpha: float) -> float:
-    """Variance of 10**(2*omega), equal to b^2 * (b^2 - 1)."""
+    """Variance of 10**(2*omega), equal to b^2 * (b^2 - 1); NumericError on overflow."""
     b = lognormal_bias(sigma_db, alpha)
-    return b * b * (b * b - 1.0)
+    variance = b * b * (b * b - 1.0)
+    if not math.isfinite(variance):
+        raise NumericError(f"lognormal variance overflows at sigma_db={sigma_db}, alpha={alpha}")
+    return variance
 
 
 @dataclass(frozen=True)

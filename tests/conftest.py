@@ -9,11 +9,12 @@ batched Monte Carlo engine against the per-call estimators, trial by trial.
 import numpy as np
 import pytest
 
-from rssloc.bench import estimate_point, scenario_registry, sweep_point
+from rssloc.bench import scenario_registry, sweep_point
 from rssloc.errors import RssLocError
 from rssloc.estimators import (
     ls_known_variance,
     ls_unknown_variance,
+    estimate_stack,
     ml_reference,
     two_step,
 )
@@ -138,13 +139,16 @@ def replay_against_engine(cfg):
     engine_failed, replay_failed, worst = set(), set(), 0.0
     for sweep_index in range(len(cfg.sweep_values)):
         point = sweep_point(cfg, sweep_index)
-        batched = {est: estimate_point(est, point) for est in cfg.estimators}
+        batched = {
+            est: estimate_stack(est, point.sensors, point.ybar, point.zbar, point.bias_b)
+            for est in cfg.estimators
+        }
         for trial in range(cfg.trials):
             sc = replay_scenario(cfg, sweep_index, trial)
             ms = generate_measurements(sc, trial_rng(cfg.master_seed, sweep_index, trial, 1))
             noise = NoiseModel(sc.sigma_db, sc.alpha)
             for est in cfg.estimators:
-                p_hat, ok = batched[est]
+                p_hat, ok = batched[est].p_hat, batched[est].failure == 0
                 key = (sweep_index, trial, est)
                 if not ok[trial]:
                     engine_failed.add(key)

@@ -9,14 +9,13 @@ from rssloc.bench import (
     ExperimentConfig,
     RandomScenarioFamily,
     SweepPoint,
-    estimate_point,
     get_scenario,
     run_experiment,
     scenario_registry,
     time_scaling,
 )
 from rssloc.errors import ConfigError
-from rssloc.estimators import ls_known_variance, two_step
+from rssloc.estimators import estimate_stack, ls_known_variance, two_step
 from rssloc.inference import fisher_information
 from rssloc.model import NoiseModel, Scenario, generate_measurements, trial_rng
 
@@ -191,11 +190,14 @@ class TestRunExperiment:
             rcrlb=0.0,
             n=scenario_2d.n_sensors,
         )
-        first, _ = estimate_point("ls", point)
-        refined, ok = estimate_point("ls+gn", point)
-        assert ok.all()
-        assert np.array_equal(refined[1], first[1])
-        assert np.linalg.norm(refined[0] - first[0]) > 1e-3
+        args = (point.sensors, point.ybar, point.zbar, point.bias_b)
+        first = estimate_stack("ls", *args).p_hat
+        refined = estimate_stack("ls+gn", *args)
+        assert not refined.failure.any()
+        assert refined.degraded.tolist() == [False, True]
+        assert refined.iterations.tolist() == [1, 0]
+        assert np.array_equal(refined.p_hat[1], first[1])
+        assert np.linalg.norm(refined.p_hat[0] - first[0]) > 1e-3
 
     def test_timing_column(self, scenario_2d):
         cfg = _cfg(scenario_2d, trials=3, measure_time=True)

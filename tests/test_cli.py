@@ -108,6 +108,23 @@ class TestEstimate:
         assert out == ""
         assert json.loads(err)["error"] == "numeric"
 
+    @pytest.mark.parametrize("command", ["estimate", "experiment"])
+    def test_overflowing_lognormal_bias_exits_1_numeric(self, capsys, tmp_path, scenario_2d, command):
+        # At sigma_db = 200 and alpha = 2 the lognormal bias b overflows a double.
+        if command == "estimate":
+            ms = generate_measurements(scenario_2d, 0)
+            payload = {"sensors": ms.sensor_coords.tolist(), "y": ms.y.tolist(), "sigma_db": 200}
+            argv = ["estimate", "--input"]
+        else:
+            payload = {"scenario": "2d-fixed", "sweep": {"sigma": [2, 200]}, "trials": 5}
+            argv = ["experiment", "--seed", "1", "--config"]
+        path = tmp_path / "sigma200.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, argv + [str(path)])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "numeric"
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["estimate", "--input", str(tmp_path / "nope.json")])
         assert code == 2
@@ -124,6 +141,22 @@ class TestCheckGeometry:
         assert code == 0
         assert json.loads(out)["verdict"] == "KnownVarianceOnly"
 
+    def test_strict_json_for_m_plus_1_sensors(self, capsys, tmp_path):
+        # The 3 x 4 unknown-variance design has an infinite condition, which
+        # is printed as null: strict parsers reject Infinity and NaN.
+        path = tmp_path / "geo.json"
+        path.write_text(json.dumps({"sensors": [[0, 0], [1, 0], [0, 1]]}))
+        code, out, _ = _run(capsys, ["check-geometry", "--input", str(path)])
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["verdict"] == "KnownVarianceOnly"
+        assert report["gram_condition_unknown"] is None
+        assert report["gram_condition_known"] == pytest.approx(3.0)
+
 
 class TestCrlb:
     def test_rounds_sweep_matches_library(self, capsys, scenario_2d):
@@ -138,6 +171,13 @@ class TestCrlb:
         expected = [r for _, r in rcrlb_curve(scenario_2d, [100, 400])]
         assert values == pytest.approx(expected, rel=1e-15)
         assert values[1] == pytest.approx(values[0] / 2, rel=1e-12)
+
+    @pytest.mark.parametrize("values", ["100,abc", "100,", "100,nan", "100,inf"])
+    def test_malformed_sweep_values_exit_2_schema(self, capsys, values):
+        code, out, err = _run(capsys, ["crlb", "--sweep-values", values])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "schema"
 
 
 class TestExperiment:

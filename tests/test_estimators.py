@@ -17,10 +17,11 @@ from rssloc.errors import (
     SingularPointError,
 )
 from rssloc.estimators import (
-    GN_FAILURES,
+    FAILURES,
     GnConfig,
     Stage,
     estimate_sigma_from_b,
+    gn_iterate,
     gn_step,
     gn_steps,
     ls_known_variance,
@@ -242,14 +243,14 @@ class TestGnSteps:
         for row in range(len(p)):
             ms = MeasurementSet(sensor_coords=sensors[row], y=y[row])
             if failure[row]:
-                with pytest.raises(GN_FAILURES[failure[row]][0]):
+                with pytest.raises(FAILURES[failure[row]][0]):
                     gn_step(p[row], ms)
                 continue
             expected = gn_step(p[row], ms)
             gap = np.linalg.norm(p_next[row] - expected) / np.linalg.norm(expected)
             assert gap <= 1e-12
-        assert GN_FAILURES[failure[3]][0] is SingularPointError
-        assert GN_FAILURES[failure[7]][0] is DegenerateJacobianError
+        assert FAILURES[failure[3]][0] is SingularPointError
+        assert FAILURES[failure[7]][0] is DegenerateJacobianError
 
     def test_shared_layout_broadcasts(self, scenario_2d):
         ms = generate_measurements(scenario_2d.with_rounds(2), 3)
@@ -487,6 +488,97 @@ class TestMlReference:
             GnConfig(max_iterations=0)
         with pytest.raises(InvalidInputError):
             GnConfig(step_tolerance=0.0)
+
+
+def _gn_loop(p, ms, cfg):
+    """Reference ML iteration: gn_step in a loop on one problem.
+
+    Returns (p, error type or None, iterations, converged).
+    """
+    for iteration in range(1, cfg.max_iterations + 1):
+        try:
+            p_next = gn_step(p, ms)
+        except RssLocError as exc:
+            return p, type(exc), iteration, False
+        step = np.linalg.norm(p_next - p)
+        p = p_next
+        if step < cfg.step_tolerance:
+            return p, None, iteration, True
+    return p, None, cfg.max_iterations, False
+
+
+class TestGnIterate:
+    def test_matches_a_per_problem_loop_of_gn_step(self, scenario_2d):
+        cfg = GnConfig(max_iterations=11)
+        sc = scenario_2d.with_rounds(3)
+        layout = np.tile(scenario_2d.sensors, (3, 1))
+        ys, starts = [], []
+        # Noisy trials from their LS estimates: 10-12 iterations to converge,
+        # so some stop at max_iterations.
+        for trial in range(4):
+            ms = generate_measurements(sc, trial_rng(91, trial))
+            ys.append(ms.y)
+            starts.append(ls_known_variance(ms, NOISE.bias_b).p_hat)
+        # y = f(p) + J(p) (s_4 - p): the first step from p lands on sensor 4.
+        p = np.array([60.0, 25.0])
+        diff = p - layout
+        d = np.linalg.norm(diff, axis=1)
+        ys.append(np.log10(d) + diff / (d[:, None] ** 2 * LN10) @ (layout[4] - p))
+        starts.append(p)
+        # Noise-free data from 1e-10 m off sensor 4: the iterates run away
+        # until every Jacobian row is parallel (degenerate) or time runs out.
+        near = np.log10(np.linalg.norm(layout - (layout[4] + [1e-10, 0.0]), axis=1))
+        for offset in ([5.0, 3.0], [0.01, 0.0]):
+            ys.append(near)
+            starts.append(layout[4] + offset)
+        p0, y = np.array(starts), np.array(ys)
+        layouts = np.broadcast_to(layout, (len(p0),) + layout.shape).copy()
+
+        p_hat, failure, iterations, converged = gn_iterate(p0, layouts, y, cfg)
+
+        kinds = []
+        for row in range(len(p0)):
+            ref_p, ref_error, ref_iterations, ref_converged = _gn_loop(
+                p0[row], MeasurementSet(layouts[row], y[row]), cfg
+            )
+            error = FAILURES[failure[row]][0] if failure[row] else None
+            assert (error, iterations[row], converged[row]) == (ref_error, ref_iterations, ref_converged)
+            assert np.linalg.norm(p_hat[row] - ref_p) <= 1e-12 * np.linalg.norm(ref_p)
+            kinds.append(error or ("converged" if converged[row] else "max_iterations"))
+        assert {"converged", "max_iterations", SingularPointError, DegenerateJacobianError} <= set(kinds)
+        assert kinds[4] is SingularPointError and iterations[4] == 2
+        # A shared layout gives the same iterates as its per-problem copies.
+        shared = gn_iterate(p0, layout[None], y, cfg)
+        for got, want in zip(shared, (p_hat, failure, iterations, converged)):
+            np.testing.assert_array_equal(got, want)
+
+
+class TestResidualNorm:
+    def test_is_the_root_ml_objective_at_the_estimate(self, scenario_2d, scenario_3d):
+        for sc in (scenario_2d.with_rounds(3), scenario_3d.with_rounds(3)):
+            ms = generate_measurements(sc, trial_rng(93, sc.dimension))
+            first = ls_known_variance(ms, NOISE.bias_b)
+            for est in (
+                first,
+                ls_unknown_variance(ms),
+                two_step(ms, NOISE),
+                two_step(ms, None),
+                ml_reference(ms, first.p_hat),
+            ):
+                assert est.residual_norm == math.sqrt(ml_objective(est.p_hat, ms)), est.stage
+
+    def test_nan_when_the_estimate_sits_on_a_sensor(self, scenario_2d):
+        # The degraded two-step of TestTwoStep: both stages end within the
+        # clearance of sensor 4, where the ML objective is undefined.
+        p = scenario_2d.sensors[4] + [1e-10, 0.0]
+        d = np.linalg.norm(scenario_2d.sensors - p, axis=1)
+        ms = MeasurementSet(sensor_coords=scenario_2d.sensors, y=np.log10(d))
+        est = two_step(ms, NoiseModel(0.0, 2.0))
+        assert est.refinement_degraded
+        with pytest.raises(SingularPointError):
+            ml_objective(est.p_hat, ms)
+        assert math.isnan(est.residual_norm)
+        assert math.isnan(ls_known_variance(ms, 1.0).residual_norm)
 
 
 class TestConsistencyRates:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rssloc.errors import DegenerateGeometryError, InvalidInputError
+from rssloc.errors import DegenerateGeometryError, InvalidInputError, NumericError
 from rssloc.model import (
     LN10,
     MeasurementSet,
@@ -106,6 +106,15 @@ class TestLognormalBias:
             lognormal_bias(-1.0, 2.0)
         with pytest.raises(InvalidInputError):
             lognormal_bias(2.0, 0.0)
+
+    def test_overflow_is_a_numeric_error(self):
+        # b overflows a double above sigma/alpha ~ 81.8, b^2 (b^2 - 1) above ~ 40.9.
+        assert math.isfinite(lognormal_bias(163.0, 2.0))
+        with pytest.raises(NumericError):
+            lognormal_bias(200.0, 2.0)
+        assert math.isfinite(lognormal_variance(81.0, 2.0))
+        with pytest.raises(NumericError):
+            lognormal_variance(120.0, 2.0)
 
 
 class TestNoiseModel:
