@@ -1,4 +1,4 @@
-"""Monte Carlo benchmark harness.
+"""Monte Carlo benchmark harness, and the one owner of rssloc's output format.
 
 Reproduces the bias/RMSE/timing experiment protocol: a registry of the three
 scenario families (2-D fixed ring, 2-D random square, 3-D fixed) and sweeps
@@ -16,15 +16,17 @@ Per-trial randomness is a counter-based substream keyed by
 (master_seed, sweep_index, trial_index), so every trial can be replayed on
 its own. Wall-clock timing is the one nondeterministic output; configs can
 disable it (``measure_time=False``) when byte-identical reports are required.
+
+Every table rssloc prints is written by :func:`table` (CSV at %.17g, or JSON),
+every JSON document by :func:`strict_json`, which prints non-finite as null.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,6 +39,7 @@ from .model import (
     Scenario,
     draw_rounds,
     generate_measurements,
+    number,
     trial_rng,
 )
 
@@ -131,8 +134,10 @@ class ExperimentConfig:
             raise ConfigError(f"sweep_param must be one of {SWEEP_PARAMS}")
         if not self.sweep_values:
             raise ConfigError("sweep is empty")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        whole = self.sweep_param != "sigma"
+        values = tuple(number(v, self.sweep_param, whole, ConfigError) for v in self.sweep_values)
+        object.__setattr__(self, "sweep_values", values)
+        object.__setattr__(self, "trials", number(self.trials, "trials", True, ConfigError))
         random_family = isinstance(self.scenario, RandomScenarioFamily)
         if (self.sweep_param == "n_random") != random_family:
             raise ConfigError(
@@ -156,15 +161,18 @@ class ExperimentConfig:
             master_seed = seed if seed is not None else d.get("master_seed")
             if master_seed is None:
                 raise ConfigError("a master seed is required")
+            flags = {"fixed_geometry": d.get("fixed_geometry", False),
+                     "measure_time": d.get("measure_time", True)}
+            if not all(isinstance(v, bool) for v in flags.values()):
+                raise ConfigError(f"fixed_geometry and measure_time must be true or false, got {flags}")
             return cls(
                 scenario=scenario,
                 estimators=tuple(d.get("estimators", ("ls", "ls+gn"))),
                 sweep_param=param,
-                sweep_values=tuple(values),
-                trials=int(d.get("trials", 1000)),
+                sweep_values=values,
+                trials=d.get("trials", 1000),
                 master_seed=int(master_seed),
-                fixed_geometry=bool(d.get("fixed_geometry", False)),
-                measure_time=bool(d.get("measure_time", True)),
+                **flags,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
@@ -188,12 +196,32 @@ class ReportRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _finite(value):
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def strict_json(payload) -> str:
+    """The one JSON encoder of rssloc output: indent 2, and a non-finite float
+    (the NaN bias of an all-failed row, an infinite condition) becomes null."""
+    return json.dumps(_finite(payload), indent=2, allow_nan=False)
+
+
+def _cell(value) -> str:
+    return "" if value is None else format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def table(columns: Sequence[str], rows, fmt: str) -> str:
+    """The one table writer: ``fmt`` "csv" gives a header line and one line
+    per row, floats at %.17g and None as an empty cell; "json" gives a
+    strict JSON list of objects keyed by ``columns``."""
+    if fmt == "json":
+        return strict_json([dict(zip(columns, row)) for row in rows])
+    lines = [",".join(columns)] + [",".join(_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -203,24 +231,10 @@ class TrialReport:
     rows: Tuple[ReportRow, ...]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        for row in self.rows:
-            out.write(
-                ",".join(_fmt(getattr(row, col)) for col in CSV_COLUMNS) + "\n"
-            )
-        return out.getvalue()
+        return table(CSV_COLUMNS, [astuple(row) for row in self.rows], "csv")
 
-    def to_json(self, indent: int = 2) -> str:
-        payload = [
-            {col: getattr(row, col) for col in CSV_COLUMNS} for row in self.rows
-        ]
-        return json.dumps(payload, indent=indent)
-
-    def write(self, path: str, fmt: str = "csv") -> None:
-        text = self.to_csv() if fmt == "csv" else self.to_json()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    def to_json(self) -> str:
+        return table(CSV_COLUMNS, [astuple(row) for row in self.rows], "json")
 
 
 @dataclass(frozen=True)
@@ -252,18 +266,18 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     value = cfg.sweep_values[sweep_index]
     seed = cfg.master_seed
     if cfg.sweep_param == "rounds":
-        fixed = cfg.scenario.with_rounds(int(value))
+        fixed = cfg.scenario.with_rounds(value)
     elif cfg.sweep_param == "sigma":
-        fixed = cfg.scenario.with_sigma(float(value))
+        fixed = cfg.scenario.with_sigma(value)
     elif cfg.fixed_geometry:
-        fixed = cfg.scenario.sample(int(value), trial_rng(seed, sweep_index, 0, 0))
+        fixed = cfg.scenario.sample(value, trial_rng(seed, sweep_index, 0, 0))
     else:
         fixed = None
     layouts, rcrlbs, ybar, zbar = [], [], [], []
     for trial in range(cfg.trials):
         scenario = fixed
         if fixed is None:
-            scenario = cfg.scenario.sample(int(value), trial_rng(seed, sweep_index, trial, 0))
+            scenario = cfg.scenario.sample(value, trial_rng(seed, sweep_index, trial, 0))
             layouts.append(scenario.sensors)
             if scenario.sigma_db > 0:
                 rcrlbs.append(fisher_information(scenario).rcrlb)
@@ -319,8 +333,7 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
                 rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
                 mean_time = elapsed / cfg.trials if cfg.measure_time else None
             else:
-                bias = math.nan
-                rmse = math.nan
+                bias = rmse = math.nan
                 mean_time = None
             rows.append(
                 ReportRow(

@@ -10,6 +10,7 @@ Subcommands:
 Every subcommand is a thin shell over the library; numeric output always
 equals the corresponding library call. Exit codes: 0 success, 1 runtime or
 numeric failure, 2 invalid input. Errors are emitted as JSON on stderr.
+Output is written by ``bench.table`` and ``bench.strict_json`` (strict JSON).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import ConfigError, InvalidInputError, RssLocError
 from .estimators import two_step
 from .geometry import localizability
 from .inference import rcrlb_curve
-from .model import MeasurementSet, NoiseModel, Scenario, equivalent_measurement
+from .model import MeasurementSet, NoiseModel, Scenario, equivalent_measurement, number
 
 
 def _load_json(path: str) -> dict:
@@ -47,14 +48,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _table(columns, rows, fmt: str) -> str:
-    """Rows of numbers as a JSON list of objects, or as CSV with %.17g."""
-    if fmt == "json":
-        return json.dumps([dict(zip(columns, row)) for row in rows], indent=2)
-    lines = [",".join(columns)] + [",".join(format(v, ".17g") for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def _measurements_from_file(payload: dict):
     """Parse {sensors, raw_db|y, alpha?, p0?, sigma_db?} into a MeasurementSet.
 
@@ -63,9 +56,10 @@ def _measurements_from_file(payload: dict):
     """
     if not isinstance(payload, dict) or "sensors" not in payload:
         raise ConfigError("measurement file must be an object with a 'sensors' key")
-    alpha = float(payload.get("alpha", 2.0))
-    p0_const = float(payload.get("p0", 1.0))
     try:
+        alpha = float(payload.get("alpha", 2.0))
+        p0_const = float(payload.get("p0", 1.0))
+        sigma_db = None if payload.get("sigma_db") is None else float(payload["sigma_db"])
         if "raw_db" in payload:
             raw_db = np.asarray(payload["raw_db"], dtype=float)
             y = equivalent_measurement(raw_db, p0_const, alpha)
@@ -76,16 +70,12 @@ def _measurements_from_file(payload: dict):
             raise ConfigError("measurement file needs 'raw_db' or 'y'")
     except (TypeError, ValueError, InvalidInputError) as exc:
         raise ConfigError(f"malformed measurement file: {exc}") from exc
-    noise = None
-    if "sigma_db" in payload and payload["sigma_db"] is not None:
-        noise = NoiseModel(sigma_db=float(payload["sigma_db"]), alpha=alpha)
-    return ms, noise
+    return ms, None if sigma_db is None else NoiseModel(sigma_db=sigma_db, alpha=alpha)
 
 
 def _cmd_estimate(args) -> int:
     ms, noise = _measurements_from_file(_load_json(args.input))
-    estimate = two_step(ms, noise)
-    _emit(json.dumps(estimate.to_dict(), indent=2), args.out)
+    _emit(bench.strict_json(two_step(ms, noise).to_dict()), args.out)
     return 0
 
 
@@ -97,7 +87,7 @@ def _cmd_check_geometry(args) -> int:
         report = localizability(payload["sensors"])
     except (TypeError, ValueError, InvalidInputError) as exc:
         raise ConfigError(f"malformed sensors: {exc}") from exc
-    _emit(report.to_json(), args.out)
+    _emit(bench.strict_json(report.to_dict()), args.out)
     return 0
 
 
@@ -109,13 +99,11 @@ def _cmd_crlb(args) -> int:
         if isinstance(scenario, bench.RandomScenarioFamily):
             raise ConfigError("crlb needs a fixed scenario, not the random family")
     try:
-        values = [float(v) for v in args.sweep_values.split(",")]
-        if not np.all(np.isfinite(values)):
-            raise ValueError(args.sweep_values)
+        values = [number(float(v), "--sweep-values", error=ConfigError) for v in args.sweep_values.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--sweep-values must be comma-separated finite numbers: {exc}") from exc
     curve = rcrlb_curve(scenario, values, param=args.sweep_param)
-    _emit(_table((args.sweep_param, "rcrlb_m"), curve, args.format), args.out)
+    _emit(bench.table((args.sweep_param, "rcrlb_m"), curve, args.format), args.out)
     return 0
 
 
@@ -127,14 +115,13 @@ def _cmd_experiment(args) -> int:
         cfg_dict["fixed_geometry"] = True
     cfg = bench.ExperimentConfig.from_dict(cfg_dict, seed=args.seed)
     report = bench.run_experiment(cfg)
-    text = report.to_csv() if args.format == "csv" else report.to_json()
-    _emit(text, args.out)
+    _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0
 
 
 def _cmd_time_scaling(args) -> int:
     results = bench.time_scaling(args.n, runs=args.runs, master_seed=args.seed)
-    _emit(_table(("n", "mean_time_s"), results, args.format), args.out)
+    _emit(bench.table(("n", "mean_time_s"), results, args.format), args.out)
     return 0
 
 
@@ -186,18 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidInputError) as exc:
-        json.dump({"error": exc.kind, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
     except RssLocError as exc:
         json.dump({"error": exc.kind, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 1
+        return 2 if isinstance(exc, (ConfigError, InvalidInputError)) else 1
 
 
 if __name__ == "__main__":

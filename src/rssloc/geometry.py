@@ -17,7 +17,6 @@ condition they gate on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -47,13 +46,9 @@ class LocalizabilityReport:
     verdict: Localizability
 
     def to_dict(self) -> dict:
-        """JSON-ready fields; an infinite condition (a design with fewer rows
-        than columns or a zero singular value) becomes None."""
-        d = {**asdict(self), "verdict": self.verdict.value}
-        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in d.items()}
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
+        """The fields, verdict as its value; a condition is inf for a design
+        with fewer rows than columns or a zero singular value."""
+        return {**asdict(self), "verdict": self.verdict.value}
 
 
 def hyperplane_design(sensors: np.ndarray) -> np.ndarray:

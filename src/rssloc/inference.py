@@ -39,9 +39,6 @@ class FisherSummary:
     M_n: np.ndarray
     eval_point: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {k: np.asarray(v).tolist() for k, v in vars(self).items()}
-
 
 def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
     """Fisher information, CRLB/RCRLB, and M_n at ``eval_point``.
@@ -95,7 +92,7 @@ def rcrlb_curve(
     curve = []
     for value in sweep:
         if param == "rounds":
-            variant = replace(scenario, rounds=int(value))
+            variant = replace(scenario, rounds=value)
         else:
             variant = replace(scenario, sigma_db=float(value))
         curve.append((float(value), fisher_information(variant).rcrlb))

@@ -15,6 +15,7 @@ closed-form least-squares estimators.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -41,6 +42,16 @@ def _as_points(points, name: str) -> np.ndarray:
     return arr
 
 
+def number(value, name: str, whole: bool = False, error=InvalidInputError):
+    """``value`` as a float if it is a finite real number (not a bool), or with
+    ``whole`` as an int if it is a whole number >= 1, else ``error``. 30.0 is
+    whole, because command-line sweep values are parsed as floats."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        if not whole or (value >= 1 and value == int(value)):
+            return int(value) if whole else float(value)
+    raise error(f"{name} must be a {'whole number >= 1' if whole else 'finite number'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One localization problem: geometry plus signal parameters.
@@ -52,7 +63,8 @@ class Scenario:
         alpha: path-loss exponent, > 0 (2 corresponds to free space).
         p0_const: positive transmit-power constant; the equivalent
             measurements are invariant to its value.
-        rounds: number of i.i.d. observation rounds per sensor.
+        rounds: number of i.i.d. observation rounds per sensor, a whole
+            number >= 1 (see :func:`number`).
     """
 
     sensors: np.ndarray
@@ -78,8 +90,7 @@ class Scenario:
             raise InvalidInputError("p0_const must be positive")
         if not (self.sigma_db >= 0):
             raise InvalidInputError("sigma_db must be nonnegative")
-        if self.rounds < 1:
-            raise InvalidInputError("rounds must be a positive integer")
+        rounds = number(self.rounds, "rounds", whole=True)
         d = np.linalg.norm(sensors - source, axis=1)
         if np.any(d < SENSOR_CLEARANCE):
             raise DegenerateGeometryError(
@@ -88,6 +99,7 @@ class Scenario:
             )
         object.__setattr__(self, "sensors", sensors)
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "rounds", rounds)
 
     @property
     def dimension(self) -> int:
@@ -132,7 +144,7 @@ class Scenario:
                 sigma_db=float(d["sigma_db"]),
                 alpha=float(d.get("alpha", 2.0)),
                 p0_const=float(d.get("p0", 1.0)),
-                rounds=int(d.get("rounds", 1)),
+                rounds=d.get("rounds", 1),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad scenario dict: {exc}") from exc

@@ -74,6 +74,40 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             _cfg(random_family, sweep_param="rounds")
 
+    def test_counts_are_whole_numbers(self, scenario_2d, random_family):
+        # Integral floats are stored as ints; fractional counts are rejected
+        # instead of being truncated under their fractional label.
+        cfg = _cfg(scenario_2d, sweep_values=(2.0, 30), trials=5.0)
+        assert cfg.sweep_values == (2, 30) and cfg.trials == 5
+        assert all(type(v) is int for v in cfg.sweep_values + (cfg.trials,))
+        for kwargs in (
+            dict(scenario=scenario_2d, sweep_values=(2.5,)),
+            dict(scenario=scenario_2d, trials=2.7),
+            dict(scenario=random_family, sweep_param="n_random", sweep_values=(10.5,)),
+            dict(scenario=random_family, sweep_param="n_random", sweep_values=(10, True)),
+        ):
+            with pytest.raises(ConfigError):
+                _cfg(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"sweep": {"rounds": "ab"}},
+            {"sweep": {"rounds": [3, None]}},
+            {"sweep": {"sigma": [None]}},
+            {"sweep": {"sigma": [2.0, "1"]}},
+            {"sweep": {"sigma": [float("nan")]}},
+            {"trials": "5"},
+            {"fixed_geometry": "false"},
+            {"measure_time": "no"},
+            {"measure_time": 0},
+        ],
+    )
+    def test_from_dict_rejects_mistyped_fields(self, field):
+        d = {"scenario": "2d-fixed", "sweep": {"rounds": [3]}, "trials": 5, **field}
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(d, seed=1)
+
     def test_from_dict(self):
         cfg = ExperimentConfig.from_dict(
             {

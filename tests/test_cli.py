@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import COLLINEAR_2D
 from rssloc.bench import ExperimentConfig, run_experiment
 from rssloc.cli import main
 from rssloc.inference import rcrlb_curve
@@ -47,6 +48,10 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 class TestEstimate:
@@ -125,6 +130,18 @@ class TestEstimate:
         assert out == ""
         assert json.loads(err)["error"] == "numeric"
 
+    @pytest.mark.parametrize("field, value", [("alpha", "x"), ("sigma_db", "abc"), ("p0", None)])
+    def test_malformed_number_field_exit_2_schema(
+        self, capsys, tmp_path, clean_measurement_file, field, value
+    ):
+        _, payload = clean_measurement_file
+        path = tmp_path / "bad_field.json"
+        path.write_text(json.dumps({**payload, field: value}))
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "schema"
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["estimate", "--input", str(tmp_path / "nope.json")])
         assert code == 2
@@ -172,6 +189,27 @@ class TestCrlb:
         assert values == pytest.approx(expected, rel=1e-15)
         assert values[1] == pytest.approx(values[0] / 2, rel=1e-12)
 
+    def test_csv_golden(self, capsys, scenario_2d):
+        # Whole sweep values print without ".0" (30.0 is 30 rounds) and every
+        # RCRLB at %.17g. The values are those of the release before the one
+        # table writer, to 1e-12: the last digits may differ between LAPACK
+        # builds.
+        code, out, _ = _run(capsys, ["crlb", "--sweep-values", "2,30.0,100,400"])
+        assert code == 0
+        rcrlb = [r for _, r in rcrlb_curve(scenario_2d, [2, 30, 100, 400])]
+        assert out == "rounds,rcrlb_m\n" + "".join(
+            f"{t},{r:.17g}\n" for t, r in zip([2, 30, 100, 400], rcrlb)
+        )
+        golden = [6.0097801540539697, 1.5517185634012578, 0.84991126007437912, 0.42495563003718956]
+        assert rcrlb == pytest.approx(golden, rel=1e-12)
+
+    @pytest.mark.parametrize("values", ["2,2.5,2.9", "2.5"])
+    def test_fractional_rounds_exit_2(self, capsys, values):
+        code, out, err = _run(capsys, ["crlb", "--sweep-values", values])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid-input"
+
     @pytest.mark.parametrize("values", ["100,abc", "100,", "100,nan", "100,inf"])
     def test_malformed_sweep_values_exit_2_schema(self, capsys, values):
         code, out, err = _run(capsys, ["crlb", "--sweep-values", values])
@@ -215,6 +253,22 @@ class TestExperiment:
             assert float(fields[7]) == row["rmse_m"]
             assert float(fields[8]) == row["rcrlb_m"]
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"sweep": {"rounds": [2.5]}},
+            {"scenario": "2d-random", "sweep": {"n_random": [10.5]}},
+            {"trials": 2.7},
+        ],
+    )
+    def test_fractional_counts_exit_2_schema(self, capsys, tmp_path, fields):
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps({"scenario": "2d-fixed", "sweep": {"rounds": [3]}, "trials": 5, **fields}))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "schema"
+
     def test_unknown_scenario_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"scenario": "5d-torus", "sweep": {"rounds": [3]}}))
@@ -250,3 +304,47 @@ class TestTimeScaling:
         assert lines[0] == "n,mean_time_s"
         n, t = lines[1].split(",")
         assert int(n) == 50 and float(t) > 0.0
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "command", ["estimate", "experiment", "crlb", "time-scaling", "check-geometry"]
+    )
+    def test_every_json_output_parses_strictly(self, capsys, tmp_path, scenario_2d, command):
+        path = tmp_path / "input.json"
+        if command == "estimate":
+            # The degraded near-sensor case of TestResidualNorm: the ML
+            # objective, and so residual_norm, is undefined at the estimate.
+            p = scenario_2d.sensors[4] + [1e-10, 0.0]
+            y = np.log10(np.linalg.norm(scenario_2d.sensors - p, axis=1))
+            payload = {"sensors": scenario_2d.sensors.tolist(), "y": y.tolist(), "sigma_db": 0.0}
+            argv = ["estimate", "--input", str(path)]
+        elif command == "experiment":
+            # Collinear sensors: every trial of every estimator fails.
+            scenario = {"sensors": COLLINEAR_2D.tolist(), "source": [5.0, 1.0], "sigma_db": 2.0}
+            payload = {"scenario": scenario, "estimators": ["ls", "ml"], "sweep": {"rounds": [1, 4]}, "trials": 5}
+            argv = ["experiment", "--config", str(path), "--seed", "1", "--format", "json"]
+        elif command == "check-geometry":
+            payload = {"sensors": [[0, 0], [1, 0], [0, 1]]}
+            argv = ["check-geometry", "--input", str(path)]
+        else:
+            payload = {}
+            argv = {
+                "crlb": ["crlb", "--sweep-values", "3,30", "--format", "json"],
+                "time-scaling": ["time-scaling", "--n", "20", "50", "--runs", "2", "--format", "json"],
+            }[command]
+        path.write_text(json.dumps(payload))
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        result = json.loads(out, parse_constant=_reject)
+        if command == "estimate":
+            assert result["refinement_degraded"] and result["residual_norm"] is None
+        elif command == "experiment":
+            assert len(result) == 4
+            for row in result:
+                assert row["trials_failed"] == 5
+                assert row["bias_m"] is None and row["rmse_m"] is None
+        elif command == "check-geometry":
+            assert result["gram_condition_unknown"] is None
+        else:
+            assert len(result) == 2

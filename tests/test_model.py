@@ -144,6 +144,19 @@ class TestScenario:
         with pytest.raises(InvalidInputError):
             Scenario(sensors=[[0.0, 1.0]], source=[5.0, 5.0], sigma_db=1.0, rounds=0)
 
+    def test_rounds_is_a_whole_number(self):
+        # An integral float is accepted and stored as an int; a fractional,
+        # non-finite, bool or string value is rejected, also via from_dict.
+        base = dict(sensors=[[0.0, 1.0]], source=[5.0, 5.0], sigma_db=1.0)
+        sc = Scenario(**base, rounds=30.0)
+        assert sc.rounds == 30 and type(sc.rounds) is int
+        assert sc.with_rounds(np.int64(4)).rounds == 4
+        for bad in (2.5, 0.5, math.inf, math.nan, True, "3", None):
+            with pytest.raises(InvalidInputError):
+                Scenario(**base, rounds=bad)
+        with pytest.raises(InvalidInputError):
+            Scenario.from_dict({**base, "rounds": 2.5})
+
     def test_json_round_trip(self, scenario_3d):
         clone = Scenario.from_dict(scenario_3d.to_dict())
         np.testing.assert_array_equal(clone.sensors, scenario_3d.sensors)
