@@ -4,13 +4,16 @@ Reproduces the bias/RMSE/timing experiment protocol: a registry of the three
 scenario families (2-D fixed ring, 2-D random square, 3-D fixed) and sweeps
 over rounds T, noise sigma, or random-deployment size n.
 
-The engine handles a whole sweep point at once. Each trial's draws are
-reduced, as soon as they are drawn, to per-sensor means of y and of
-10**(2*y) over the rounds (``sweep_point``); each estimator then runs on all
-trials together through ``estimators.estimate_stack``, the one
-implementation of the estimator policy that the per-call API also runs on a
-trial's n tiled measurements. In exact arithmetic the two give the same
-estimates; ``ml`` iterates all unconverged trials at once.
+The engine handles a whole sweep point at once (``sweep_point``). The
+trials' layouts are checked and their RCRLB computed as one stack; their
+readings are drawn as blocks of whole trials (trials, rounds, sensors), each
+converted and reduced at once to per-sensor means of y and of 10**(2*y) over
+the rounds, and capped in size (``BLOCK_DOUBLES``) so that memory does not
+grow with trials x rounds. Each estimator then runs on all trials together
+through ``estimators.estimate_stack``, the one implementation of the
+estimator policy that the per-call API also runs on a trial's n tiled
+measurements. In exact arithmetic the two give the same estimates; ``ml``
+iterates all unconverged trials at once.
 
 Per-trial randomness is a counter-based substream keyed by
 (master_seed, sweep_index, trial_index), so every trial can be replayed on
@@ -33,10 +36,11 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError
 from .estimators import ESTIMATOR_IDS, estimate_stack, two_step
-from .inference import fisher_information
+from .inference import crlb_stack
 from .model import (
     NoiseModel,
     Scenario,
+    check_layouts,
     draw_rounds,
     generate_measurements,
     number,
@@ -44,6 +48,11 @@ from .model import (
 )
 
 SWEEP_PARAMS = ("rounds", "sigma", "n_random")
+
+# sweep_point draws a sweep point in blocks of whole trials holding about this
+# many readings (2 MiB of doubles), so that its peak memory stays a few such
+# blocks at any trials x rounds x sensors; larger blocks run no faster.
+BLOCK_DOUBLES = 2**18
 
 
 @dataclass(frozen=True)
@@ -60,10 +69,13 @@ class RandomScenarioFamily:
     def dimension(self) -> int:
         return len(self.source)
 
+    def layout(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n sensors drawn uniformly in the box, shape (n, m)."""
+        return rng.uniform(self.low, self.high, size=(n, self.dimension))
+
     def sample(self, n: int, rng: np.random.Generator) -> Scenario:
-        sensors = rng.uniform(self.low, self.high, size=(n, self.dimension))
         return Scenario(
-            sensors=sensors,
+            sensors=self.layout(n, rng),
             source=np.asarray(self.source, dtype=float),
             sigma_db=self.sigma_db,
             alpha=self.alpha,
@@ -157,6 +169,11 @@ class ExperimentConfig:
             if isinstance(scenario_spec, str):
                 scenario = get_scenario(scenario_spec, sigma_db=sigma, alpha=alpha)
             else:
+                ignored = sorted({"sigma_db", "alpha"} & d.keys())
+                if ignored:
+                    raise ConfigError(
+                        f"{ignored} parameterise a registry scenario id; an inline scenario sets its own"
+                    )
                 scenario = Scenario.from_dict(scenario_spec)
             master_seed = seed if seed is not None else d.get("master_seed")
             if master_seed is None:
@@ -261,42 +278,48 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
 
     Trial t's noise comes from ``trial_rng(seed, sweep_index, t, 1)``; fresh
     random geometry from ``trial_rng(seed, sweep_index, t, 0)``, pinned
-    geometry from ``trial_rng(seed, sweep_index, 0, 0)``.
+    geometry from ``trial_rng(seed, sweep_index, 0, 0)``. The layouts are
+    checked and their RCRLB computed once, as one stack. The trials are drawn
+    in blocks (trials, rounds, k) of at most about BLOCK_DOUBLES readings (one
+    trial at least); each block is converted and reduced at once.
     """
     value = cfg.sweep_values[sweep_index]
     seed = cfg.master_seed
-    if cfg.sweep_param == "rounds":
-        fixed = cfg.scenario.with_rounds(value)
-    elif cfg.sweep_param == "sigma":
-        fixed = cfg.scenario.with_sigma(value)
-    elif cfg.fixed_geometry:
-        fixed = cfg.scenario.sample(value, trial_rng(seed, sweep_index, 0, 0))
+    if cfg.sweep_param == "n_random":
+        family = cfg.scenario
+        geometry = (0,) if cfg.fixed_geometry else range(cfg.trials)
+        sensors = np.empty((len(geometry), value, family.dimension))
+        for g, trial in enumerate(geometry):
+            sensors[g] = family.layout(value, trial_rng(seed, sweep_index, trial, 0))
+        source, sigma, alpha, p0, rounds = family.source, family.sigma_db, family.alpha, 1.0, 1
     else:
-        fixed = None
-    layouts, rcrlbs, ybar, zbar = [], [], [], []
-    for trial in range(cfg.trials):
-        scenario = fixed
-        if fixed is None:
-            scenario = cfg.scenario.sample(value, trial_rng(seed, sweep_index, trial, 0))
-            layouts.append(scenario.sensors)
-            if scenario.sigma_db > 0:
-                rcrlbs.append(fisher_information(scenario).rcrlb)
-        _, y = draw_rounds(scenario, trial_rng(seed, sweep_index, trial, 1))
-        ybar.append(y.mean(axis=0))
-        zbar.append(np.power(10.0, 2.0 * y).mean(axis=0))
-    if fixed is not None:
-        layouts = [fixed.sensors]
-        rcrlbs = [fisher_information(fixed).rcrlb] if fixed.sigma_db > 0 else []
-    if scenario.n_measurements < scenario.dimension + 1:
-        raise InvalidInputError(f"need at least m+1 = {scenario.dimension + 1} measurements")
+        sc = cfg.scenario.with_rounds(value) if cfg.sweep_param == "rounds" else cfg.scenario.with_sigma(value)
+        sensors = sc.sensors[None]
+        source, sigma, alpha, p0, rounds = sc.source, sc.sigma_db, sc.alpha, sc.p0_const, sc.rounds
+    source, rounds, distances = check_layouts(sensors, source, sigma, alpha, p0, rounds)
+    _, k, m = sensors.shape
+    if k * rounds < m + 1:
+        raise InvalidInputError(f"need at least m+1 = {m + 1} measurements")
+    rcrlb = float(np.mean(np.sqrt(crlb_stack(sensors, source, sigma, alpha, rounds)[1]))) if sigma > 0 else 0.0
+    ybar, zbar = np.empty((cfg.trials, k)), np.empty((cfg.trials, k))
+    step = min(cfg.trials, max(1, BLOCK_DOUBLES // (rounds * k)))
+    raw_db = np.empty((step, rounds, k))
+    for start in range(0, cfg.trials, step):
+        stop = min(start + step, cfg.trials)
+        rngs = (trial_rng(seed, sweep_index, trial, 1) for trial in range(start, stop))
+        block_distances = distances if len(distances) == 1 else distances[start:stop]
+        y = draw_rounds(rngs, raw_db[: stop - start], block_distances, sigma, alpha, p0)
+        ybar[start:stop] = y.mean(axis=1)
+        y *= 2.0
+        zbar[start:stop] = np.power(10.0, y, out=y).mean(axis=1)
     return SweepPoint(
-        sensors=np.array(layouts),
-        source=scenario.source,
-        ybar=np.array(ybar),
-        zbar=np.array(zbar),
-        bias_b=NoiseModel(sigma_db=scenario.sigma_db, alpha=scenario.alpha).bias_b,
-        rcrlb=float(np.mean(rcrlbs)) if rcrlbs else 0.0,
-        n=scenario.n_measurements,
+        sensors=sensors,
+        source=source,
+        ybar=ybar,
+        zbar=zbar,
+        bias_b=NoiseModel(sigma_db=sigma, alpha=alpha).bias_b,
+        rcrlb=rcrlb,
+        n=k * rounds,
     )
 
 

@@ -16,6 +16,7 @@ Output is written by ``bench.table`` and ``bench.strict_json`` (strict JSON).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -125,7 +126,10 @@ def _cmd_time_scaling(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="rssloc",
         description="RSS source localization: two-step estimation and benchmarks",

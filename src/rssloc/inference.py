@@ -40,6 +40,30 @@ class FisherSummary:
     eval_point: np.ndarray
 
 
+def crlb_stack(sensors: np.ndarray, p: np.ndarray, sigma_db: float, alpha: float, rounds: int):
+    """The one CRLB kernel: tr(F^-1) at ``p`` for each layout of a stack
+    (g, k, m), each sensor observed ``rounds`` times with noise ``sigma_db``.
+
+    The rows of grad (g, k, m) are the gradients of log10 d_i at p, which
+    every round repeats. F = scale * rounds * grad^T grad with scale =
+    100 alpha^2 / sigma^2, so the CRLB is a sum over the singular values of
+    grad, which the library's one gate checks: it rejects e.g. collinear
+    sensors with p on or next to their line (DegenerateGeometryError).
+    SingularPointError where p is within SENSOR_CLEARANCE of a sensor.
+    Returns (grad, crlb (g,)).
+    """
+    diff = p - sensors
+    d2 = np.sum(diff**2, axis=-1)
+    if np.any(np.sqrt(d2) < SENSOR_CLEARANCE):
+        raise SingularPointError("eval_point coincides with a sensor")
+    grad = diff / (d2 * LN10)[..., None]
+    s = np.linalg.svd(grad, compute_uv=False)
+    if np.any(singular(s, len(p))):
+        raise DegenerateGeometryError("Fisher information matrix is singular")
+    scale = 100.0 * alpha**2 / sigma_db**2
+    return grad, np.sum(1.0 / (scale * rounds * s**2), axis=-1)
+
+
 def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
     """Fisher information, CRLB/RCRLB, and M_n at ``eval_point``.
 
@@ -54,26 +78,13 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
     p = scenario.source if eval_point is None else np.asarray(eval_point, dtype=float)
     if p.shape != (scenario.dimension,):
         raise InvalidInputError("eval_point must be an m-vector")
-    diff = p - scenario.sensors
-    d2 = np.sum(diff**2, axis=1)
-    if np.any(np.sqrt(d2) < SENSOR_CLEARANCE):
-        raise SingularPointError("eval_point coincides with a sensor")
-    # Rows: the gradients of log10 d_i, which every round repeats.
-    grad = diff / (d2 * LN10)[:, None]
-    m_n = grad.T @ grad / len(grad)
-    scale = 100.0 * scenario.alpha**2 / scenario.sigma_db**2
-    fisher = scale * scenario.n_measurements * m_n
-    # F = scale * rounds * grad^T grad, so CRLB = tr(F^-1) is a sum over the
-    # singular values of grad, which the library's one gate checks: it
-    # rejects e.g. collinear sensors with the source on or next to their line.
-    s = np.linalg.svd(grad, compute_uv=False)
-    if singular(s, len(p)):
-        raise DegenerateGeometryError("Fisher information matrix is singular")
-    crlb = float(np.sum(1.0 / (scale * scenario.rounds * s**2)))
+    grad, crlb = crlb_stack(scenario.sensors[None], p, scenario.sigma_db, scenario.alpha, scenario.rounds)
+    m_n = grad[0].T @ grad[0] / grad.shape[1]
+    fisher = 100.0 * scenario.alpha**2 / scenario.sigma_db**2 * scenario.n_measurements * m_n
     return FisherSummary(
         F=fisher,
-        crlb=crlb,
-        rcrlb=float(np.sqrt(crlb)),
+        crlb=float(crlb[0]),
+        rcrlb=float(np.sqrt(crlb[0])),
         M_n=m_n,
         eval_point=p,
     )

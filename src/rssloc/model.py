@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -52,6 +52,42 @@ def number(value, name: str, whole: bool = False, error=InvalidInputError):
     raise error(f"{name} must be a {'whole number >= 1' if whole else 'finite number'}, got {value!r}")
 
 
+def _dimension(points: np.ndarray) -> int:
+    m = points.shape[-1]
+    if m not in (2, 3):
+        raise InvalidInputError(f"dimension must be 2 or 3, got {m}")
+    return m
+
+
+def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, p0_const, rounds):
+    """The checks of a :class:`Scenario`, run once on a stack of layouts
+    (..., k, m) that share one source and signal: at least one sensor, m in
+    {2, 3}, a finite source m-vector, alpha > 0, p0_const > 0, sigma_db >= 0,
+    whole rounds >= 1 and every sensor at least SENSOR_CLEARANCE from the
+    source. Returns (source, rounds, sensor-source distances (..., k)).
+    """
+    if sensors.shape[-2] == 0:
+        raise InvalidInputError("sensors list is empty")
+    m = _dimension(sensors)
+    source = np.asarray(source, dtype=float)
+    if source.shape != (m,) or not np.all(np.isfinite(source)):
+        raise InvalidInputError("source must be a finite m-vector")
+    if not (alpha > 0):
+        raise InvalidInputError("alpha must be positive")
+    if not (p0_const > 0):
+        raise InvalidInputError("p0_const must be positive")
+    if not (sigma_db >= 0):
+        raise InvalidInputError("sigma_db must be nonnegative")
+    rounds = number(rounds, "rounds", whole=True)
+    d = np.linalg.norm(sensors - source, axis=-1)
+    if np.any(d < SENSOR_CLEARANCE):
+        raise DegenerateGeometryError(
+            "a sensor coincides with the source (distance < "
+            f"{SENSOR_CLEARANCE})"
+        )
+    return source, rounds, d
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One localization problem: geometry plus signal parameters.
@@ -76,27 +112,9 @@ class Scenario:
 
     def __post_init__(self):
         sensors = _as_points(self.sensors, "sensors")
-        source = np.asarray(self.source, dtype=float)
-        if sensors.shape[0] == 0:
-            raise InvalidInputError("sensors list is empty")
-        m = sensors.shape[1]
-        if m not in (2, 3):
-            raise InvalidInputError(f"dimension must be 2 or 3, got {m}")
-        if source.shape != (m,) or not np.all(np.isfinite(source)):
-            raise InvalidInputError("source must be a finite m-vector")
-        if not (self.alpha > 0):
-            raise InvalidInputError("alpha must be positive")
-        if not (self.p0_const > 0):
-            raise InvalidInputError("p0_const must be positive")
-        if not (self.sigma_db >= 0):
-            raise InvalidInputError("sigma_db must be nonnegative")
-        rounds = number(self.rounds, "rounds", whole=True)
-        d = np.linalg.norm(sensors - source, axis=1)
-        if np.any(d < SENSOR_CLEARANCE):
-            raise DegenerateGeometryError(
-                "a sensor coincides with the source (distance < "
-                f"{SENSOR_CLEARANCE})"
-            )
+        source, rounds, _ = check_layouts(
+            sensors, self.source, self.sigma_db, self.alpha, self.p0_const, self.rounds
+        )
         object.__setattr__(self, "sensors", sensors)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "rounds", rounds)
@@ -167,6 +185,7 @@ class MeasurementSet:
 
     def __post_init__(self):
         coords = _as_points(self.sensor_coords, "sensor_coords")
+        _dimension(coords)
         y = np.asarray(self.y, dtype=float)
         if y.ndim != 1 or y.shape[0] != coords.shape[0]:
             raise InvalidInputError("sensor_coords and y must have equal length")
@@ -210,7 +229,10 @@ def equivalent_measurement(raw_db, p0_const: float, alpha: float):
     raw = np.asarray(raw_db, dtype=float)
     if not np.all(np.isfinite(raw)):
         raise InvalidInputError("raw_db contains non-finite values")
-    y = -(raw / 10.0 - math.log10(p0_const)) / alpha
+    y = raw / 10.0
+    y -= math.log10(p0_const)
+    # -(x) / alpha and x / -alpha are the same double.
+    y /= -alpha
     return float(y) if np.isscalar(raw_db) else y
 
 
@@ -272,20 +294,24 @@ def trial_rng(master_seed: int, *path: int) -> np.random.Generator:
     )
 
 
-def draw_rounds(scenario: Scenario, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw one trial's readings in the round-major layout.
+def draw_rounds(rngs, raw_db: np.ndarray, distances: np.ndarray, sigma_db: float, alpha: float,
+                p0_const: float) -> np.ndarray:
+    """Fill the block ``raw_db`` (trials, rounds, k) with readings, one trial
+    per generator of ``rngs``, and return their equivalent measurements y,
+    of the same shape. Row r of a trial's slice holds round r of every sensor.
 
-    Noise is sampled in dB space (eps ~ N(0, sigma^2)) and converted through
-    the raw-dB pathway, exercising the same conversion applied to field data.
-    Returns (raw_db, y), each of shape (rounds, n_sensors): row t holds
-    round t of every sensor.
+    Trial t's slice is drawn from the t-th generator alone, so its readings do
+    not depend on the other trials of the block. Noise is sampled in dB space
+    (eps ~ N(0, sigma^2), sigma times a standard normal: rng.normal(0, sigma)'s
+    draw bit for bit), added to the clean dB level of each sensor at its
+    distance in ``distances`` (g, k), g in {1, trials}, and converted through
+    the raw-dB pathway applied to field data.
     """
-    clean_db = 10.0 * math.log10(scenario.p0_const) - 10.0 * scenario.alpha * np.log10(
-        scenario.distances()
-    )
-    eps = rng.normal(0.0, scenario.sigma_db, size=(scenario.rounds, scenario.n_sensors))
-    raw_db = clean_db + eps
-    return raw_db, equivalent_measurement(raw_db, scenario.p0_const, scenario.alpha)
+    for block, rng in zip(raw_db, rngs):
+        rng.standard_normal(out=block)
+    raw_db *= sigma_db
+    raw_db += (10.0 * math.log10(p0_const) - 10.0 * alpha * np.log10(distances))[:, None, :]
+    return equivalent_measurement(raw_db, p0_const, alpha)
 
 
 def generate_measurements(scenario: Scenario, seed) -> MeasurementSet:
@@ -298,6 +324,7 @@ def generate_measurements(scenario: Scenario, seed) -> MeasurementSet:
     Identical (scenario, seed) always yields a bit-identical result.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    raw_db, y = draw_rounds(scenario, rng)
+    raw_db = np.empty((1, scenario.rounds, scenario.n_sensors))
+    y = draw_rounds([rng], raw_db, scenario.distances()[None], scenario.sigma_db, scenario.alpha, scenario.p0_const)
     coords = np.tile(scenario.sensors, (scenario.rounds, 1))
     return MeasurementSet(sensor_coords=coords, y=y.ravel(), raw_db=raw_db.ravel())

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import COLLINEAR_2D, SQUARE_CORNERS, replay_against_engine
+from conftest import COLLINEAR_2D, SQUARE_CORNERS, replay_against_engine, replay_scenario
+from rssloc import bench
 from rssloc.bench import (
     ESTIMATOR_IDS,
     ExperimentConfig,
@@ -12,9 +14,10 @@ from rssloc.bench import (
     get_scenario,
     run_experiment,
     scenario_registry,
+    sweep_point,
     time_scaling,
 )
-from rssloc.errors import ConfigError
+from rssloc.errors import ConfigError, DegenerateGeometryError, InvalidInputError
 from rssloc.estimators import estimate_stack, ls_known_variance, two_step
 from rssloc.inference import fisher_information
 from rssloc.model import NoiseModel, Scenario, generate_measurements, trial_rng
@@ -297,6 +300,112 @@ class TestDeterminism:
             fields = line.split(",")
             assert float(fields[7]) == row_json["rmse_m"]
             assert int(fields[4]) == row_json["trials_ok"]
+
+
+def _block_draw_configs(scenario_2d, scenario_3d):
+    random = dict(scenario=RandomScenarioFamily(sigma_db=4.0), sweep_param="n_random", sweep_values=(5, 30))
+    return {
+        "2d-fixed-rounds": dict(scenario=scenario_2d, sweep_values=(1, 3, 30)),
+        "3d-fixed-rounds": dict(scenario=scenario_3d, sweep_values=(1, 3, 30)),
+        "2d-fixed-sigma": dict(scenario=scenario_2d.with_rounds(3), sweep_param="sigma", sweep_values=(0.0, 2.0, 6.0)),
+        "2d-random-fresh": random,
+        "2d-random-pinned": dict(random, fixed_geometry=True),
+    }
+
+
+def _per_trial_point(cfg, sweep_index):
+    """One sweep point the way the engine drew it before block draws: one
+    generate_measurements call and one Fisher computation per trial, each
+    trial's readings checked against a plain rng.normal draw in dB and the
+    textbook conversion to equivalent measurements."""
+    layouts, rcrlbs, ybar, zbar = [], [], [], []
+    for trial in range(cfg.trials):
+        sc = replay_scenario(cfg, sweep_index, trial)
+        ms = generate_measurements(sc, trial_rng(cfg.master_seed, sweep_index, trial, 1))
+        noise = trial_rng(cfg.master_seed, sweep_index, trial, 1).normal(0.0, sc.sigma_db, size=(sc.rounds, sc.n_sensors))
+        clean = 10.0 * math.log10(sc.p0_const) - 10.0 * sc.alpha * np.log10(sc.distances())
+        assert np.array_equal(ms.raw_db, (clean + noise).ravel())
+        assert np.array_equal(ms.y, -(ms.raw_db / 10.0 - math.log10(sc.p0_const)) / sc.alpha)
+        y = ms.y.reshape(sc.rounds, sc.n_sensors)
+        ybar.append(y.mean(axis=0))
+        zbar.append(np.power(10.0, 2.0 * y).mean(axis=0))
+        layouts.append(sc.sensors)
+        if sc.sigma_db > 0:
+            rcrlbs.append(fisher_information(sc).rcrlb)
+    shared = cfg.sweep_param != "n_random" or cfg.fixed_geometry
+    return SweepPoint(
+        sensors=np.array(layouts[:1] if shared else layouts),
+        source=sc.source,
+        ybar=np.array(ybar),
+        zbar=np.array(zbar),
+        bias_b=NoiseModel(sc.sigma_db, sc.alpha).bias_b,
+        rcrlb=(rcrlbs[0] if shared else float(np.mean(rcrlbs))) if rcrlbs else 0.0,
+        n=sc.n_measurements,
+    )
+
+
+def _assert_same_point(point, ref):
+    for name in ("sensors", "source", "ybar", "zbar"):
+        a, b = getattr(point, name), getattr(ref, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    assert (point.bias_b, point.rcrlb, point.n) == (ref.bias_b, ref.rcrlb, ref.n)
+
+
+class TestBlockDraw:
+    CASES = ("2d-fixed-rounds", "3d-fixed-rounds", "2d-fixed-sigma", "2d-random-fresh", "2d-random-pinned")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bit_identical_to_per_trial_draws(self, case, scenario_2d, scenario_3d):
+        cfg = _cfg(trials=30, master_seed=23, **_block_draw_configs(scenario_2d, scenario_3d)[case])
+        for sweep_index in range(len(cfg.sweep_values)):
+            _assert_same_point(sweep_point(cfg, sweep_index), _per_trial_point(cfg, sweep_index))
+
+    @pytest.mark.parametrize("case", ["2d-fixed-rounds", "2d-random-fresh"])
+    def test_chunking_leaves_the_point_unchanged(self, case, scenario_2d, scenario_3d, monkeypatch):
+        cfg = _cfg(trials=40, master_seed=5, **_block_draw_configs(scenario_2d, scenario_3d)[case])
+        whole = sweep_point(cfg, 1)
+        k, rounds = whole.sensors.shape[1], whole.n // whole.sensors.shape[1]
+        # Blocks of 7 trials: five full blocks and a ragged one of 5; then
+        # blocks of one trial, below the size of a single trial.
+        for block in (7 * rounds * k, 1):
+            monkeypatch.setattr(bench, "BLOCK_DOUBLES", block)
+            _assert_same_point(sweep_point(cfg, 1), whole)
+
+    def test_peak_memory_is_capped(self, scenario_2d):
+        # The whole point would be 2000 x 400 x 10 doubles, 64 MB per array.
+        cfg = _cfg(scenario_2d, sweep_values=(400,), trials=2000)
+        tracemalloc.start()
+        try:
+            point = sweep_point(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert point.ybar.shape == (2000, 10)
+        assert peak <= 16e6
+
+    def test_too_few_measurements(self):
+        cfg = _cfg(RandomScenarioFamily(), sweep_param="n_random", sweep_values=(2,))
+        with pytest.raises(InvalidInputError, match="m\\+1"):
+            sweep_point(cfg, 0)
+
+    def test_sensor_on_the_source(self):
+        family = RandomScenarioFamily(source=(50.0, 50.0), low=50.0, high=50.0)
+        cfg = _cfg(family, sweep_param="n_random", sweep_values=(5,))
+        with pytest.raises(DegenerateGeometryError, match="coincides"):
+            sweep_point(cfg, 0)
+
+    @pytest.mark.parametrize(
+        "scenario, sweep",
+        [
+            (Scenario(sensors=COLLINEAR_2D, source=[5.0, 5.0], sigma_db=2.0), dict(sweep_values=(3,))),
+            # Every sensor of every layout at (10, 10): all on one line through the source.
+            (RandomScenarioFamily(low=10.0, high=10.0), dict(sweep_param="n_random", sweep_values=(5,))),
+        ],
+        ids=["fixed", "random"],
+    )
+    def test_collinear_through_source_has_singular_fisher(self, scenario, sweep):
+        with pytest.raises(DegenerateGeometryError, match="Fisher"):
+            sweep_point(_cfg(scenario, **sweep), 0)
 
 
 class TestCoverage:

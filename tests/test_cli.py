@@ -142,6 +142,26 @@ class TestEstimate:
         assert out == ""
         assert json.loads(err)["error"] == "schema"
 
+    @pytest.mark.parametrize(
+        "sensors",
+        [
+            # 12 generic sensors: the estimators would return a 4-D p_hat.
+            np.random.default_rng(4).uniform(-50.0, 50.0, size=(12, 4)).tolist(),
+            # 6 sensors on the unit 3-sphere: the unknown-variance design is singular.
+            np.vstack([np.eye(4), -np.eye(4)[:2]]).tolist(),
+        ],
+        ids=["random", "degenerate"],
+    )
+    def test_four_dimensional_file_exits_2_schema(self, capsys, tmp_path, sensors):
+        y = np.log10(np.linalg.norm(np.asarray(sensors) - [3.0, 1.0, 2.0, 0.5], axis=1))
+        path = tmp_path / "four_d.json"
+        path.write_text(json.dumps({"sensors": sensors, "y": y.tolist()}))
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and "dimension must be 2 or 3" in error["message"]
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["estimate", "--input", str(tmp_path / "nope.json")])
         assert code == 2
@@ -269,6 +289,18 @@ class TestExperiment:
         assert out == ""
         assert json.loads(err)["error"] == "schema"
 
+    @pytest.mark.parametrize("field", [{"sigma_db": 6}, {"alpha": 3}])
+    def test_registry_parameter_with_inline_scenario_exit_2_schema(self, capsys, tmp_path, scenario_2d, field):
+        # Top-level sigma_db and alpha parameterise registry ids only; with an
+        # inline scenario they would be ignored.
+        scenario = {"sensors": scenario_2d.sensors.tolist(), "source": [70.0, 30.0], "sigma_db": 2.0}
+        path = tmp_path / "inline.json"
+        path.write_text(json.dumps({"scenario": scenario, "sweep": {"rounds": [3]}, "trials": 5, **field}))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "schema"
+
     def test_unknown_scenario_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"scenario": "5d-torus", "sweep": {"rounds": [3]}}))
@@ -292,6 +324,31 @@ class TestExperiment:
         )
         assert code == 0
         assert out_path.read_text().startswith("estimator,")
+
+
+class TestConsecutiveCalls:
+    def test_no_state_carries_over_between_calls(self, capsys, tmp_path, clean_measurement_file):
+        # The parser is built once per process; each call must still see only
+        # its own arguments.
+        estimate, _ = clean_measurement_file
+        out_path = tmp_path / "estimate.json"
+        code, out, _ = _run(capsys, ["estimate", "--input", str(estimate), "--out", str(out_path)])
+        assert code == 0 and out == ""
+        written = out_path.read_text()
+        out_path.unlink()
+        code, out, _ = _run(capsys, ["estimate", "--input", str(estimate)])
+        assert code == 0 and out == written + "\n"
+        assert not out_path.exists()
+
+        config = {"scenario": "2d-random", "sweep": {"n_random": [10]}, "trials": 5, "measure_time": False}
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps(config))
+        argv = ["experiment", "--config", str(path), "--seed", "2"]
+        pinned = ExperimentConfig.from_dict({**config, "estimators": ["ls-u"], "fixed_geometry": True}, seed=2)
+        code, out, _ = _run(capsys, argv + ["--estimators", "ls-u", "--fixed-geometry"])
+        assert code == 0 and out == run_experiment(pinned).to_csv()
+        code, out, _ = _run(capsys, argv)
+        assert code == 0 and out == run_experiment(ExperimentConfig.from_dict(config, seed=2)).to_csv()
 
 
 class TestTimeScaling:
