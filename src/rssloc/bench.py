@@ -4,16 +4,19 @@ Reproduces the bias/RMSE/timing experiment protocol: a registry of the three
 scenario families (2-D fixed ring, 2-D random square, 3-D fixed) and sweeps
 over rounds T, noise sigma, or random-deployment size n.
 
-The engine handles a whole sweep point at once (``sweep_point``). The
-trials' layouts are checked and their RCRLB computed as one stack; their
-readings are drawn as blocks of whole trials (trials, rounds, sensors), each
-converted and reduced at once to per-sensor means of y and of 10**(2*y) over
-the rounds, and capped in size (``BLOCK_DOUBLES``) so that memory does not
-grow with trials x rounds. Each estimator then runs on all trials together
-through ``estimators.estimate_stack``, the one implementation of the
-estimator policy that the per-call API also runs on a trial's n tiled
-measurements. In exact arithmetic the two give the same estimates; ``ml``
-iterates all unconverged trials at once.
+The engine handles a sweep point in blocks of whole trials of about
+``BLOCK_DOUBLES`` doubles (one trial at least). ``sweep_point`` draws the
+readings as blocks (trials, rounds, sensors), each converted and reduced at
+once to per-sensor means of y and of 10**(2*y) over the rounds. The layouts
+are checked, their RCRLB computed and each estimator run through
+``estimators.estimate_stack`` in blocks sized by the largest design, k x
+(m+2) doubles per trial: 65 trials at k = 1000, a whole fixed-layout point
+at k = 10. A problem's arithmetic does not depend on its stack-mates, so the
+blocks leave reports unchanged, and memory grows only with the layouts and
+means of the point: 2d-random at n = 1000 and 1000 trials peaks at about
+45 MB traced. ``estimate_stack`` is the one implementation of the estimator
+policy, which the per-call API also runs on a trial's n tiled measurements;
+in exact arithmetic the two give the same estimates.
 
 Per-trial randomness is a counter-based substream keyed by
 (master_seed, sweep_index, trial_index), so every trial can be replayed on
@@ -44,14 +47,15 @@ from .model import (
     draw_rounds,
     generate_measurements,
     number,
+    sq_norm,
     trial_rng,
 )
 
 SWEEP_PARAMS = ("rounds", "sigma", "n_random")
 
-# sweep_point draws a sweep point in blocks of whole trials holding about this
-# many readings (2 MiB of doubles), so that its peak memory stays a few such
-# blocks at any trials x rounds x sensors; larger blocks run no faster.
+# A sweep point is drawn, checked and solved in blocks of whole trials of
+# about this many doubles (2 MiB): readings when drawn, design entries when
+# solved. Larger blocks run no faster, and the estimators slower.
 BLOCK_DOUBLES = 2**18
 
 
@@ -174,7 +178,10 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"{ignored} parameterise a registry scenario id; an inline scenario sets its own"
                     )
-                scenario = Scenario.from_dict(scenario_spec)
+                try:
+                    scenario = Scenario.from_dict(scenario_spec)
+                except InvalidInputError as exc:
+                    raise ConfigError(f"bad inline scenario: {exc}") from exc
             master_seed = seed if seed is not None else d.get("master_seed")
             if master_seed is None:
                 raise ConfigError("a master seed is required")
@@ -273,15 +280,23 @@ class SweepPoint:
     n: int
 
 
+def _blocks(trials: int, doubles: int) -> List[Tuple[int, int]]:
+    """(start, stop) of consecutive blocks of whole trials, each of about
+    BLOCK_DOUBLES doubles at ``doubles`` per trial, and one trial at least."""
+    step = max(1, BLOCK_DOUBLES // doubles)
+    return [(start, min(start + step, trials)) for start in range(0, trials, step)]
+
+
 def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     """Draw every trial of one sweep point and reduce it to its means.
 
     Trial t's noise comes from ``trial_rng(seed, sweep_index, t, 1)``; fresh
     random geometry from ``trial_rng(seed, sweep_index, t, 0)``, pinned
     geometry from ``trial_rng(seed, sweep_index, 0, 0)``. The layouts are
-    checked and their RCRLB computed once, as one stack. The trials are drawn
-    in blocks (trials, rounds, k) of at most about BLOCK_DOUBLES readings (one
-    trial at least); each block is converted and reduced at once.
+    checked and their RCRLB computed in blocks of about BLOCK_DOUBLES doubles
+    of the design, k x (m+2) per trial. The trials are drawn in blocks
+    (trials, rounds, k) of at most about BLOCK_DOUBLES readings (one trial at
+    least); each block is converted and reduced at once.
     """
     value = cfg.sweep_values[sweep_index]
     seed = cfg.master_seed
@@ -296,22 +311,27 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
         sc = cfg.scenario.with_rounds(value) if cfg.sweep_param == "rounds" else cfg.scenario.with_sigma(value)
         sensors = sc.sensors[None]
         source, sigma, alpha, p0, rounds = sc.source, sc.sigma_db, sc.alpha, sc.p0_const, sc.rounds
-    source, rounds, distances = check_layouts(sensors, source, sigma, alpha, p0, rounds)
     _, k, m = sensors.shape
+    layout_blocks = _blocks(len(sensors), k * (m + 2))
+    for a, b in layout_blocks:
+        source, rounds = check_layouts(sensors[a:b], source, sigma, alpha, p0, rounds)
     if k * rounds < m + 1:
         raise InvalidInputError(f"need at least m+1 = {m + 1} measurements")
-    rcrlb = float(np.mean(np.sqrt(crlb_stack(sensors, source, sigma, alpha, rounds)[1]))) if sigma > 0 else 0.0
+    rcrlb = 0.0
+    if sigma > 0:
+        crlb = [crlb_stack(sensors[a:b], source, sigma, alpha, rounds)[1] for a, b in layout_blocks]
+        rcrlb = float(np.mean(np.sqrt(np.concatenate(crlb))))
     ybar, zbar = np.empty((cfg.trials, k)), np.empty((cfg.trials, k))
-    step = min(cfg.trials, max(1, BLOCK_DOUBLES // (rounds * k)))
-    raw_db = np.empty((step, rounds, k))
-    for start in range(0, cfg.trials, step):
-        stop = min(start + step, cfg.trials)
+    blocks = _blocks(cfg.trials, rounds * k)
+    raw_db = np.empty((blocks[0][1], rounds, k))
+    for start, stop in blocks:
         rngs = (trial_rng(seed, sweep_index, trial, 1) for trial in range(start, stop))
-        block_distances = distances if len(distances) == 1 else distances[start:stop]
-        y = draw_rounds(rngs, raw_db[: stop - start], block_distances, sigma, alpha, p0)
+        layouts = sensors if len(sensors) == 1 else sensors[start:stop]
+        y = draw_rounds(rngs, raw_db[: stop - start], np.sqrt(sq_norm(layouts - source)), sigma, alpha, p0)
         ybar[start:stop] = y.mean(axis=1)
         y *= 2.0
         zbar[start:stop] = np.power(10.0, y, out=y).mean(axis=1)
+        del y  # freed before the next block's distances, which set the peak
     return SweepPoint(
         sensors=sensors,
         source=source,
@@ -337,21 +357,28 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
 
     Bias is the sum of componentwise absolute mean errors; RMSE the root mean
     squared Euclidean error. Trials where an estimator fails are excluded
-    from that estimator's statistics and counted as failed. With
-    ``measure_time``, ``mean_time_s`` is the wall time of the estimator's
-    computation over all trials of the point, divided by the trial count;
-    drawing and reducing the measurements is not included.
+    from that estimator's statistics and counted as failed. Each estimator
+    runs on the point in the blocks of whole trials that sweep_point checks
+    the layouts in. With ``measure_time``, ``mean_time_s`` is the wall time of
+    the estimator's computation summed over the blocks of the point, divided
+    by the trial count; drawing and reducing the measurements is not included.
     """
     rows: List[ReportRow] = []
     for sweep_index, value in enumerate(cfg.sweep_values):
         point = sweep_point(cfg, sweep_index)
+        _, k, m = point.sensors.shape
         for est_id in cfg.estimators:
-            t0 = time.perf_counter()
-            out = estimate_stack(est_id, point.sensors, point.ybar, point.zbar, point.bias_b)
-            elapsed = time.perf_counter() - t0
-            ok = out.failure == 0
+            p_hat, failure, elapsed = [], [], 0.0
+            for start, stop in _blocks(cfg.trials, k * (m + 2)):
+                sensors = point.sensors if len(point.sensors) == 1 else point.sensors[start:stop]
+                t0 = time.perf_counter()
+                out = estimate_stack(est_id, sensors, point.ybar[start:stop], point.zbar[start:stop], point.bias_b)
+                elapsed += time.perf_counter() - t0
+                p_hat.append(out.p_hat)
+                failure.append(out.failure)
+            ok = np.concatenate(failure) == 0
             if ok.any():
-                errors = out.p_hat[ok] - point.source
+                errors = np.concatenate(p_hat)[ok] - point.source
                 bias = float(np.sum(np.abs(errors.mean(axis=0))))
                 rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
                 mean_time = elapsed / cfg.trials if cfg.measure_time else None

@@ -12,6 +12,14 @@ layout normalised to its centroid and unit RMS radius, so the estimators gate
 on the condition ``geometry.localizability`` reports, and their estimates are
 translation, rotation and scale equivariant.
 
+No stacked kernel reduces or broadcasts over the 2-3 coordinates of a
+(..., k, m) stack of rows. A squared distance is ``model.sq_norm``, a sum
+over the coordinates in their order, which has the bits of the row-major
+sum. The Gauss-Newton Jacobian, the LS designs and the Fisher gradient are
+built coordinate-major: J is the transposed view of a contiguous (..., c, k)
+array J^T with one row per column. Every operation then runs along the k
+rows, and J is already in the column-major layout LAPACK reads.
+
 The estimator policy lives in one function, ``estimate_stack``, which runs
 on a stack of problems. The single-problem estimators run it on one problem
 of n rows and raise the failure it reports (``ml_reference`` runs its ML
@@ -38,7 +46,7 @@ from .errors import (
     SingularPointError,
 )
 from .geometry import hyperplane_design, hypersphere_design, normalise, singular
-from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel
+from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel, sq_norm
 
 ESTIMATOR_IDS = ("ls", "ls+gn", "ls-u", "ls-u+gn", "ml")
 
@@ -129,7 +137,7 @@ def _least_squares(sensors: np.ndarray, z: np.ndarray, b: Optional[float]):
         x, bad = _gated_solve(hypersphere_design(q), z / (s * s)[:, None])
         kappa = x[:, m + 1]
     else:
-        x, bad = _gated_solve(hyperplane_design(q), z / (b * s * s)[:, None] - (q * q).sum(axis=-1))
+        x, bad = _gated_solve(hyperplane_design(q), z / (b * s * s)[:, None] - sq_norm(q))
         kappa = 1.0
     t, tau = x[:, :m], x[:, m]
     last = s * (s * tau + 2.0 * (c * t).sum(axis=-1)) + kappa * (c * c).sum(axis=-1)
@@ -143,7 +151,7 @@ def _least_squares(sensors: np.ndarray, z: np.ndarray, b: Optional[float]):
 
 def ml_objective(p, ms: MeasurementSet) -> float:
     """Mean squared equivalent-measurement residual (1/n) sum (y_i - log10 d_i)^2."""
-    d = np.linalg.norm(ms.sensor_coords - np.asarray(p, dtype=float), axis=1)
+    d = np.sqrt(sq_norm(ms.sensor_coords - np.asarray(p, dtype=float)))
     if np.any(d < SENSOR_CLEARANCE):
         _raise(_NEAR)
     r = ms.y - np.log10(d)
@@ -244,14 +252,19 @@ def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray):
     log10||p_i - p||, solved by one SVD of J. Returns (p_next (t, m),
     failure (t,)): failure indexes FAILURES and is 0 where the step
     succeeded; elsewhere p_next is meaningless. ``p`` must be finite.
+
+    J^T is built coordinate-major, one contiguous (t, m, k) array with one
+    row per coordinate, and its transposed view J goes to the SVD: that is
+    the column-major layout LAPACK reads.
     """
-    diff = p[:, None, :] - sensors
-    d = np.linalg.norm(diff, axis=-1)
+    (t, m), k = p.shape, sensors.shape[1]
+    jt = np.subtract(p[:, :, None], sensors.swapaxes(1, 2), out=np.empty((t, m, k)))
+    d = np.sqrt(sq_norm(jt.swapaxes(1, 2)))
     near = d.min(axis=-1) < SENSOR_CLEARANCE
     d = np.maximum(d, SENSOR_CLEARANCE)
     # Rows (p - p_i)^T / (d_i^2 ln 10): gradient of log10||p_i - p||.
-    jac = diff / (d[..., None] ** 2 * LN10)
-    step, degenerate = _gated_solve(jac, y - np.log10(d))
+    jt /= (d**2 * LN10)[:, None, :]
+    step, degenerate = _gated_solve(jt.swapaxes(1, 2), y - np.log10(d))
     failure = np.where(np.isfinite(step).all(axis=-1), 0, _STEP_NONFINITE)
     failure[degenerate] = _DEGENERATE
     failure[near] = _NEAR
@@ -291,7 +304,7 @@ def gn_iterate(p: np.ndarray, sensors: np.ndarray, y: np.ndarray, cfg: GnConfig 
         failure[active] = step_failure
         stepped = step_failure == 0
         active, p_next = active[stepped], p_next[stepped]
-        done = np.linalg.norm(p_next - p[active], axis=-1) < cfg.step_tolerance
+        done = np.sqrt(sq_norm(p_next - p[active])) < cfg.step_tolerance
         p[active] = p_next
         converged[active[done]] = True
         active = active[~done]

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InsufficientSensorsError
-from .model import _as_points
+from .model import _as_points, _dimension
 
 # Gram condition (s_max / s_min)^2 above which a least-squares design, a
 # Gauss-Newton Jacobian or a Fisher information matrix is singular.
@@ -51,21 +51,32 @@ class LocalizabilityReport:
         return {**asdict(self), "verdict": self.verdict.value}
 
 
+def _design(sensors: np.ndarray, columns: int) -> np.ndarray:
+    """A design with ``columns`` columns whose first m+1 are [-2*p_i^T, 1],
+    built coordinate-major: the transposed view of a contiguous (..., columns,
+    n) array, one row per column, which is the column-major layout LAPACK
+    reads."""
+    m = sensors.shape[-1]
+    dt = np.empty(sensors.shape[:-2] + (columns, sensors.shape[-2]))
+    np.multiply(sensors.swapaxes(-1, -2), -2.0, out=dt[..., :m, :])
+    dt[..., m, :] = 1.0
+    return dt.swapaxes(-1, -2)
+
+
 def hyperplane_design(sensors: np.ndarray) -> np.ndarray:
     """Rows [-2*p_i^T, 1]; the known-variance design matrix up to the b factor.
 
     Leading axes of ``sensors`` (..., n, m) are kept, so a stack of layouts
     gives a stack of designs.
     """
-    ones = np.ones(sensors.shape[:-1] + (1,))
-    return np.concatenate([-2.0 * sensors, ones], axis=-1)
+    return _design(sensors, sensors.shape[-1] + 1)
 
 
 def hypersphere_design(sensors: np.ndarray) -> np.ndarray:
     """Rows [-2*p_i^T, 1, ||p_i||^2]; the unknown-variance design matrix."""
-    ones = np.ones(sensors.shape[:-1] + (1,))
-    sq = np.einsum("...km,...km->...k", sensors, sensors)[..., None]
-    return np.concatenate([-2.0 * sensors, ones, sq], axis=-1)
+    design = _design(sensors, sensors.shape[-1] + 2)
+    np.einsum("...km,...km->...k", sensors, sensors, out=design[..., -1])
+    return design
 
 
 def normalise(sensors: np.ndarray):
@@ -102,7 +113,7 @@ def _gate(design: np.ndarray):
 
 
 def _enough(pts: np.ndarray, extra: int, test: str) -> np.ndarray:
-    n, m = pts.shape
+    n, m = pts.shape[0], _dimension(pts)
     if n < m + extra:
         raise InsufficientSensorsError(
             f"{test} test needs at least m+{extra} = {m + extra} sensors, got {n}"
@@ -133,7 +144,8 @@ def localizability(sensors) -> LocalizabilityReport:
 
     Verdict: NotLocalizable if the hyperplane test fails, KnownVarianceOnly
     if only the hypersphere test fails (or there are too few sensors for it),
-    else FullyLocalizable.
+    else FullyLocalizable. Sensors that are not 2-D or 3-D raise
+    InvalidInputError, as they do for the estimators.
     """
     q = normalise(_enough(_as_points(sensors, "sensors"), 1, "hyperplane"))[0]
     condition_known, hyperplane_ok = _gate(hyperplane_design(q))

@@ -26,7 +26,7 @@ from .errors import (
     SingularPointError,
 )
 from .geometry import singular
-from .model import LN10, SENSOR_CLEARANCE, Scenario
+from .model import LN10, SENSOR_CLEARANCE, Scenario, sq_norm
 
 _SWEEP_PARAMS = ("rounds", "sigma")
 
@@ -50,13 +50,16 @@ def crlb_stack(sensors: np.ndarray, p: np.ndarray, sigma_db: float, alpha: float
     grad, which the library's one gate checks: it rejects e.g. collinear
     sensors with p on or next to their line (DegenerateGeometryError).
     SingularPointError where p is within SENSOR_CLEARANCE of a sensor.
-    Returns (grad, crlb (g,)).
+    Returns (grad, crlb (g,)); grad is the transposed view of a
+    coordinate-major (g, m, k) array, as the Gauss-Newton Jacobian is.
     """
-    diff = p - sensors
-    d2 = np.sum(diff**2, axis=-1)
+    g, k, m = sensors.shape
+    gt = np.subtract(p[:, None], sensors.swapaxes(1, 2), out=np.empty((g, m, k)))
+    grad = gt.swapaxes(1, 2)
+    d2 = sq_norm(grad)
     if np.any(np.sqrt(d2) < SENSOR_CLEARANCE):
         raise SingularPointError("eval_point coincides with a sensor")
-    grad = diff / (d2 * LN10)[..., None]
+    gt /= (d2 * LN10)[:, None, :]
     s = np.linalg.svd(grad, compute_uv=False)
     if np.any(singular(s, len(p))):
         raise DegenerateGeometryError("Fisher information matrix is singular")

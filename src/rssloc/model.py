@@ -52,6 +52,18 @@ def number(value, name: str, whole: bool = False, error=InvalidInputError):
     raise error(f"{name} must be a {'whole number >= 1' if whole else 'finite number'}, got {value!r}")
 
 
+def sq_norm(x: np.ndarray) -> np.ndarray:
+    """x_0*x_0 + x_1*x_1 + ... over the last axis of x (m >= 2 coordinates),
+    summed in coordinate order. For m <= 3 this is (x*x).sum(-1) bit for bit,
+    and its sqrt np.linalg.norm(x, axis=-1), without a reduction over the
+    short coordinate axis: each addition runs over the leading axes."""
+    sq = x * x
+    total = sq[..., 0] + sq[..., 1]
+    for i in range(2, x.shape[-1]):
+        total += sq[..., i]
+    return total
+
+
 def _dimension(points: np.ndarray) -> int:
     m = points.shape[-1]
     if m not in (2, 3):
@@ -64,7 +76,7 @@ def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, p0_const, rounds
     (..., k, m) that share one source and signal: at least one sensor, m in
     {2, 3}, a finite source m-vector, alpha > 0, p0_const > 0, sigma_db >= 0,
     whole rounds >= 1 and every sensor at least SENSOR_CLEARANCE from the
-    source. Returns (source, rounds, sensor-source distances (..., k)).
+    source. Returns (source, rounds).
     """
     if sensors.shape[-2] == 0:
         raise InvalidInputError("sensors list is empty")
@@ -79,13 +91,12 @@ def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, p0_const, rounds
     if not (sigma_db >= 0):
         raise InvalidInputError("sigma_db must be nonnegative")
     rounds = number(rounds, "rounds", whole=True)
-    d = np.linalg.norm(sensors - source, axis=-1)
-    if np.any(d < SENSOR_CLEARANCE):
+    if np.any(np.sqrt(sq_norm(sensors - source)) < SENSOR_CLEARANCE):
         raise DegenerateGeometryError(
             "a sensor coincides with the source (distance < "
             f"{SENSOR_CLEARANCE})"
         )
-    return source, rounds, d
+    return source, rounds
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,7 @@ class Scenario:
 
     def __post_init__(self):
         sensors = _as_points(self.sensors, "sensors")
-        source, rounds, _ = check_layouts(
+        source, rounds = check_layouts(
             sensors, self.source, self.sigma_db, self.alpha, self.p0_const, self.rounds
         )
         object.__setattr__(self, "sensors", sensors)
@@ -134,7 +145,7 @@ class Scenario:
 
     def distances(self) -> np.ndarray:
         """Sensor-to-source distances, shape (n_sensors,)."""
-        return np.linalg.norm(self.sensors - self.source, axis=1)
+        return np.sqrt(sq_norm(self.sensors - self.source))
 
     def with_rounds(self, rounds: int) -> "Scenario":
         return replace(self, rounds=rounds)
@@ -164,9 +175,10 @@ class Scenario:
                 p0_const=float(d.get("p0", 1.0)),
                 rounds=d.get("rounds", 1),
             )
+            dimension = number(d["dimension"], "dimension", whole=True) if "dimension" in d else scenario.dimension
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad scenario dict: {exc}") from exc
-        if "dimension" in d and int(d["dimension"]) != scenario.dimension:
+        if dimension != scenario.dimension:
             raise InvalidInputError("declared dimension does not match sensors")
         return scenario
 

@@ -8,6 +8,7 @@ batched Monte Carlo engine against the per-call estimators, trial by trial.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rssloc.bench import scenario_registry, sweep_point
 from rssloc.errors import RssLocError
@@ -103,6 +104,40 @@ def points_concyclic(points, tol=1e-9):
         return False
     center, radius = fit
     return bool(np.all(np.abs(np.linalg.norm(points - center, axis=1) - radius) < tol))
+
+
+@st.composite
+def kernel_stacks(draw):
+    """A stack of t problems for the stacked kernels: evaluation points p
+    (t, m), layouts (g, k, m) with g in {1, t} and m in {2, 3}, and
+    readings y (t, k) of a source elsewhere, at a random scale and offset.
+    Row 0 may evaluate on one of its sensors, and the last row's layout may
+    lie on one line through its p (with g = 1 that is every row's layout)."""
+    m = draw(st.sampled_from([2, 3]))
+    t = draw(st.integers(1, 6))
+    g = draw(st.sampled_from([1, t]))
+    k = draw(st.integers(m + 1, 12))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    offset = draw(st.floats(-1e6, 1e6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sensors = offset + scale * rng.uniform(-50.0, 50.0, size=(g, k, m))
+    p = offset + scale * rng.uniform(-80.0, 80.0, size=(t, m))
+    if draw(st.booleans()):
+        p[0] = sensors[0, rng.integers(k)]
+    if draw(st.booleans()):
+        direction = rng.normal(size=m)
+        sensors[-1] = p[-1] + scale * np.outer(rng.uniform(-50.0, 50.0, size=k), direction)
+    source = offset + scale * rng.uniform(-80.0, 80.0, size=(t, 1, m))
+    y = np.log10(np.linalg.norm(sensors - source, axis=-1)) + rng.normal(0.0, 0.1, size=(t, k))
+    return p, sensors, y
+
+
+def outcome(call, *args):
+    """call(*args), or the type of the RssLocError it raises."""
+    try:
+        return call(*args)
+    except RssLocError as exc:
+        return type(exc)
 
 
 # The per-call reference of each estimator id, on one trial's tiled data.

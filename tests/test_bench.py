@@ -408,6 +408,44 @@ class TestBlockDraw:
             sweep_point(_cfg(scenario, **sweep), 0)
 
 
+class TestEstimatorBlocks:
+    """The estimators and the RCRLB of a sweep point run in blocks of whole
+    trials of about BLOCK_DOUBLES doubles of the largest design, k x (m+2)."""
+
+    RANDOM = dict(scenario=RandomScenarioFamily(sigma_db=4.0), sweep_param="n_random", sweep_values=(100,))
+    CASES = {
+        "2d-random-fresh": (RANDOM, 100),
+        "2d-random-pinned": (dict(RANDOM, fixed_geometry=True), 100),
+        "2d-fixed": (dict(scenario=scenario_registry(sigma_db=4.0)["2d-fixed"], sweep_values=(3, 30)), 10),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_blocks_leave_the_report_unchanged(self, case, monkeypatch):
+        config, k = self.CASES[case]
+        cfg = _cfg(estimators=ESTIMATOR_IDS, trials=40, master_seed=31, **config)
+        monkeypatch.setattr(bench, "BLOCK_DOUBLES", 10**9)
+        whole = run_experiment(cfg)
+        # Blocks of 15 trials of k x (m+2) doubles: 15, 15 and a ragged 10.
+        monkeypatch.setattr(bench, "BLOCK_DOUBLES", 15 * k * 4)
+        assert [stop - start for start, stop in bench._blocks(cfg.trials, k * 4)] == [15, 15, 10]
+        blocked = run_experiment(cfg)
+        assert blocked.to_csv() == whole.to_csv()
+        assert blocked.to_json() == whole.to_json()
+
+    def test_fresh_geometry_peak_memory_is_capped(self):
+        # One fresh layout per trial: the whole (1000, 1000, 4) design stack
+        # alone would be 32 MB, and its SVD factors as much again.
+        cfg = _cfg(RandomScenarioFamily(sigma_db=4.0), sweep_param="n_random", sweep_values=(1000,), trials=1000)
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [row.trials_ok + row.trials_failed for row in report.rows] == [1000, 1000]
+        assert peak <= 48e6
+
+
 class TestCoverage:
     def test_componentwise_normal_coverage(self, scenario_2d):
         # Normality at large n: +-1.96 * rcrlb / sqrt(m) componentwise

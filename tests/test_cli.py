@@ -195,6 +195,18 @@ class TestCheckGeometry:
         assert report["gram_condition_known"] == pytest.approx(3.0)
 
 
+    def test_four_dimensional_layout_exits_2_schema(self, capsys, tmp_path):
+        # The same 4-D sensors make `estimate` exit 2; no verdict is printed.
+        sensors = np.random.default_rng(4).uniform(-50.0, 50.0, size=(7, 4))
+        path = tmp_path / "geo.json"
+        path.write_text(json.dumps({"sensors": sensors.tolist()}))
+        code, out, err = _run(capsys, ["check-geometry", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and "dimension must be 2 or 3" in error["message"]
+
+
 class TestCrlb:
     def test_rounds_sweep_matches_library(self, capsys, scenario_2d):
         code, out, _ = _run(
@@ -236,6 +248,15 @@ class TestCrlb:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "schema"
+
+    @pytest.mark.parametrize("dimension", ["two", None, 2.5])
+    def test_malformed_dimension_exits_2(self, capsys, tmp_path, scenario_2d, dimension):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**scenario_2d.to_dict(), "dimension": dimension}))
+        code, out, err = _run(capsys, ["crlb", "--config", str(path), "--sweep-values", "3"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid-input"
 
 
 class TestExperiment:
@@ -296,6 +317,18 @@ class TestExperiment:
         scenario = {"sensors": scenario_2d.sensors.tolist(), "source": [70.0, 30.0], "sigma_db": 2.0}
         path = tmp_path / "inline.json"
         path.write_text(json.dumps({"scenario": scenario, "sweep": {"rounds": [3]}, "trials": 5, **field}))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "schema"
+
+    @pytest.mark.parametrize(
+        "field", [{"dimension": "two"}, {"dimension": None}, {"dimension": 2.5}, {"sigma_db": -1.0}]
+    )
+    def test_malformed_inline_scenario_exits_2_schema(self, capsys, tmp_path, scenario_2d, field):
+        scenario = {**scenario_2d.to_dict(), **field}
+        path = tmp_path / "inline.json"
+        path.write_text(json.dumps({"scenario": scenario, "sweep": {"rounds": [3]}, "trials": 5}))
         code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
         assert code == 2
         assert out == ""

@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COLLINEAR_2D, PER_CALL, SQUARE_CORNERS, normal_equations_solve
+from conftest import COLLINEAR_2D, PER_CALL, SQUARE_CORNERS, kernel_stacks, normal_equations_solve, outcome
+from rssloc import estimators
 from rssloc.bench import scenario_registry
 from rssloc.errors import (
     DegenerateGeometryError,
@@ -20,6 +22,8 @@ from rssloc.estimators import (
     FAILURES,
     GnConfig,
     Stage,
+    _gated_solve,
+    _least_squares,
     estimate_sigma_from_b,
     gn_iterate,
     gn_step,
@@ -31,7 +35,7 @@ from rssloc.estimators import (
     source_from_beta,
     two_step,
 )
-from rssloc.geometry import Localizability, hyperplane_design, hypersphere_design, localizability
+from rssloc.geometry import Localizability, hyperplane_design, hypersphere_design, localizability, normalise
 from rssloc.inference import fisher_information
 from rssloc.model import (
     LN10,
@@ -39,8 +43,10 @@ from rssloc.model import (
     MeasurementSet,
     NoiseModel,
     Scenario,
+    check_layouts,
     generate_measurements,
     lognormal_bias,
+    sq_norm,
     trial_rng,
 )
 
@@ -596,3 +602,79 @@ class TestConsistencyRates:
         xs, ys = zip(*slopes_input)
         slope = np.polyfit(xs, ys, 1)[0]
         assert -0.6 <= slope <= -0.4
+
+
+def _gn_steps_by_rows(p, sensors, y):
+    """gn_steps as it was written row-major: the (t, k, m) differences,
+    np.linalg.norm over the coordinate axis and a broadcast division."""
+    diff = p[:, None, :] - sensors
+    d = np.linalg.norm(diff, axis=-1)
+    near = d.min(axis=-1) < SENSOR_CLEARANCE
+    d = np.maximum(d, SENSOR_CLEARANCE)
+    step, degenerate = _gated_solve(diff / (d[..., None] ** 2 * LN10), y - np.log10(d))
+    failure = np.where(np.isfinite(step).all(axis=-1), 0, estimators._STEP_NONFINITE)
+    failure[degenerate] = estimators._DEGENERATE
+    failure[near] = estimators._NEAR
+    return p + step, failure
+
+
+def _concatenated_designs(q):
+    """The LS designs as they were written: np.concatenate of row-major columns."""
+    ones = np.ones(q.shape[:-1] + (1,))
+    plane = np.concatenate([-2.0 * q, ones], axis=-1)
+    sq = np.einsum("...km,...km->...k", q, q)[..., None]
+    return plane, np.concatenate([-2.0 * q, ones, sq], axis=-1)
+
+
+class TestCoordinateMajorKernels:
+    """The coordinate-major kernels give the bits of their row-major forms:
+    no reduction over the 2-3 coordinates changes the summation order."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=kernel_stacks())
+    def test_sq_norm_is_the_row_major_sum(self, stack):
+        p, sensors, _ = stack
+        diff = sensors - p[0]
+        assert np.array_equal(sq_norm(diff), (diff * diff).sum(axis=-1))
+        assert np.array_equal(np.sqrt(sq_norm(diff)), np.linalg.norm(diff, axis=-1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=kernel_stacks())
+    def test_gn_steps(self, stack):
+        p, sensors, y = stack
+        p_next, failure = gn_steps(p, sensors, y)
+        expected, expected_failure = _gn_steps_by_rows(p, sensors, y)
+        assert np.array_equal(failure, expected_failure)
+        assert np.array_equal(p_next, expected, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=kernel_stacks(), b=st.sampled_from([None, 1.0, 1.7]))
+    def test_least_squares(self, stack, b):
+        _, sensors, y = stack
+        q = normalise(sensors)[0]
+        plane, sphere = _concatenated_designs(q)
+        assert np.array_equal(hyperplane_design(q), plane)
+        assert np.array_equal(hypersphere_design(q), sphere)
+        z = np.power(10.0, 2.0 * y)
+        with mock.patch.multiple(
+            estimators,
+            hyperplane_design=lambda q: _concatenated_designs(q)[0],
+            hypersphere_design=lambda q: _concatenated_designs(q)[1],
+            sq_norm=lambda x: (x * x).sum(axis=-1),
+        ):
+            expected = _least_squares(sensors, z, b)
+        for got, want in zip(_least_squares(sensors, z, b), expected):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=kernel_stacks())
+    def test_check_layouts(self, stack):
+        p, sensors, _ = stack
+        source = p[0]
+        got = outcome(check_layouts, sensors, source, 2.0, 2.0, 1.0, 3)
+        if np.any(np.linalg.norm(sensors - source, axis=-1) < SENSOR_CLEARANCE):
+            assert got is DegenerateGeometryError
+        else:
+            assert np.array_equal(got[0], source) and got[1] == 3
+            sc = Scenario(sensors=sensors[0], source=source, sigma_db=2.0)
+            assert np.array_equal(sc.distances(), np.linalg.norm(sensors[0] - source, axis=-1))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import COLLINEAR_2D, SQUARE_CORNERS, points_concyclic
 from rssloc.bench import scenario_registry
-from rssloc.errors import InsufficientSensorsError, SingularGramError
+from rssloc.errors import InsufficientSensorsError, InvalidInputError, SingularGramError
 from rssloc.estimators import ls_known_variance, ls_unknown_variance
 from rssloc.geometry import (
     Localizability,
@@ -97,6 +97,14 @@ class TestLocalizability:
     def test_report_serializes(self, scenario_2d):
         d = localizability(scenario_2d.sensors).to_dict()
         assert d["verdict"] == "FullyLocalizable"
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_only_two_or_three_dimensions(self, m):
+        # The estimators reject these layouts, so no verdict may accept them.
+        sensors = np.random.default_rng(m).uniform(-50.0, 50.0, size=(7, m))
+        for check in (localizability, check_hyperplane, check_hypersphere):
+            with pytest.raises(InvalidInputError, match="dimension must be 2 or 3"):
+                check(sensors)
 
     def test_hypersphere_implies_hyperplane(self):
         # On 1000 random geometries (generic, collinear, and concyclic mixes)

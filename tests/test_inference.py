@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import kernel_stacks, outcome
 from rssloc.errors import (
     DegenerateGeometryError,
     InfiniteInformationError,
     InvalidInputError,
     SingularPointError,
 )
-from rssloc.inference import fisher_information, rcrlb_curve
-from rssloc.model import LN10, Scenario
+from rssloc.geometry import singular
+from rssloc.inference import crlb_stack, fisher_information, rcrlb_curve
+from rssloc.model import LN10, SENSOR_CLEARANCE, Scenario
 
 
 @pytest.fixture
@@ -121,3 +125,32 @@ class TestRcrlbCurve:
     def test_bad_param(self, scenario_2d):
         with pytest.raises(InvalidInputError):
             rcrlb_curve(scenario_2d, [1, 2], param="trials")
+
+
+def _crlb_stack_by_rows(sensors, p, sigma_db, alpha, rounds):
+    """crlb_stack as it was written row-major: np.sum over the coordinate
+    axis and a broadcast division."""
+    diff = p - sensors
+    d2 = np.sum(diff**2, axis=-1)
+    if np.any(np.sqrt(d2) < SENSOR_CLEARANCE):
+        raise SingularPointError("eval_point coincides with a sensor")
+    grad = diff / (d2 * LN10)[..., None]
+    s = np.linalg.svd(grad, compute_uv=False)
+    if np.any(singular(s, len(p))):
+        raise DegenerateGeometryError("Fisher information matrix is singular")
+    return grad, np.sum(1.0 / (100.0 * alpha**2 / sigma_db**2 * rounds * s**2), axis=-1)
+
+
+class TestCrlbStack:
+    @settings(max_examples=200, deadline=None)
+    @given(stack=kernel_stacks(), row=st.sampled_from([0, -1]), rounds=st.sampled_from([1, 7]))
+    def test_bits_of_the_row_major_form(self, stack, row, rounds):
+        # Row 0's point may sit on a sensor, and the last layout may be
+        # collinear through the last row's point.
+        p, sensors, _ = stack
+        args = (sensors, p[row], 3.0, 2.0, rounds)
+        got, want = outcome(crlb_stack, *args), outcome(_crlb_stack_by_rows, *args)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

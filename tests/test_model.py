@@ -170,6 +170,14 @@ class TestScenario:
         with pytest.raises(InvalidInputError):
             Scenario.from_dict(d)
 
+    @pytest.mark.parametrize("dimension", ["two", None, 2.5])
+    def test_malformed_dimension_in_dict(self, scenario_2d, dimension):
+        # 2.5 was read as 2, "two" and None escaped as ValueError/TypeError.
+        d = {**scenario_2d.to_dict(), "dimension": dimension}
+        with pytest.raises(InvalidInputError, match="dimension must be a whole number"):
+            Scenario.from_dict(d)
+        assert Scenario.from_dict({**d, "dimension": 2.0}).dimension == 2
+
 
 class TestMeasurementSet:
     def test_length_mismatch(self):
