@@ -8,15 +8,18 @@ The engine handles a sweep point in blocks of whole trials of about
 ``BLOCK_DOUBLES`` doubles (one trial at least). ``sweep_point`` draws the
 readings as blocks (trials, rounds, sensors), each converted and reduced at
 once to per-sensor means of y and of 10**(2*y) over the rounds. The layouts
-are checked, their RCRLB computed and each estimator run through
-``estimators.estimate_stack`` in blocks sized by the largest design, k x
-(m+2) doubles per trial: 65 trials at k = 1000, a whole fixed-layout point
-at k = 10. A problem's arithmetic does not depend on its stack-mates, so the
-blocks leave reports unchanged, and memory grows only with the layouts and
+are checked, their RCRLB computed and the estimators run in blocks sized by
+the largest design, k x (m+2) doubles per trial: 65 trials at k = 1000, a
+whole fixed-layout point at k = 10. Each block runs one
+``estimators.estimate_stack`` plan for all the requested estimators, which
+computes the stages they share (the normalised layouts, each LS design, the
+first Gauss-Newton step) once. A problem's arithmetic does not depend on its
+stack-mates or on the other estimators of the plan, so neither the blocks
+nor the sharing change reports, and memory grows only with the layouts and
 means of the point: 2d-random at n = 1000 and 1000 trials peaks at about
 45 MB traced. ``estimate_stack`` is the one implementation of the estimator
-policy, which the per-call API also runs on a trial's n tiled measurements;
-in exact arithmetic the two give the same estimates.
+policy, which the per-call API also runs, with one estimator, on a trial's n
+tiled measurements; in exact arithmetic the two give the same estimates.
 
 Per-trial randomness is a counter-based substream keyed by
 (master_seed, sweep_index, trial_index), so every trial can be replayed on
@@ -125,7 +128,11 @@ def get_scenario(scenario_id: str, sigma_db: float = 2.0, alpha: float = 2.0):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One benchmark run: scenario, estimators, sweep, trial count, seed."""
+    """One benchmark run: scenario, estimators, sweep, trial count, seed.
+
+    ``estimators`` is a list or tuple of distinct estimator ids; counts are
+    whole numbers >= 1 and ``master_seed`` a whole number >= 0.
+    """
 
     scenario: Union[Scenario, RandomScenarioFamily]
     estimators: Tuple[str, ...]
@@ -137,6 +144,8 @@ class ExperimentConfig:
     measure_time: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.estimators, (list, tuple)):
+            raise ConfigError(f"estimators must be a list of estimator ids, got {self.estimators!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         if not self.estimators:
@@ -146,6 +155,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown estimator {est!r}; known: {list(ESTIMATOR_IDS)}"
                 )
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ConfigError(f"estimators must not repeat, got {list(self.estimators)}")
+        object.__setattr__(self, "master_seed", number(self.master_seed, "master_seed", True, ConfigError, low=0))
         if self.sweep_param not in SWEEP_PARAMS:
             raise ConfigError(f"sweep_param must be one of {SWEEP_PARAMS}")
         if not self.sweep_values:
@@ -191,11 +203,11 @@ class ExperimentConfig:
                 raise ConfigError(f"fixed_geometry and measure_time must be true or false, got {flags}")
             return cls(
                 scenario=scenario,
-                estimators=tuple(d.get("estimators", ("ls", "ls+gn"))),
+                estimators=d.get("estimators", ("ls", "ls+gn")),
                 sweep_param=param,
                 sweep_values=values,
                 trials=d.get("trials", 1000),
-                master_seed=int(master_seed),
+                master_seed=master_seed,
                 **flags,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -357,31 +369,32 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
 
     Bias is the sum of componentwise absolute mean errors; RMSE the root mean
     squared Euclidean error. Trials where an estimator fails are excluded
-    from that estimator's statistics and counted as failed. Each estimator
-    runs on the point in the blocks of whole trials that sweep_point checks
-    the layouts in. With ``measure_time``, ``mean_time_s`` is the wall time of
-    the estimator's computation summed over the blocks of the point, divided
-    by the trial count; drawing and reducing the measurements is not included.
+    from that estimator's statistics and counted as failed. The estimators
+    run on the point in the blocks of whole trials that sweep_point checks
+    the layouts in, as one estimate_stack plan per block. With
+    ``measure_time``, ``mean_time_s`` is the wall time of the estimator's
+    computation summed over the blocks of the point, divided by the trial
+    count: the stages it used, a stage shared with other estimators charged
+    in full to each of them, so that it reads what the estimator alone would
+    cost. Drawing and reducing the measurements is not included.
     """
     rows: List[ReportRow] = []
     for sweep_index, value in enumerate(cfg.sweep_values):
         point = sweep_point(cfg, sweep_index)
         _, k, m = point.sensors.shape
-        for est_id in cfg.estimators:
-            p_hat, failure, elapsed = [], [], 0.0
-            for start, stop in _blocks(cfg.trials, k * (m + 2)):
-                sensors = point.sensors if len(point.sensors) == 1 else point.sensors[start:stop]
-                t0 = time.perf_counter()
-                out = estimate_stack(est_id, sensors, point.ybar[start:stop], point.zbar[start:stop], point.bias_b)
-                elapsed += time.perf_counter() - t0
-                p_hat.append(out.p_hat)
-                failure.append(out.failure)
-            ok = np.concatenate(failure) == 0
+        outcomes = []
+        for start, stop in _blocks(cfg.trials, k * (m + 2)):
+            sensors = point.sensors if len(point.sensors) == 1 else point.sensors[start:stop]
+            outcomes.append(
+                estimate_stack(cfg.estimators, sensors, point.ybar[start:stop], point.zbar[start:stop], point.bias_b)
+            )
+        for est_id, blocks in zip(cfg.estimators, zip(*outcomes)):
+            ok = np.concatenate([out.failure for out in blocks]) == 0
             if ok.any():
-                errors = np.concatenate(p_hat)[ok] - point.source
+                errors = np.concatenate([out.p_hat for out in blocks])[ok] - point.source
                 bias = float(np.sum(np.abs(errors.mean(axis=0))))
                 rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
-                mean_time = elapsed / cfg.trials if cfg.measure_time else None
+                mean_time = sum(out.seconds for out in blocks) / cfg.trials if cfg.measure_time else None
             else:
                 bias = rmse = math.nan
                 mean_time = None
@@ -415,10 +428,12 @@ def time_scaling(
     Each run times a single two-step (known-variance) estimate on a fresh
     random-deployment measurement set; measurement generation is excluded
     from the timed section. Returns (n, mean_seconds) pairs; a clock
-    resolution floor guarantees nonzero entries.
+    resolution floor guarantees nonzero entries. ``master_seed`` must be a
+    whole number >= 0 (ConfigError otherwise).
     """
     if runs < 1:
         raise InvalidInputError("runs must be >= 1")
+    master_seed = number(master_seed, "master_seed", True, ConfigError, low=0)
     family = RandomScenarioFamily(sigma_db=sigma_db, alpha=alpha)
     noise = NoiseModel(sigma_db=sigma_db, alpha=alpha)
     results = []

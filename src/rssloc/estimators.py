@@ -20,21 +20,30 @@ built coordinate-major: J is the transposed view of a contiguous (..., c, k)
 array J^T with one row per column. Every operation then runs along the k
 rows, and J is already in the column-major layout LAPACK reads.
 
-The estimator policy lives in one function, ``estimate_stack``, which runs
-on a stack of problems. The single-problem estimators run it on one problem
-of n rows and raise the failure it reports (``ml_reference`` runs its ML
-iteration, ``gn_iterate``, from the caller's start point); the Monte Carlo
-engine runs it on per-sensor means over the rounds, which give the same
+The estimator policy lives in one plan, ``estimate_stack``, which runs a
+tuple of estimator ids on a stack of problems and computes each stage once
+for every id that uses it: the normalised layouts, each LS design (known
+variance for ``ls``, ``ls+gn`` and ``ml``, unknown for ``ls-u`` and
+``ls-u+gn``), and the first Gauss-Newton step from each LS start. ``+gn``
+keeps that step and ``ml`` iterates on from it (``gn_continue``), so ``ml``'s
+first iterate is the ``+gn`` estimate. A problem's arithmetic does not depend
+on which other ids share the plan. The single-problem estimators run the
+plan with one id on one problem of n rows and raise the failure it reports
+(``ml_reference`` runs its ML stages, first step then ``gn_continue``, from
+the caller's start point); the Monte Carlo engine runs it with every
+requested id on per-sensor means over the rounds, which give the same
 estimates as the n tiled rows because tiling multiplies both sides of every
 normal equation, LS and Gauss-Newton alike, by the number of rounds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import NamedTuple, Optional
+from time import perf_counter
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -121,17 +130,19 @@ def _gated_solve(a: np.ndarray, rhs: np.ndarray):
     return (coef[:, None, :] @ vt)[:, 0], bad
 
 
-def _least_squares(sensors: np.ndarray, z: np.ndarray, b: Optional[float]):
-    """Closed-form LS for a stack of layouts (g, k, m); z (t, k) holds 10**(2*y).
+def _least_squares(frame, z: np.ndarray, b: Optional[float]):
+    """Closed-form LS for a stack of layouts (g, k, m), given as their
+    normalised frame (q, c, s) = geometry.normalise(sensors); z (t, k) holds
+    10**(2*y).
 
-    On the normalised layout sensors = c + s*q (geometry.normalise), regresses
-    z / s^2 on [-2*q_i^T, 1, ||q_i||^2], the design localizability gates; with
-    b known (b not None) the last coefficient is fixed at 1 and z / (b s^2) -
+    On the normalised layout sensors = c + s*q, regresses z / s^2 on
+    [-2*q_i^T, 1, ||q_i||^2], the design localizability gates; with b known
+    (b not None) the last coefficient is fixed at 1 and z / (b s^2) -
     ||q_i||^2 is regressed on [-2*q_i^T, 1]. Both column spaces hold every
     affine function of p_i, so the coefficients map back exactly to those in
     p_i. Returns (p_hat (t, m), theta (t, m+1) or beta (t, m+2), singular (g,)).
     """
-    q, c, s = normalise(sensors)
+    q, c, s = frame
     m = c.shape[-1]
     if b is None:
         x, bad = _gated_solve(hypersphere_design(q), z / (s * s)[:, None])
@@ -152,10 +163,10 @@ def _least_squares(sensors: np.ndarray, z: np.ndarray, b: Optional[float]):
 def ml_objective(p, ms: MeasurementSet) -> float:
     """Mean squared equivalent-measurement residual (1/n) sum (y_i - log10 d_i)^2."""
     d = np.sqrt(sq_norm(ms.sensor_coords - np.asarray(p, dtype=float)))
-    if np.any(d < SENSOR_CLEARANCE):
+    if (d < SENSOR_CLEARANCE).any():
         _raise(_NEAR)
     r = ms.y - np.log10(d)
-    return float(np.mean(r * r))
+    return float((r * r).mean())
 
 
 def _raise(code: int) -> None:
@@ -177,7 +188,7 @@ def _estimate(est_id: str, ms: MeasurementSet, stage: Stage, b: float = 1.0) -> 
     # An overflowing 10**(2*y) makes the coefficients non-finite (_LS_NONFINITE).
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.power(10.0, 2.0 * ms.y)[None]
-        out = estimate_stack(est_id, ms.sensor_coords[None], ms.y[None], z, b)
+        (out,) = estimate_stack((est_id,), ms.sensor_coords[None], ms.y[None], z, b)
     _raise(out.failure[0])
     p_hat, coef = out.p_hat[0], out.coef[0]
     coefs = {"beta_hat": coef, "b_hat": float(coef[-1])} if est_id.startswith("ls-u") else {"theta_hat": coef}
@@ -285,34 +296,50 @@ def _layouts(sensors: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def gn_iterate(p: np.ndarray, sensors: np.ndarray, y: np.ndarray, cfg: GnConfig = GnConfig()):
-    """Iterate gn_steps over the problems that have neither converged (a step
-    shorter than cfg.step_tolerance) nor failed, at most cfg.max_iterations
-    times. Returns (p, failure, iterations, converged), one row per problem;
-    iterations counts the steps taken, a failing one included.
+    """Iterate gn_steps from p (t, m) over the problems that have neither
+    converged (a step shorter than cfg.step_tolerance) nor failed, at most
+    cfg.max_iterations times: gn_continue after the first step. Returns (p,
+    failure, iterations, converged), one row per problem; iterations counts
+    the steps taken, a failing one included.
     """
     p = np.array(p, dtype=float)
+    return gn_continue(p, gn_steps(p, sensors, y), sensors, y, cfg)
+
+
+def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray, cfg: GnConfig):
+    """gn_iterate from p once its first step, ``first`` = gn_steps(p, sensors,
+    y), has been taken; the iterates are written into p. The layouts and y of
+    the problems still iterating are gathered anew only when that set shrinks.
+    """
+    p_next, step_failure = first
     t = len(p)
     failure = np.zeros(t, dtype=int)
     iterations = np.zeros(t, dtype=int)
     converged = np.zeros(t, dtype=bool)
-    active = np.arange(t)
+    active, current = np.arange(t), p
     for iteration in range(1, cfg.max_iterations + 1):
-        if not active.size:
-            break
-        p_next, step_failure = gn_steps(p[active], _layouts(sensors, active), y[active])
         iterations[active] = iteration
         failure[active] = step_failure
         stepped = step_failure == 0
-        active, p_next = active[stepped], p_next[stepped]
-        done = np.sqrt(sq_norm(p_next - p[active])) < cfg.step_tolerance
+        if not stepped.all():
+            # A failed step leaves its problem where it was.
+            p_next = np.where(stepped[:, None], p_next, current)
+        done = np.sqrt(sq_norm(p_next - current)) < cfg.step_tolerance
         p[active] = p_next
-        converged[active[done]] = True
-        active = active[~done]
+        converged[active] = stepped & done
+        going = stepped & ~done
+        if not going.all():
+            active, p_next, y = active[going], p_next[going], y[going]
+            sensors = _layouts(sensors, going)
+        if not active.size or iteration == cfg.max_iterations:
+            break
+        current = p_next
+        p_next, step_failure = gn_steps(current, sensors, y)
     return p, failure, iterations, converged
 
 
 class StackOutcome(NamedTuple):
-    """What estimate_stack returns for t problems (see there)."""
+    """What estimate_stack returns for one estimator on t problems (see there)."""
 
     p_hat: np.ndarray
     coef: np.ndarray
@@ -320,43 +347,95 @@ class StackOutcome(NamedTuple):
     degraded: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
+    seconds: float
 
 
-def estimate_stack(est_id: str, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndarray, b: float) -> StackOutcome:
-    """The estimator ``est_id`` on t problems: ``sensors`` (g, k, m) with g in
-    {1, t}, and each problem's y and 10**(2*y) on its k rows (or their means
-    over rounds) in ``ybar`` and ``zbar`` (t, k); ``b`` is the lognormal bias.
+# The estimators on each LS design, known variance then unknown: the design
+# alone, then its Gauss-Newton refinements.
+_FAMILIES = (("ls", "ls+gn", "ml"), ("ls-u", "ls-u+gn"))
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(est_ids: tuple) -> tuple:
+    """The stages estimate_stack runs for ``est_ids``: for each LS design that
+    one of them starts from, (unknown variance, whether a Gauss-Newton step
+    follows, its users as (position in est_ids, id)). Raises unless the ids
+    are distinct ids of ESTIMATOR_IDS; a valid tuple's plan is built once."""
+    if not set(est_ids) <= set(ESTIMATOR_IDS) or len(set(est_ids)) != len(est_ids):
+        raise InvalidInputError(f"estimators {list(est_ids)} are not distinct ids of {list(ESTIMATOR_IDS)}")
+    plan = []
+    for family in _FAMILIES:
+        users = tuple((est_ids.index(est_id), est_id) for est_id in family if est_id in est_ids)
+        if users:
+            plan.append((family[0] == "ls-u", users[-1][1] != family[0], users))
+    return tuple(plan)
+
+
+def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndarray, b: float) -> List[StackOutcome]:
+    """The estimators ``est_ids``, distinct ids of ESTIMATOR_IDS, on t
+    problems: ``sensors`` (g, k, m) with g in {1, t}, and each problem's y and
+    10**(2*y) on its k rows (or their means over rounds) in ``ybar`` and
+    ``zbar`` (t, k); ``b`` is the lognormal bias. Returns one StackOutcome per
+    id, in the order of ``est_ids``.
 
     ``ls``, ``ls+gn`` and ``ml`` start from the known-variance LS, ``ls-u``
     and ``ls-u+gn`` from the unknown-variance LS; a singular design or
     non-finite coefficients fail the problem (``failure`` indexes FAILURES,
     0 where solved). ``+gn`` takes one Gauss-Newton step and, where it fails,
-    keeps the LS estimate flagged ``degraded``. ``ml`` iterates (gn_iterate,
-    default GnConfig) and fails the problem where a step fails. ``coef``
-    holds the LS coefficients, theta or beta.
+    keeps the LS estimate flagged ``degraded``. ``ml`` continues from that
+    step (gn_continue, default GnConfig) and fails the problem where a step
+    fails. ``coef`` holds the LS coefficients, theta or beta.
+
+    Each stage runs once for all the estimators that use it: normalising the
+    layouts (geometry.normalise), each LS design, and the first Gauss-Newton
+    step from each LS start, which ``+gn`` keeps and ``ml`` continues from.
+    ``seconds`` is the wall time of the stages an estimator used, a shared
+    stage charged in full to each of its users: what the estimator would
+    have cost on its own.
     """
-    if est_id not in ESTIMATOR_IDS:
-        raise InvalidInputError(f"unknown estimator {est_id!r}; known: {list(ESTIMATOR_IDS)}")
-    unknown = est_id.startswith("ls-u")
-    p_hat, coef, bad = _least_squares(sensors, zbar, None if unknown else b)
-    t = len(p_hat)
-    singular_code = _SINGULAR_UNKNOWN if unknown else _SINGULAR_KNOWN
-    failure = np.where(bad, singular_code, np.where(np.isfinite(coef).all(axis=-1), 0, _LS_NONFINITE))
-    degraded = np.zeros(t, dtype=bool)
-    iterations = np.zeros(t, dtype=int)
-    converged = np.ones(t, dtype=bool)
-    rows = np.flatnonzero(failure == 0)
-    if est_id.endswith("+gn"):
-        refined, step_failure = gn_steps(p_hat[rows], _layouts(sensors, rows), ybar[rows])
-        stepped = step_failure == 0
-        p_hat[rows[stepped]] = refined[stepped]
-        iterations[rows[stepped]] = 1
-        degraded[rows[~stepped]] = True
-    elif est_id == "ml":
-        p_hat[rows], failure[rows], iterations[rows], converged[rows] = gn_iterate(
-            p_hat[rows], _layouts(sensors, rows), ybar[rows]
-        )
-    return StackOutcome(p_hat, coef, failure, degraded, iterations, converged)
+    t = len(zbar)
+    outcomes = [None] * len(est_ids)
+    since = perf_counter()
+    frame = normalise(sensors)
+    now = perf_counter()
+    normalised = now - since
+    for unknown, refine, users in _plan(tuple(est_ids)):
+        since = now
+        p_ls, coef, bad = _least_squares(frame, zbar, None if unknown else b)
+        singular_code = _SINGULAR_UNKNOWN if unknown else _SINGULAR_KNOWN
+        failure_ls = np.where(bad, singular_code, np.where(np.isfinite(coef).all(axis=-1), 0, _LS_NONFINITE))
+        now = perf_counter()
+        solved = stepped_once = normalised + now - since
+        if refine:
+            since, rows = now, np.flatnonzero(failure_ls == 0)
+            start = p_ls[rows]
+            layouts, y = (sensors, ybar) if len(rows) == t else (_layouts(sensors, rows), ybar[rows])
+            refined, step_failure = first = gn_steps(start, layouts, y)
+            now = perf_counter()
+            stepped_once = solved + now - since
+        last = users[-1][0]
+        for pos, est_id in users:
+            since, upstream = now, stepped_once
+            # The last user of the LS result takes it, the others a copy.
+            p_hat, failure = (p_ls, failure_ls) if pos == last else (p_ls.copy(), failure_ls.copy())
+            degraded = np.zeros(t, dtype=bool)
+            iterations = np.zeros(t, dtype=int)
+            converged = np.ones(t, dtype=bool)
+            if est_id.endswith("+gn"):
+                stepped = step_failure == 0
+                moved = rows[stepped]
+                p_hat[moved] = refined[stepped]
+                iterations[moved] = 1
+                degraded[rows] = step_failure != 0
+            elif est_id == "ml":
+                p_hat[rows], failure[rows], iterations[rows], converged[rows] = gn_continue(
+                    start, first, layouts, y, GnConfig()
+                )
+            else:
+                upstream = solved
+            now = perf_counter()
+            outcomes[pos] = StackOutcome(p_hat, coef, failure, degraded, iterations, converged, upstream + now - since)
+    return outcomes
 
 
 def two_step(ms: MeasurementSet, noise: Optional[NoiseModel] = None) -> Estimate:
@@ -375,7 +454,8 @@ def two_step(ms: MeasurementSet, noise: Optional[NoiseModel] = None) -> Estimate
 def ml_reference(ms: MeasurementSet, init, cfg: GnConfig = GnConfig()) -> Estimate:
     """Iterate Gauss-Newton to convergence; reference approximation of the ML estimator.
 
-    Runs gn_iterate, estimate_stack's ML iteration, from ``init``.
+    Runs gn_iterate from ``init``: a first step, then gn_continue, the ML
+    stages of estimate_stack.
     """
     init = np.asarray(init, dtype=float)
     p, failure, iterations, converged = gn_iterate(init[None], ms.sensor_coords[None], ms.y[None], cfg)

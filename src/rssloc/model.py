@@ -42,14 +42,14 @@ def _as_points(points, name: str) -> np.ndarray:
     return arr
 
 
-def number(value, name: str, whole: bool = False, error=InvalidInputError):
+def number(value, name: str, whole: bool = False, error=InvalidInputError, low: int = 1):
     """``value`` as a float if it is a finite real number (not a bool), or with
-    ``whole`` as an int if it is a whole number >= 1, else ``error``. 30.0 is
-    whole, because command-line sweep values are parsed as floats."""
+    ``whole`` as an int if it is a whole number >= ``low``, else ``error``.
+    30.0 is whole, because command-line sweep values are parsed as floats."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        if not whole or (value >= 1 and value == int(value)):
+        if not whole or (value >= low and value == int(value)):
             return int(value) if whole else float(value)
-    raise error(f"{name} must be a {'whole number >= 1' if whole else 'finite number'}, got {value!r}")
+    raise error(f"{name} must be a {f'whole number >= {low}' if whole else 'finite number'}, got {value!r}")
 
 
 def sq_norm(x: np.ndarray) -> np.ndarray:

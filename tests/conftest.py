@@ -174,10 +174,9 @@ def replay_against_engine(cfg):
     engine_failed, replay_failed, worst = set(), set(), 0.0
     for sweep_index in range(len(cfg.sweep_values)):
         point = sweep_point(cfg, sweep_index)
-        batched = {
-            est: estimate_stack(est, point.sensors, point.ybar, point.zbar, point.bias_b)
-            for est in cfg.estimators
-        }
+        batched = dict(
+            zip(cfg.estimators, estimate_stack(cfg.estimators, point.sensors, point.ybar, point.zbar, point.bias_b))
+        )
         for trial in range(cfg.trials):
             sc = replay_scenario(cfg, sweep_index, trial)
             ms = generate_measurements(sc, trial_rng(cfg.master_seed, sweep_index, trial, 1))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,6 +126,27 @@ class TestExperimentConfig:
         assert cfg.sweep_values == (3, 10)
         assert isinstance(cfg.scenario, Scenario)
 
+    @pytest.mark.parametrize("seed", [-1, 1.7, True, "3", None])
+    def test_master_seed_is_a_whole_number_from_zero(self, seed):
+        d = {"scenario": "2d-fixed", "sweep": {"rounds": [3]}, "trials": 5, "master_seed": seed}
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(d)
+        if seed is not None:
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict(d, seed=seed)
+        with pytest.raises(ConfigError):
+            time_scaling([10], runs=1, master_seed=seed)
+        assert ExperimentConfig.from_dict({**d, "master_seed": 0}).master_seed == 0
+        assert ExperimentConfig.from_dict({**d, "master_seed": 7.0}).master_seed == 7
+
+    @pytest.mark.parametrize("estimators", ["ls", ["ls", "ls"], ("ls+gn", "ml", "ls+gn"), {"ls": 1}])
+    def test_estimators_are_a_list_of_distinct_ids(self, scenario_2d, estimators):
+        with pytest.raises(ConfigError, match="estimators must"):
+            _cfg(scenario_2d, estimators=estimators)
+        d = {"scenario": "2d-fixed", "sweep": {"rounds": [3]}, "estimators": estimators}
+        with pytest.raises(ConfigError, match="estimators must"):
+            ExperimentConfig.from_dict(d, seed=1)
+
     def test_from_dict_requires_seed(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(
@@ -228,8 +250,8 @@ class TestRunExperiment:
             n=scenario_2d.n_sensors,
         )
         args = (point.sensors, point.ybar, point.zbar, point.bias_b)
-        first = estimate_stack("ls", *args).p_hat
-        refined = estimate_stack("ls+gn", *args)
+        first = estimate_stack(("ls",), *args)[0].p_hat
+        (refined,) = estimate_stack(("ls+gn",), *args)
         assert not refined.failure.any()
         assert refined.degraded.tolist() == [False, True]
         assert refined.iterations.tolist() == [1, 0]
@@ -444,6 +466,36 @@ class TestEstimatorBlocks:
             tracemalloc.stop()
         assert [row.trials_ok + row.trials_failed for row in report.rows] == [1000, 1000]
         assert peak <= 48e6
+
+
+class TestSharedStagePlan:
+    """run_experiment runs one plan per block for all its estimators; each
+    estimator's rows equal those of a run with that estimator alone."""
+
+    RANDOM = dict(scenario=RandomScenarioFamily(sigma_db=4.0), sweep_param="n_random", sweep_values=(1000,))
+    CASES = {
+        "2d-random-fresh": dict(RANDOM),
+        "2d-random-pinned": dict(RANDOM, fixed_geometry=True),
+        "2d-fixed": dict(scenario=scenario_registry(sigma_db=4.0)["2d-fixed"], sweep_values=(1, 3, 30)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_plan_equals_single_estimator_runs(self, case):
+        # 70 trials at n = 1000: blocks of 65 and a ragged 5.
+        cfg = _cfg(estimators=ESTIMATOR_IDS, trials=70, master_seed=37, **self.CASES[case])
+        if case != "2d-fixed":
+            assert [stop - start for start, stop in bench._blocks(cfg.trials, 1000 * 4)] == [65, 5]
+        together = run_experiment(cfg)
+        alone = [run_experiment(replace(cfg, estimators=(est_id,))).rows for est_id in ESTIMATOR_IDS]
+        merged = bench.TrialReport(rows=tuple(row for point in zip(*alone) for row in point))
+        assert together.to_csv() == merged.to_csv()
+        assert together.to_json() == merged.to_json()
+
+    def test_every_estimator_is_timed(self, scenario_2d):
+        cfg = _cfg(scenario_2d, estimators=ESTIMATOR_IDS, trials=3, measure_time=True)
+        rows = run_experiment(cfg).rows
+        assert [row.estimator for row in rows] == list(ESTIMATOR_IDS)
+        assert all(row.mean_time_s is not None and row.mean_time_s > 0.0 for row in rows)
 
 
 class TestCoverage:

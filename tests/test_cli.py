@@ -341,6 +341,29 @@ class TestExperiment:
         assert code == 2
         assert json.loads(err)["error"] == "schema"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "-5"],
+            ["--seed", "1", "--estimators", "ls,ls"],
+            ["--seed", "1", "--estimators", "ls,ml,ls"],
+        ],
+    )
+    def test_negative_seed_or_repeated_estimator_exits_2_schema(self, capsys, experiment_config_file, argv):
+        code, out, err = _run(capsys, ["experiment", "--config", str(experiment_config_file)] + argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "schema"
+
+    @pytest.mark.parametrize("estimators", ["ls", ["ls", "ls"], {"ls": 1}])
+    def test_malformed_estimator_list_exits_2_schema(self, capsys, tmp_path, estimators):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "2d-fixed", "sweep": {"rounds": [3]}, "trials": 5, "estimators": estimators}))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "schema"
+
     def test_seed_flag_is_mandatory(self, capsys, experiment_config_file):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--config", str(experiment_config_file)])
@@ -394,6 +417,12 @@ class TestTimeScaling:
         assert lines[0] == "n,mean_time_s"
         n, t = lines[1].split(",")
         assert int(n) == 50 and float(t) > 0.0
+
+    def test_negative_seed_exits_2_schema(self, capsys):
+        code, out, err = _run(capsys, ["time-scaling", "--n", "50", "--runs", "3", "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "schema"
 
 
 class TestStrictJson:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -19,12 +20,14 @@ from rssloc.errors import (
     SingularPointError,
 )
 from rssloc.estimators import (
+    ESTIMATOR_IDS,
     FAILURES,
     GnConfig,
     Stage,
     _gated_solve,
     _least_squares,
     estimate_sigma_from_b,
+    estimate_stack,
     gn_iterate,
     gn_step,
     gn_steps,
@@ -662,8 +665,8 @@ class TestCoordinateMajorKernels:
             hypersphere_design=lambda q: _concatenated_designs(q)[1],
             sq_norm=lambda x: (x * x).sum(axis=-1),
         ):
-            expected = _least_squares(sensors, z, b)
-        for got, want in zip(_least_squares(sensors, z, b), expected):
+            expected = _least_squares(normalise(sensors), z, b)
+        for got, want in zip(_least_squares(normalise(sensors), z, b), expected):
             assert np.array_equal(got, want, equal_nan=True)
 
     @settings(max_examples=200, deadline=None)
@@ -678,3 +681,105 @@ class TestCoordinateMajorKernels:
             assert np.array_equal(got[0], source) and got[1] == 3
             sc = Scenario(sensors=sensors[0], source=source, sigma_db=2.0)
             assert np.array_equal(sc.distances(), np.linalg.norm(sensors[0] - source, axis=-1))
+
+
+OUTCOME_FIELDS = ("p_hat", "coef", "failure", "degraded", "iterations", "converged")
+
+
+class TestPlan:
+    """estimate_stack runs each stage once for all the estimators that use it:
+    the normalised layouts, each LS design and the first Gauss-Newton step
+    from each LS start, which ml continues from."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stack=kernel_stacks(),
+        ids=st.lists(st.sampled_from(ESTIMATOR_IDS), min_size=1, unique=True),
+        b=st.sampled_from([1.0, 1.7]),
+        row0=st.sampled_from(["drawn", "near-sensor", "overflow"]),
+    )
+    def test_any_set_of_ids_equals_each_id_alone(self, stack, ids, b, row0):
+        # The stack's last layout may be collinear (a singular known-variance
+        # design); row 0 may read noise-free from 1e-10 m off one of its
+        # sensors (a failing Gauss-Newton step) or overflow 10**(2y).
+        _, sensors, y = stack
+        y = y.copy()
+        if row0 == "near-sensor":
+            y[0] = np.log10(np.linalg.norm(sensors[0] - (sensors[0, 0] + 1e-10), axis=-1))
+        elif row0 == "overflow":
+            y[0, 0] = 200.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.power(10.0, 2.0 * y)
+            together = estimate_stack(tuple(ids), sensors, y, z, b)
+            alone = [estimate_stack((est_id,), sensors, y, z, b)[0] for est_id in ids]
+        for est_id, got, want in zip(ids, together, alone):
+            for field in OUTCOME_FIELDS:
+                assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), (est_id, field)
+
+    def test_ml_continues_from_the_two_step_estimate(self, scenario_2d):
+        for trial in range(5):
+            ms = generate_measurements(scenario_2d.with_rounds(3), trial_rng(95, trial))
+            start = ls_known_variance(ms, NOISE.bias_b).p_hat
+            first = ml_reference(ms, start, GnConfig(max_iterations=1))
+            assert np.array_equal(first.p_hat, two_step(ms, NOISE).p_hat)
+        # In one plan, ml's iteration starts from the step ls+gn keeps.
+        point = _stack_of_trials(scenario_2d, 20)
+        with mock.patch.object(estimators, "gn_continue", wraps=estimators.gn_continue) as continued:
+            refined, ml = estimate_stack(("ls+gn", "ml"), *point)
+        (start, first, *_), _ = continued.call_args
+        assert not refined.degraded.any() and not ml.failure.any()
+        assert np.array_equal(first[0], refined.p_hat)
+        assert (ml.iterations > 1).all()
+
+    def test_each_shared_stage_runs_once(self, scenario_2d):
+        events = []
+
+        def traced(name):
+            stage = getattr(estimators, name)
+
+            def call(*args):
+                events.append(name)
+                result = stage(*args)
+                events.append("/" + name)
+                return result
+
+            return call
+
+        stages = ("normalise", "_least_squares", "gn_steps", "gn_continue")
+        with mock.patch.multiple(estimators, **{name: traced(name) for name in stages}):
+            estimate_stack(ESTIMATOR_IDS, *_stack_of_trials(scenario_2d, 20))
+        assert events.count("normalise") == 1
+        assert events.count("_least_squares") == 2
+        assert events.count("gn_continue") == 1
+        # One first step from each LS start; ml's further steps run inside
+        # gn_continue.
+        enter, leave = events.index("gn_continue"), events.index("/gn_continue")
+        assert (events[:enter] + events[leave:]).count("gn_steps") == 2
+        assert events[enter:leave].count("gn_steps") > 1
+
+    def test_each_estimator_is_charged_the_stages_it_uses(self, scenario_2d, monkeypatch):
+        # A clock that advances one second per reading: every stage takes one
+        # second. Normalising, the LS design and the estimator's own assembly
+        # are three stages; the first Gauss-Newton step is a fourth.
+        point = _stack_of_trials(scenario_2d, 20)
+        expected = {"ls": 3.0, "ls+gn": 4.0, "ls-u": 3.0, "ls-u+gn": 4.0, "ml": 4.0}
+        monkeypatch.setattr(estimators, "perf_counter", itertools.count().__next__)
+        together = estimate_stack(ESTIMATOR_IDS, *point)
+        for est_id, out in zip(ESTIMATOR_IDS, together):
+            assert out.seconds == expected[est_id]
+            assert estimate_stack((est_id,), *point)[0].seconds == expected[est_id]
+
+    @pytest.mark.parametrize("ids", [("ls", "ls"), ("ls", "nope"), ("l", "s")])
+    def test_ids_must_be_distinct_and_known(self, scenario_2d, ids):
+        with pytest.raises(InvalidInputError):
+            estimate_stack(ids, *_stack_of_trials(scenario_2d, 2))
+
+
+def _stack_of_trials(sc, trials):
+    """(sensors, ybar, zbar, b) of ``trials`` noisy trials of ``sc`` at T = 3."""
+    sc = sc.with_rounds(3)
+    ys = np.array([generate_measurements(sc, trial_rng(97, trial)).y for trial in range(trials)])
+    k = sc.n_sensors
+    ybar = ys.reshape(trials, 3, k).mean(axis=1)
+    zbar = np.power(10.0, 2.0 * ys).reshape(trials, 3, k).mean(axis=1)
+    return sc.sensors[None], ybar, zbar, NOISE.bias_b
