@@ -144,19 +144,12 @@ class ExperimentConfig:
     measure_time: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.estimators, (list, tuple)):
-            raise ConfigError(f"estimators must be a list of estimator ids, got {self.estimators!r}")
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        ids = self.estimators
+        known = isinstance(ids, (list, tuple)) and len(ids) > 0 and all(est in ESTIMATOR_IDS for est in ids)
+        if not (known and len(set(ids)) == len(ids)):
+            raise ConfigError(f"estimators must list distinct ids of {list(ESTIMATOR_IDS)}, got {ids!r}")
+        object.__setattr__(self, "estimators", tuple(ids))
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
-        if not self.estimators:
-            raise ConfigError("estimator selection is empty")
-        for est in self.estimators:
-            if est not in ESTIMATOR_IDS:
-                raise ConfigError(
-                    f"unknown estimator {est!r}; known: {list(ESTIMATOR_IDS)}"
-                )
-        if len(set(self.estimators)) != len(self.estimators):
-            raise ConfigError(f"estimators must not repeat, got {list(self.estimators)}")
         object.__setattr__(self, "master_seed", number(self.master_seed, "master_seed", True, ConfigError, low=0))
         if self.sweep_param not in SWEEP_PARAMS:
             raise ConfigError(f"sweep_param must be one of {SWEEP_PARAMS}")
@@ -428,11 +421,12 @@ def time_scaling(
     Each run times a single two-step (known-variance) estimate on a fresh
     random-deployment measurement set; measurement generation is excluded
     from the timed section. Returns (n, mean_seconds) pairs; a clock
-    resolution floor guarantees nonzero entries. ``master_seed`` must be a
-    whole number >= 0 (ConfigError otherwise).
+    resolution floor guarantees nonzero entries. ``runs`` and each n must be
+    whole numbers >= 1 (InvalidInputError otherwise), ``master_seed`` a whole
+    number >= 0 (ConfigError otherwise).
     """
-    if runs < 1:
-        raise InvalidInputError("runs must be >= 1")
+    runs = number(runs, "runs", True)
+    n_values = [number(n, "n", True) for n in n_values]
     master_seed = number(master_seed, "master_seed", True, ConfigError, low=0)
     family = RandomScenarioFamily(sigma_db=sigma_db, alpha=alpha)
     noise = NoiseModel(sigma_db=sigma_db, alpha=alpha)
@@ -440,12 +434,12 @@ def time_scaling(
     for idx, n in enumerate(n_values):
         sets = []
         for run in range(runs):
-            scenario = family.sample(int(n), trial_rng(master_seed, idx, run, 0))
+            scenario = family.sample(n, trial_rng(master_seed, idx, run, 0))
             sets.append(generate_measurements(scenario, trial_rng(master_seed, idx, run, 1)))
         times = []
         for ms in sets:
             t0 = time.perf_counter()
             two_step(ms, noise)
             times.append(time.perf_counter() - t0)
-        results.append((int(n), _median_of_means(times)))
+        results.append((n, _median_of_means(times)))
     return results

@@ -528,3 +528,16 @@ class TestTimeScaling:
         results = time_scaling([50, 100, 200], runs=5, master_seed=1)
         assert [n for n, _ in results] == [50, 100, 200]
         assert all(t > 0.0 for _, t in results)
+
+    @pytest.mark.parametrize("n", [-5, 0, 10.5, True, float("nan"), "10"])
+    def test_each_n_is_a_whole_number_from_one(self, n):
+        with pytest.raises(InvalidInputError, match="n must be a whole number"):
+            time_scaling([20, n], runs=1)
+
+    @pytest.mark.parametrize("runs", [2.5, 0, -1, True, None])
+    def test_runs_is_a_whole_number_from_one(self, runs):
+        with pytest.raises(InvalidInputError, match="runs must be a whole number"):
+            time_scaling([10], runs=runs)
+
+    def test_whole_floats_are_read_as_ints(self):
+        assert [n for n, _ in time_scaling([20.0], runs=2.0)] == [20]

@@ -424,6 +424,13 @@ class TestTimeScaling:
         assert out == ""
         assert json.loads(err)["error"] == "schema"
 
+    @pytest.mark.parametrize("n", ["-5", "0"])
+    def test_n_below_one_exits_2_invalid_input(self, capsys, n):
+        code, out, err = _run(capsys, ["time-scaling", "--n", "50", n, "--runs", "2"])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid-input"
+
 
 class TestStrictJson:
     @pytest.mark.parametrize(

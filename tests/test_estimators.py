@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import COLLINEAR_2D, PER_CALL, SQUARE_CORNERS, kernel_stacks, normal_equations_solve, outcome
 from rssloc import estimators
-from rssloc.bench import scenario_registry
+from rssloc.bench import ExperimentConfig, run_experiment, scenario_registry
 from rssloc.errors import (
     DegenerateGeometryError,
     DegenerateJacobianError,
@@ -38,7 +38,14 @@ from rssloc.estimators import (
     source_from_beta,
     two_step,
 )
-from rssloc.geometry import Localizability, hyperplane_design, hypersphere_design, localizability, normalise
+from rssloc.geometry import (
+    GRAM_CONDITION_LIMIT,
+    Localizability,
+    hyperplane_design,
+    hypersphere_design,
+    localizability,
+    normalise,
+)
 from rssloc.inference import fisher_information
 from rssloc.model import (
     LN10,
@@ -498,6 +505,56 @@ class TestMlReference:
         with pytest.raises(InvalidInputError):
             GnConfig(step_tolerance=0.0)
 
+    @pytest.mark.parametrize("max_iterations", [2.5, True, -3, float("inf"), "10", None])
+    def test_max_iterations_is_a_whole_number_from_one(self, max_iterations):
+        with pytest.raises(InvalidInputError, match="max_iterations"):
+            GnConfig(max_iterations=max_iterations)
+
+    def test_whole_float_max_iterations_is_read_as_an_int(self, scenario_2d):
+        cfg = GnConfig(max_iterations=3.0)
+        assert cfg.max_iterations == 3 and isinstance(cfg.max_iterations, int)
+        ms = generate_measurements(scenario_2d.with_rounds(10), 2)
+        assert ml_reference(ms, np.array([500.0, -300.0]), cfg).gn_iterations <= 3
+
+    @pytest.mark.parametrize("step_tolerance", [-1e-10, float("nan"), float("inf"), True, "1e-10", None])
+    def test_step_tolerance_is_a_finite_positive_number(self, step_tolerance):
+        with pytest.raises(InvalidInputError, match="step_tolerance"):
+            GnConfig(step_tolerance=step_tolerance)
+
+
+# Start points that are not a finite vector of the 2-D sensors' dimension.
+BAD_STARTS = {
+    "nan": [np.nan, 1.0],
+    "inf": [50.0, np.inf],
+    "three coordinates": [50.0, 20.0, 0.0],
+    "one coordinate": [50.0],
+    "a stack of one": [[50.0, 20.0]],
+}
+
+
+class TestStartPoints:
+    """gn_step and ml_reference take one finite point of the sensors'
+    dimension; anything else is an InvalidInputError, not a numpy error or a
+    silently degenerate step."""
+
+    @pytest.mark.parametrize("start", BAD_STARTS.values(), ids=BAD_STARTS.keys())
+    def test_gn_step(self, scenario_2d, start):
+        ms = generate_measurements(scenario_2d, 0)
+        with pytest.raises(InvalidInputError, match="start point"):
+            gn_step(start, ms)
+
+    @pytest.mark.parametrize("start", BAD_STARTS.values(), ids=BAD_STARTS.keys())
+    def test_ml_reference(self, scenario_2d, start):
+        ms = generate_measurements(scenario_2d, 0)
+        with pytest.raises(InvalidInputError, match="start point"):
+            ml_reference(ms, start)
+
+    def test_a_list_start_is_accepted(self, scenario_2d):
+        ms = generate_measurements(scenario_2d, 0)
+        start = [60.0, 25.0]
+        assert np.array_equal(gn_step(start, ms), gn_step(np.array(start), ms))
+        assert np.array_equal(ml_reference(ms, start).p_hat, ml_reference(ms, np.array(start)).p_hat)
+
 
 def _gn_loop(p, ms, cfg):
     """Reference ML iteration: gn_step in a loop on one problem.
@@ -609,12 +666,16 @@ class TestConsistencyRates:
 
 def _gn_steps_by_rows(p, sensors, y):
     """gn_steps as it was written row-major: the (t, k, m) differences,
-    np.linalg.norm over the coordinate axis and a broadcast division."""
+    np.linalg.norm over the coordinate axis and a broadcast division. The
+    row-major Jacobian goes to the same normal-matrix solve, copied into the
+    contiguous (t, m, k) J^T that gn_steps hands it: the sums over the k rows
+    then run in the same order."""
     diff = p[:, None, :] - sensors
     d = np.linalg.norm(diff, axis=-1)
     near = d.min(axis=-1) < SENSOR_CLEARANCE
     d = np.maximum(d, SENSOR_CLEARANCE)
-    step, degenerate = _gated_solve(diff / (d[..., None] ** 2 * LN10), y - np.log10(d))
+    jacobian = diff / (d[..., None] ** 2 * LN10)
+    step, degenerate = estimators._normal_solve(np.ascontiguousarray(jacobian.swapaxes(1, 2)), y - np.log10(d))
     failure = np.where(np.isfinite(step).all(axis=-1), 0, estimators._STEP_NONFINITE)
     failure[degenerate] = estimators._DEGENERATE
     failure[near] = estimators._NEAR
@@ -681,6 +742,72 @@ class TestCoordinateMajorKernels:
             assert np.array_equal(got[0], source) and got[1] == 3
             sc = Scenario(sensors=sensors[0], source=source, sigma_db=2.0)
             assert np.array_equal(sc.distances(), np.linalg.norm(sensors[0] - source, axis=-1))
+
+
+def _svd_solve(jt, r):
+    """The Gauss-Newton solve by one SVD of J, the oracle of the normal-matrix
+    solve: _gated_solve on the transposed view of J^T."""
+    return _gated_solve(jt.swapaxes(1, 2), r)
+
+
+class TestNormalEquationStep:
+    """gn_steps solves the m x m normal equations by one eigh of J^T J. Its
+    step equals the SVD least-squares step within a bound proportional to
+    eps cond(J^T J), and it gates on the same Gram condition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=kernel_stacks(), tilt=st.one_of(st.none(), st.floats(-8.0, -4.0)), seed=st.integers(0, 2**32 - 1))
+    def test_step_and_gate_match_the_svd_solve(self, stack, tilt, seed):
+        p, sensors, y = stack
+        if tilt is not None:
+            # The last layout within 10**tilt of a line through its point:
+            # Gram conditions of about 1e8 to 1e16, across the gate.
+            rng = np.random.default_rng(seed)
+            sensors = sensors.copy()
+            k, m = sensors.shape[1:]
+            spread = np.linalg.norm(sensors[-1] - p[-1], axis=-1).mean()
+            direction = rng.normal(size=m)
+            line = np.outer(rng.uniform(-1.0, 1.0, size=k), direction / np.linalg.norm(direction))
+            sensors[-1] = p[-1] + spread * (line + 10.0**tilt * rng.normal(size=(k, m)))
+        with mock.patch.object(estimators, "_normal_solve", wraps=estimators._normal_solve) as solve:
+            gn_steps(p, sensors, y)
+        (jt, r), _ = solve.call_args
+        step, bad = estimators._normal_solve(jt, r)
+        expected, expected_bad = _svd_solve(jt, r)
+        s = np.linalg.svd(jt, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            condition = (s[:, 0] / s[:, -1]) ** 2
+        # The two gates may disagree only within 1e-3 of the limit.
+        boundary = np.abs(condition / GRAM_CONDITION_LIMIT - 1.0) <= 1e-3
+        assert np.array_equal(bad[~boundary], expected_bad[~boundary])
+        # Forming G and g costs k eps relative per entry; solving from G
+        # multiplies that by cond(J^T J), on the scale of the step and of the
+        # residual's reach ||r|| / s_max.
+        solved = ~bad & ~expected_bad
+        k, eps = jt.shape[-1], np.finfo(float).eps
+        scale = np.linalg.norm(expected, axis=-1) + np.linalg.norm(r, axis=-1) / s[:, 0]
+        gap = np.linalg.norm(step - expected, axis=-1)
+        assert (gap[solved] <= 4.0 * k * eps * condition[solved] * scale[solved]).all()
+
+    @pytest.mark.parametrize("scenario", ["2d-fixed", "3d-fixed"])
+    def test_two_step_rows_match_the_svd_step(self, scenario):
+        d = {
+            "scenario": scenario,
+            "estimators": ["ls+gn", "ls-u+gn"],
+            "sweep": {"rounds": [1, 3, 30, 100]},
+            "trials": 300,
+            "measure_time": False,
+        }
+        for sigma in (2.0, 6.0):
+            cfg = ExperimentConfig.from_dict({**d, "sigma_db": sigma}, seed=5)
+            rows = run_experiment(cfg).rows
+            with mock.patch.object(estimators, "_normal_solve", _svd_solve):
+                reference = run_experiment(cfg).rows
+            for row, ref in zip(rows, reference):
+                assert (row.trials_ok, row.trials_failed) == (ref.trials_ok, ref.trials_failed)
+                for field in ("bias_m", "rmse_m"):
+                    got, want = getattr(row, field), getattr(ref, field)
+                    assert abs(got - want) <= 1e-11 * abs(want), (row, field)
 
 
 OUTCOME_FIELDS = ("p_hat", "coef", "failure", "degraded", "iterations", "converged")
