@@ -172,8 +172,8 @@ class ExperimentConfig:
             if len(sweep) != 1:
                 raise ConfigError("sweep must contain exactly one parameter")
             (param, values), = sweep.items()
-            sigma = float(d.get("sigma_db", 2.0))
-            alpha = float(d.get("alpha", 2.0))
+            sigma = number(d.get("sigma_db", 2.0), "sigma_db", error=ConfigError)
+            alpha = number(d.get("alpha", 2.0), "alpha", error=ConfigError)
             scenario_spec = d["scenario"]
             if isinstance(scenario_spec, str):
                 scenario = get_scenario(scenario_spec, sigma_db=sigma, alpha=alpha)

@@ -58,9 +58,9 @@ def _measurements_from_file(payload: dict):
     if not isinstance(payload, dict) or "sensors" not in payload:
         raise ConfigError("measurement file must be an object with a 'sensors' key")
     try:
-        alpha = float(payload.get("alpha", 2.0))
-        p0_const = float(payload.get("p0", 1.0))
-        sigma_db = None if payload.get("sigma_db") is None else float(payload["sigma_db"])
+        alpha = number(payload.get("alpha", 2.0), "alpha")
+        p0_const = number(payload.get("p0", 1.0), "p0")
+        sigma_db = None if payload.get("sigma_db") is None else number(payload["sigma_db"], "sigma_db")
         if "raw_db" in payload:
             raw_db = np.asarray(payload["raw_db"], dtype=float)
             y = equivalent_measurement(raw_db, p0_const, alpha)

@@ -5,15 +5,18 @@ provide sqrt(n)-consistent initial estimates; a single Gauss-Newton step on
 the maximum-likelihood objective then attains asymptotic efficiency. An
 iterated-to-convergence Gauss-Newton solver serves as the ML reference.
 
-Each LS design is solved by one SVD that both gates (``geometry.singular``)
-and solves, on the layout normalised to its centroid and unit RMS radius: the
-estimators gate on the condition ``geometry.localizability`` reports, and
-their estimates are translation, rotation and scale equivariant. A
-Gauss-Newton step is solved from the m x m normal matrix J^T J by one eigh,
-gated on the same Gram-condition limit, which J^T J holds exactly. Its
-relative error, about eps cond(J^T J), is at most about 1e-4 at the gate; the
-one-step argument needs only a consistent start and a step accurate to
-o(n^-1/2) (Zeng et al., IEEE TSP 2022). Explicit inverses exist only in the
+Every least-squares solve, both LS designs and the Gauss-Newton step, runs
+through one kernel, ``_normal_solve``: one eigh of the normal matrix G = A^T A
+gates (``geometry.singular`` on its eigenvalues) and solves. The LS designs
+are solved on the layout normalised to its centroid and unit RMS radius, from
+one Gram of the hypersphere design per stack (``geometry.normal_equations``),
+whose leading block is the hyperplane design's: the estimators gate on the
+matrix ``geometry.localizability`` reports, and their estimates are
+translation, rotation and scale equivariant. A Gauss-Newton step is solved
+from the m x m normal matrix J^T J. The relative error of a solve from G,
+about eps cond(G), is at most about 2e-4 at the gate; the LS stage needs only
+to be consistent, and the one-step argument a step accurate to o(n^-1/2)
+(Zeng et al., IEEE TSP 2022). No SVD or explicit inverse is taken outside the
 test oracles.
 
 No stacked kernel reduces or broadcasts over the 2-3 coordinates of a
@@ -22,7 +25,7 @@ over the coordinates in their order, which has the bits of the row-major
 sum. The Gauss-Newton Jacobian, the LS designs and the Fisher gradient are
 built coordinate-major: J is the transposed view of a contiguous (..., c, k)
 array J^T with one row per column. Every operation then runs along the k
-rows, and the designs are already in the column-major layout LAPACK reads.
+rows, the normal matrices and right-hand sides included.
 
 The estimator policy lives in one plan, ``estimate_stack``, which runs a
 tuple of estimator ids on a stack of problems and computes each stage once
@@ -58,7 +61,7 @@ from .errors import (
     SingularGramError,
     SingularPointError,
 )
-from .geometry import hyperplane_design, hypersphere_design, normalise, singular
+from .geometry import normal_equations, normalise, singular
 from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel, number, sq_norm
 
 ESTIMATOR_IDS = ("ls", "ls+gn", "ls-u", "ls-u+gn", "ml")
@@ -120,38 +123,41 @@ class GnConfig:
             raise InvalidInputError(f"step_tolerance must be positive, got {self.step_tolerance!r}")
 
 
-def _gated_solve(a: np.ndarray, rhs: np.ndarray):
-    """min ||a x - rhs|| for a stack a (g, k, c), g in {1, t}, and rhs (t, k).
+def _normal_solve(gram: np.ndarray, rhs: np.ndarray, rows: int):
+    """min ||A x - r|| from G = A^T A (g, c, c), g in {1, t}, and h = A^T r
+    (t, c), A with ``rows`` rows: one eigh G = V diag(lam) V^T gates
+    (geometry.singular) and solves, x = V (V^T h / lam), one product per
+    row. Returns (x (t, c), bad (g,)); rows of x whose G is bad are finite
+    but meaningless."""
+    lam, v = np.linalg.eigh(gram)
+    bad = singular(lam, rows)
+    lam[bad] = 1.0
+    coef = (rhs[:, None, :] @ v)[:, 0] / lam
+    return (v @ coef[:, :, None])[..., 0], bad
 
-    One SVD per matrix gates (geometry.singular) and solves. Returns (x (t, c),
-    bad (g,)); rows of x whose matrix is bad are finite but meaningless.
-    """
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    bad = singular(s, a.shape[-1])
-    s[bad] = 1.0
-    coef = (rhs[:, None, :] @ u)[:, 0] / s
-    return (coef[:, None, :] @ vt)[:, 0], bad
 
-
-def _least_squares(frame, z: np.ndarray, b: Optional[float]):
+def _least_squares(frame, gram: np.ndarray, h: np.ndarray, b: Optional[float]):
     """Closed-form LS for a stack of layouts (g, k, m), given as their
-    normalised frame (q, c, s) = geometry.normalise(sensors); z (t, k) holds
-    10**(2*y).
+    normalised frame (q, c, s) = geometry.normalise(sensors) and the normal
+    equations (gram, h) = geometry.normal_equations(q, z) of the hypersphere
+    design A = [-2*q_i^T, 1, ||q_i||^2], where z (t, k) holds 10**(2*y).
 
-    On the normalised layout sensors = c + s*q, regresses z / s^2 on
-    [-2*q_i^T, 1, ||q_i||^2], the design localizability gates; with b known
-    (b not None) the last coefficient is fixed at 1 and z / (b s^2) -
-    ||q_i||^2 is regressed on [-2*q_i^T, 1]. Both column spaces hold every
-    affine function of p_i, so the coefficients map back exactly to those in
-    p_i. Returns (p_hat (t, m), theta (t, m+1) or beta (t, m+2), singular (g,)).
+    On the normalised layout sensors = c + s*q, regresses z / s^2 on A, the
+    design localizability gates: G x = h / s^2. With b known (b not None) the
+    last coefficient is fixed at 1 and z / (b s^2) - ||q_i||^2 is regressed on
+    the leading m+1 columns, from G's leading block and the right-hand side
+    h[:m+1] / (b s^2) - G[:m+1, m+1]. Both column spaces hold every affine
+    function of p_i, so the coefficients map back exactly to those in p_i.
+    Returns (p_hat (t, m), theta (t, m+1) or beta (t, m+2), singular (g,)).
     """
     q, c, s = frame
-    m = c.shape[-1]
+    k, m = q.shape[-2:]
     if b is None:
-        x, bad = _gated_solve(hypersphere_design(q), z / (s * s)[:, None])
+        x, bad = _normal_solve(gram, h / (s * s)[:, None], k)
         kappa = x[:, m + 1]
     else:
-        x, bad = _gated_solve(hyperplane_design(q), z / (b * s * s)[:, None] - sq_norm(q))
+        plane = slice(0, m + 1)
+        x, bad = _normal_solve(gram[:, plane, plane], h[:, plane] / (b * s * s)[:, None] - gram[:, plane, m + 1], k)
         kappa = 1.0
     t, tau = x[:, :m], x[:, m]
     last = s * (s * tau + 2.0 * (c * t).sum(axis=-1)) + kappa * (c * c).sum(axis=-1)
@@ -258,25 +264,14 @@ def estimate_sigma_from_b(b_hat: float, alpha: float) -> float:
     return alpha / LN10 * math.sqrt(50.0 * math.log(b_hat))
 
 
-def _normal_solve(jt: np.ndarray, r: np.ndarray):
-    """min ||J x - r|| for J^T (t, m, k) and r (t, k): one eigh of G = J^T J =
-    V diag(lam) V^T gates (geometry.singular on sqrt(lam), the singular values
-    of J) and solves, x = V (V^T J^T r / lam). Returns (x (t, m), bad (t,))."""
-    lam, v = np.linalg.eigh(jt @ jt.swapaxes(1, 2))
-    bad = singular(np.sqrt(np.maximum(lam[:, ::-1], 0.0)), jt.shape[1])
-    lam[bad] = 1.0
-    coef = ((jt @ r[:, :, None]).swapaxes(1, 2) @ v)[:, 0] / lam
-    return (v @ coef[:, :, None])[..., 0], bad
-
-
 def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray):
     """One Gauss-Newton step on the ML objective for each of t problems.
 
     ``p`` is (t, m), ``sensors`` (g, k, m) with g in {1, t}, ``y`` (t, k).
     Each step is p + (J^T J)^{-1} J^T (y - f(p)) with f_i(p) =
-    log10||p_i - p||, solved from J^T J (_normal_solve). Returns (p_next
-    (t, m), failure (t,)): failure indexes FAILURES and is 0 where the step
-    succeeded; elsewhere p_next is meaningless. ``p`` must be finite.
+    log10||p_i - p||, solved from J^T J and J^T r (_normal_solve). Returns
+    (p_next (t, m), failure (t,)): failure indexes FAILURES and is 0 where
+    the step succeeded; elsewhere p_next is meaningless. ``p`` must be finite.
 
     J^T is built coordinate-major, one contiguous (t, m, k) array with one
     row per coordinate, so J^T J and J^T r are sums along the k rows.
@@ -288,7 +283,7 @@ def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray):
     d = np.maximum(d, SENSOR_CLEARANCE)
     # Rows (p - p_i)^T / (d_i^2 ln 10): gradient of log10||p_i - p||.
     jt /= (d**2 * LN10)[:, None, :]
-    step, degenerate = _normal_solve(jt, y - np.log10(d))
+    step, degenerate = _normal_solve(jt @ jt.swapaxes(1, 2), (jt @ (y - np.log10(d))[:, :, None])[..., 0], k)
     failure = np.where(np.isfinite(step).all(axis=-1), 0, _STEP_NONFINITE)
     failure[degenerate] = _DEGENERATE
     failure[near] = _NEAR
@@ -407,8 +402,10 @@ def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndar
     fails. ``coef`` holds the LS coefficients, theta or beta.
 
     Each stage runs once for all the estimators that use it: normalising the
-    layouts (geometry.normalise), each LS design, and the first Gauss-Newton
-    step from each LS start, which ``+gn`` keeps and ``ml`` continues from.
+    layouts and forming the one Gram and right-hand side both LS designs
+    solve from (geometry.normal_equations), each LS design, and the first
+    Gauss-Newton step from each LS start, which ``+gn`` keeps and ``ml``
+    continues from.
     ``seconds`` is the wall time of the stages an estimator used, a shared
     stage charged in full to each of its users: what the estimator would
     have cost on its own.
@@ -417,11 +414,12 @@ def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndar
     outcomes = [None] * len(est_ids)
     since = perf_counter()
     frame = normalise(sensors)
+    gram, h = normal_equations(frame[0], zbar)
     now = perf_counter()
     normalised = now - since
     for unknown, refine, users in _plan(tuple(est_ids)):
         since = now
-        p_ls, coef, bad = _least_squares(frame, zbar, None if unknown else b)
+        p_ls, coef, bad = _least_squares(frame, gram, h, None if unknown else b)
         singular_code = _SINGULAR_UNKNOWN if unknown else _SINGULAR_KNOWN
         failure_ls = np.where(bad, singular_code, np.where(np.isfinite(coef).all(axis=-1), 0, _LS_NONFINITE))
         now = perf_counter()

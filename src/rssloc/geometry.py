@@ -10,9 +10,10 @@ Two conditions decide which estimators a sensor layout can support:
 
 Both are similarity-invariant, so both are decided on the layout normalised
 to its centroid and unit RMS radius (:func:`normalise`) by the one gate
-:func:`singular`. The least-squares estimators solve on these designs behind
-this gate, so :func:`localizability` reports their decision and the Gram
-condition they gate on.
+:func:`singular`, on the eigenvalues of each design's Gram matrix
+(:func:`normal_equations`). The least-squares estimators solve from that Gram
+behind this gate, so :func:`localizability` reports their decision, bit for
+bit, and the Gram condition they gate on.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import InsufficientSensorsError
 from .model import _as_points, _dimension
 
-# Gram condition (s_max / s_min)^2 above which a least-squares design, a
+# Gram condition lambda_max / lambda_min above which a least-squares design, a
 # Gauss-Newton Jacobian or a Fisher information matrix is singular.
 GRAM_CONDITION_LIMIT = 1e12
 
@@ -47,36 +48,29 @@ class LocalizabilityReport:
 
     def to_dict(self) -> dict:
         """The fields, verdict as its value; a condition is inf for a design
-        with fewer rows than columns or a zero singular value."""
+        with fewer rows than columns or a Gram eigenvalue <= 0."""
         return {**asdict(self), "verdict": self.verdict.value}
 
 
-def _design(sensors: np.ndarray, columns: int) -> np.ndarray:
-    """A design with ``columns`` columns whose first m+1 are [-2*p_i^T, 1],
-    built coordinate-major: the transposed view of a contiguous (..., columns,
-    n) array, one row per column, which is the column-major layout LAPACK
-    reads."""
-    m = sensors.shape[-1]
-    dt = np.empty(sensors.shape[:-2] + (columns, sensors.shape[-2]))
-    np.multiply(sensors.swapaxes(-1, -2), -2.0, out=dt[..., :m, :])
-    dt[..., m, :] = 1.0
-    return dt.swapaxes(-1, -2)
-
-
 def hyperplane_design(sensors: np.ndarray) -> np.ndarray:
-    """Rows [-2*p_i^T, 1]; the known-variance design matrix up to the b factor.
-
-    Leading axes of ``sensors`` (..., n, m) are kept, so a stack of layouts
-    gives a stack of designs.
-    """
-    return _design(sensors, sensors.shape[-1] + 1)
+    """Rows [-2*p_i^T, 1]; the known-variance design matrix up to the b
+    factor, and the leading m+1 columns of :func:`hypersphere_design`."""
+    return hypersphere_design(sensors)[..., :-1]
 
 
 def hypersphere_design(sensors: np.ndarray) -> np.ndarray:
-    """Rows [-2*p_i^T, 1, ||p_i||^2]; the unknown-variance design matrix."""
-    design = _design(sensors, sensors.shape[-1] + 2)
-    np.einsum("...km,...km->...k", sensors, sensors, out=design[..., -1])
-    return design
+    """Rows [-2*p_i^T, 1, ||p_i||^2]; the unknown-variance design matrix.
+
+    Leading axes of ``sensors`` (..., n, m) are kept, so a stack of layouts
+    gives a stack of designs. Built coordinate-major: the transposed view of
+    a contiguous (..., m+2, n) array, one row per column.
+    """
+    m = sensors.shape[-1]
+    dt = np.empty(sensors.shape[:-2] + (m + 2, sensors.shape[-2]))
+    np.multiply(sensors.swapaxes(-1, -2), -2.0, out=dt[..., :m, :])
+    dt[..., m, :] = 1.0
+    np.einsum("...km,...km->...k", sensors, sensors, out=dt[..., m + 1, :])
+    return dt.swapaxes(-1, -2)
 
 
 def normalise(sensors: np.ndarray):
@@ -93,23 +87,24 @@ def normalise(sensors: np.ndarray):
     return q / s[..., None, None], c, s
 
 
-def singular(s: np.ndarray, columns: int) -> np.ndarray:
-    """The one degeneracy gate, on the singular values s (..., r) of matrices
-    with ``columns`` columns, in descending order.
-
-    True where a matrix has fewer rows than columns, a zero smallest singular
-    value, or a Gram condition (s_max / s_min)^2 above GRAM_CONDITION_LIMIT.
-    """
-    if s.shape[-1] < columns:
-        return np.ones(s.shape[:-1], dtype=bool)
-    return ~((s[..., -1] > 0) & (s[..., 0] <= math.sqrt(GRAM_CONDITION_LIMIT) * s[..., -1]))
+def normal_equations(q: np.ndarray, z: np.ndarray = None):
+    """G = A^T A (g, m+2, m+2) for the hypersphere designs A of normalised
+    layouts q (g, k, m), and with z (t, k), g in {1, t}, also h = A^T z
+    (t, m+2), one product per row of z, so a row's bits do not depend on the
+    others. G's leading (m+1) block is the hyperplane design's Gram."""
+    at = hypersphere_design(q).swapaxes(-1, -2)
+    gram = at @ at.swapaxes(-1, -2)
+    return gram if z is None else (gram, (at @ z[:, :, None])[..., 0])
 
 
-def _gate(design: np.ndarray):
-    """(Gram condition, passes the gate) of one normalised design."""
-    s = np.linalg.svd(design, compute_uv=False)
-    full = s.shape[-1] == design.shape[-1] and s[-1] > 0
-    return (float((s[0] / s[-1]) ** 2) if full else math.inf), not singular(s, design.shape[-1])
+def singular(lam: np.ndarray, rows: int) -> np.ndarray:
+    """The one degeneracy gate, on the eigenvalues lam (..., c) of Gram
+    matrices A^T A, ascending as eigh returns them, A with ``rows`` rows: True
+    where rows < c, lambda_min <= 0 or lambda_max / lambda_min is above
+    GRAM_CONDITION_LIMIT."""
+    if rows < lam.shape[-1]:
+        return np.ones(lam.shape[:-1], dtype=bool)
+    return ~((lam[..., 0] > 0) & (lam[..., -1] <= GRAM_CONDITION_LIMIT * lam[..., 0]))
 
 
 def _enough(pts: np.ndarray, extra: int, test: str) -> np.ndarray:
@@ -140,16 +135,23 @@ def check_hypersphere(sensors) -> bool:
 
 
 def localizability(sensors) -> LocalizabilityReport:
-    """Both tests and the Gram conditions they gate on, one SVD per design.
+    """Both tests and the Gram conditions they gate on: one eigh per design
+    of the Gram the estimators solve from, built and gated as they do, so a
+    verdict is their gate on the same rows, bit for bit.
 
     Verdict: NotLocalizable if the hyperplane test fails, KnownVarianceOnly
     if only the hypersphere test fails (or there are too few sensors for it),
     else FullyLocalizable. Sensors that are not 2-D or 3-D raise
     InvalidInputError, as they do for the estimators.
     """
-    q = normalise(_enough(_as_points(sensors, "sensors"), 1, "hyperplane"))[0]
-    condition_known, hyperplane_ok = _gate(hyperplane_design(q))
-    condition_unknown, hypersphere_ok = _gate(hypersphere_design(q))
+    pts = _enough(_as_points(sensors, "sensors"), 1, "hyperplane")
+    (n, m), gram = pts.shape, normal_equations(normalise(pts[None])[0])
+    tests = []
+    for block in (gram[:, : m + 1, : m + 1], gram):
+        lam = np.linalg.eigh(block)[0]
+        full = n >= lam.shape[-1] and lam[0, 0] > 0
+        tests.append((float(lam[0, -1] / lam[0, 0]) if full else math.inf, not singular(lam, n)[0]))
+    (condition_known, hyperplane_ok), (condition_unknown, hypersphere_ok) = tests
     if not hyperplane_ok:
         verdict = Localizability.NOT_LOCALIZABLE
     elif not hypersphere_ok:

@@ -45,26 +45,26 @@ def crlb_stack(sensors: np.ndarray, p: np.ndarray, sigma_db: float, alpha: float
     (g, k, m), each sensor observed ``rounds`` times with noise ``sigma_db``.
 
     The rows of grad (g, k, m) are the gradients of log10 d_i at p, which
-    every round repeats. F = scale * rounds * grad^T grad with scale =
-    100 alpha^2 / sigma^2, so the CRLB is a sum over the singular values of
-    grad, which the library's one gate checks: it rejects e.g. collinear
+    every round repeats. F = scale * rounds * G with G = grad^T grad and
+    scale = 100 alpha^2 / sigma^2, so the CRLB is a sum over the eigenvalues
+    of G, which the library's one gate checks: it rejects e.g. collinear
     sensors with p on or next to their line (DegenerateGeometryError).
     SingularPointError where p is within SENSOR_CLEARANCE of a sensor.
-    Returns (grad, crlb (g,)); grad is the transposed view of a
-    coordinate-major (g, m, k) array, as the Gauss-Newton Jacobian is.
+    Returns (G (g, m, m), crlb (g,)); grad is built coordinate-major, as the
+    Gauss-Newton Jacobian is.
     """
     g, k, m = sensors.shape
     gt = np.subtract(p[:, None], sensors.swapaxes(1, 2), out=np.empty((g, m, k)))
-    grad = gt.swapaxes(1, 2)
-    d2 = sq_norm(grad)
+    d2 = sq_norm(gt.swapaxes(1, 2))
     if np.any(np.sqrt(d2) < SENSOR_CLEARANCE):
         raise SingularPointError("eval_point coincides with a sensor")
     gt /= (d2 * LN10)[:, None, :]
-    s = np.linalg.svd(grad, compute_uv=False)
-    if np.any(singular(s, len(p))):
+    gram = gt @ gt.swapaxes(1, 2)
+    lam = np.linalg.eigvalsh(gram)
+    if np.any(singular(lam, k)):
         raise DegenerateGeometryError("Fisher information matrix is singular")
     scale = 100.0 * alpha**2 / sigma_db**2
-    return grad, np.sum(1.0 / (scale * rounds * s**2), axis=-1)
+    return gram, np.sum(1.0 / (scale * rounds * lam), axis=-1)
 
 
 def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
@@ -81,8 +81,8 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
     p = scenario.source if eval_point is None else np.asarray(eval_point, dtype=float)
     if p.shape != (scenario.dimension,):
         raise InvalidInputError("eval_point must be an m-vector")
-    grad, crlb = crlb_stack(scenario.sensors[None], p, scenario.sigma_db, scenario.alpha, scenario.rounds)
-    m_n = grad[0].T @ grad[0] / grad.shape[1]
+    gram, crlb = crlb_stack(scenario.sensors[None], p, scenario.sigma_db, scenario.alpha, scenario.rounds)
+    m_n = gram[0] / scenario.n_sensors
     fisher = 100.0 * scenario.alpha**2 / scenario.sigma_db**2 * scenario.n_measurements * m_n
     return FisherSummary(
         F=fisher,

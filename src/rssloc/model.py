@@ -170,9 +170,9 @@ class Scenario:
             scenario = cls(
                 sensors=d["sensors"],
                 source=d["source"],
-                sigma_db=float(d["sigma_db"]),
-                alpha=float(d.get("alpha", 2.0)),
-                p0_const=float(d.get("p0", 1.0)),
+                sigma_db=number(d["sigma_db"], "sigma_db"),
+                alpha=number(d.get("alpha", 2.0), "alpha"),
+                p0_const=number(d.get("p0", 1.0), "p0"),
                 rounds=d.get("rounds", 1),
             )
             dimension = number(d["dimension"], "dimension", whole=True) if "dimension" in d else scenario.dimension
@@ -287,12 +287,8 @@ class NoiseModel:
     bias_b: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "omega_std", self.sigma_db / (10.0 * self.alpha)
-        )
-        object.__setattr__(
-            self, "bias_b", lognormal_bias(self.sigma_db, self.alpha)
-        )
+        object.__setattr__(self, "bias_b", lognormal_bias(self.sigma_db, self.alpha))
+        object.__setattr__(self, "omega_std", self.sigma_db / (10.0 * self.alpha))
 
 
 def trial_rng(master_seed: int, *path: int) -> np.random.Generator:

@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The numerical oracles here deliberately avoid the library's solution paths:
-explicit cofactor inverses for normal equations, circumcircle fits for
-concyclicity, finite differences for Jacobians. The replay oracle checks the
+explicit cofactor inverses for normal equations, a thin SVD for gated least
+squares, circumcircle fits for concyclicity, finite differences for
+Jacobians. The replay oracle checks the
 batched Monte Carlo engine against the per-call estimators, trial by trial.
 """
 
@@ -19,6 +20,7 @@ from rssloc.estimators import (
     ml_reference,
     two_step,
 )
+from rssloc.geometry import GRAM_CONDITION_LIMIT
 from rssloc.model import NoiseModel, generate_measurements, trial_rng
 
 
@@ -74,6 +76,25 @@ def normal_equations_solve(design, rhs):
     """Brute-force least squares: (A^T A)^{-1} A^T b via cofactor inverse."""
     gram = design.T @ design
     return cofactor_inverse(gram) @ (design.T @ rhs)
+
+
+def svd_solve(a, rhs):
+    """min ||a x - rhs|| for a stack a (g, k, c), g in {1, t}, and rhs (t, k)
+    by one thin SVD per matrix: the oracle of the library's normal-matrix
+    solve. A matrix is bad where it has fewer rows than columns or its Gram
+    condition (s_max / s_min)^2 is not at most GRAM_CONDITION_LIMIT. Returns
+    (x (t, c), bad (g,), Gram condition (g,), s_max (g,)); rows of x whose
+    matrix is bad are meaningless."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    full = s.shape[-1] == a.shape[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = (s[:, 0] / s[:, -1]) ** 2 if full else np.full(len(a), np.inf)
+    condition = np.where(np.isnan(condition), np.inf, condition)
+    bad = ~(condition <= GRAM_CONDITION_LIMIT)
+    s_max = s[:, 0].copy()
+    s[bad] = 1.0
+    coef = (rhs[:, None, :] @ u)[:, 0] / s
+    return (coef[:, None, :] @ vt)[:, 0], bad, condition, s_max
 
 
 def circumcircle(p1, p2, p3):

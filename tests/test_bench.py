@@ -112,6 +112,13 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d, seed=1)
 
+    @pytest.mark.parametrize("field", [{"sigma_db": True}, {"sigma_db": "4"}, {"alpha": False}, {"alpha": "2"}])
+    def test_from_dict_rejects_non_numeric_signal_fields(self, field):
+        # A bool was read as 1.0 or 0.0, and a numeric string as its number.
+        d = {"scenario": "2d-fixed", "sweep": {"rounds": [3]}, "trials": 5, **field}
+        with pytest.raises(ConfigError, match=f"{next(iter(field))} must be a finite number"):
+            ExperimentConfig.from_dict(d, seed=1)
+
     def test_from_dict(self):
         cfg = ExperimentConfig.from_dict(
             {
@@ -453,6 +460,18 @@ class TestEstimatorBlocks:
         blocked = run_experiment(cfg)
         assert blocked.to_csv() == whole.to_csv()
         assert blocked.to_json() == whole.to_json()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_single_trial_block_leaves_the_report_unchanged(self, case, monkeypatch):
+        # Blocks of 33, 33 and 1: a stack of one problem takes the same
+        # per-row products as a stack of many.
+        config, k = self.CASES[case]
+        cfg = _cfg(estimators=ESTIMATOR_IDS, trials=67, master_seed=37, **config)
+        monkeypatch.setattr(bench, "BLOCK_DOUBLES", 10**9)
+        whole = run_experiment(cfg)
+        monkeypatch.setattr(bench, "BLOCK_DOUBLES", 33 * k * 4)
+        assert [stop - start for start, stop in bench._blocks(cfg.trials, k * 4)] == [33, 33, 1]
+        assert run_experiment(cfg).to_csv() == whole.to_csv()
 
     def test_fresh_geometry_peak_memory_is_capped(self):
         # One fresh layout per trial: the whole (1000, 1000, 4) design stack

@@ -143,6 +143,33 @@ class TestEstimate:
         assert json.loads(err)["error"] == "schema"
 
     @pytest.mark.parametrize(
+        "field, value", [("sigma_db", True), ("sigma_db", "4"), ("alpha", False), ("alpha", "2"), ("p0", "1")]
+    )
+    def test_bool_or_string_number_field_exits_2_schema(
+        self, capsys, tmp_path, clean_measurement_file, field, value
+    ):
+        # A bool was read as 1.0 or 0.0, and a numeric string as its number.
+        _, payload = clean_measurement_file
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps({**payload, field: value}))
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and f"{field} must be a finite number" in error["message"]
+
+    def test_zero_alpha_with_sigma_exits_2_invalid_input(self, capsys, tmp_path, scenario_2d):
+        # A y file never converts with alpha, but sigma_db makes a NoiseModel
+        # of it, whose division by alpha raised ZeroDivisionError (exit 1).
+        payload = {"sensors": scenario_2d.sensors.tolist(), "y": np.log10(scenario_2d.distances()).tolist()}
+        path = tmp_path / "alpha0.json"
+        path.write_text(json.dumps({**payload, "alpha": 0, "sigma_db": 2.0}))
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "invalid-input", "message": "alpha must be positive"}
+
+    @pytest.mark.parametrize(
         "sensors",
         [
             # 12 generic sensors: the estimators would return a 4-D p_hat.

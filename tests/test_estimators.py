@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COLLINEAR_2D, PER_CALL, SQUARE_CORNERS, kernel_stacks, normal_equations_solve, outcome
-from rssloc import estimators
+from conftest import COLLINEAR_2D, PER_CALL, SQUARE_CORNERS, kernel_stacks, normal_equations_solve, outcome, svd_solve
+from rssloc import estimators, geometry
 from rssloc.bench import ExperimentConfig, run_experiment, scenario_registry
 from rssloc.errors import (
     DegenerateGeometryError,
@@ -24,7 +24,6 @@ from rssloc.estimators import (
     FAILURES,
     GnConfig,
     Stage,
-    _gated_solve,
     _least_squares,
     estimate_sigma_from_b,
     estimate_stack,
@@ -44,6 +43,7 @@ from rssloc.geometry import (
     hyperplane_design,
     hypersphere_design,
     localizability,
+    normal_equations,
     normalise,
 )
 from rssloc.inference import fisher_information
@@ -664,22 +664,44 @@ class TestConsistencyRates:
         assert -0.6 <= slope <= -0.4
 
 
-def _gn_steps_by_rows(p, sensors, y):
-    """gn_steps as it was written row-major: the (t, k, m) differences,
-    np.linalg.norm over the coordinate axis and a broadcast division. The
-    row-major Jacobian goes to the same normal-matrix solve, copied into the
-    contiguous (t, m, k) J^T that gn_steps hands it: the sums over the k rows
-    then run in the same order."""
+def _jacobian_by_rows(p, sensors, y):
+    """The Gauss-Newton Jacobian as it was written row-major: the (t, k, m)
+    differences, np.linalg.norm over the coordinate axis and a broadcast
+    division, copied into the contiguous (t, m, k) J^T that gn_steps builds:
+    the sums over the k rows then run in the same order. Returns (J^T, the
+    residual r (t, k), near (t,))."""
     diff = p[:, None, :] - sensors
     d = np.linalg.norm(diff, axis=-1)
     near = d.min(axis=-1) < SENSOR_CLEARANCE
     d = np.maximum(d, SENSOR_CLEARANCE)
     jacobian = diff / (d[..., None] ** 2 * LN10)
-    step, degenerate = estimators._normal_solve(np.ascontiguousarray(jacobian.swapaxes(1, 2)), y - np.log10(d))
+    return np.ascontiguousarray(jacobian.swapaxes(1, 2)), y - np.log10(d), near
+
+
+def _normal_step(jt, r):
+    """The Gauss-Newton step solved from J^T J and J^T r, as gn_steps does."""
+    return estimators._normal_solve(jt @ jt.swapaxes(1, 2), (jt @ r[:, :, None])[..., 0], jt.shape[-1])
+
+
+def _step_failures(step, degenerate, near):
     failure = np.where(np.isfinite(step).all(axis=-1), 0, estimators._STEP_NONFINITE)
     failure[degenerate] = estimators._DEGENERATE
     failure[near] = estimators._NEAR
-    return p + step, failure
+    return failure
+
+
+def _gn_steps_by_rows(p, sensors, y):
+    """gn_steps on the row-major Jacobian, through the same normal-matrix solve."""
+    jt, r, near = _jacobian_by_rows(p, sensors, y)
+    step, degenerate = _normal_step(jt, r)
+    return p + step, _step_failures(step, degenerate, near)
+
+
+def _svd_gn_steps(p, sensors, y):
+    """gn_steps with each step solved by the SVD oracle of J."""
+    jt, r, near = _jacobian_by_rows(p, sensors, y)
+    step, degenerate = svd_solve(jt.swapaxes(1, 2), r)[:2]
+    return p + step, _step_failures(step, degenerate, near)
 
 
 def _concatenated_designs(q):
@@ -712,23 +734,26 @@ class TestCoordinateMajorKernels:
         assert np.array_equal(p_next, expected, equal_nan=True)
 
     @settings(max_examples=200, deadline=None)
-    @given(stack=kernel_stacks(), b=st.sampled_from([None, 1.0, 1.7]))
-    def test_least_squares(self, stack, b):
+    @given(stack=kernel_stacks())
+    def test_least_squares(self, stack):
+        # Both LS designs solve from normal_equations; the row-major design
+        # goes to the same Gram and right-hand side, copied into the
+        # contiguous (g, m+2, k) A^T that it builds: the sums over the k rows
+        # then run in the same order.
         _, sensors, y = stack
         q = normalise(sensors)[0]
         plane, sphere = _concatenated_designs(q)
         assert np.array_equal(hyperplane_design(q), plane)
         assert np.array_equal(hypersphere_design(q), sphere)
         z = np.power(10.0, 2.0 * y)
-        with mock.patch.multiple(
-            estimators,
-            hyperplane_design=lambda q: _concatenated_designs(q)[0],
-            hypersphere_design=lambda q: _concatenated_designs(q)[1],
-            sq_norm=lambda x: (x * x).sum(axis=-1),
-        ):
-            expected = _least_squares(normalise(sensors), z, b)
-        for got, want in zip(_least_squares(normalise(sensors), z, b), expected):
-            assert np.array_equal(got, want, equal_nan=True)
+
+        def by_rows(q):
+            return np.ascontiguousarray(_concatenated_designs(q)[1].swapaxes(-1, -2)).swapaxes(-1, -2)
+
+        with mock.patch.object(geometry, "hypersphere_design", by_rows):
+            expected = normal_equations(q, z)
+        for got, want in zip(normal_equations(q, z), expected):
+            assert np.array_equal(got, want)
 
     @settings(max_examples=200, deadline=None)
     @given(stack=kernel_stacks())
@@ -742,12 +767,6 @@ class TestCoordinateMajorKernels:
             assert np.array_equal(got[0], source) and got[1] == 3
             sc = Scenario(sensors=sensors[0], source=source, sigma_db=2.0)
             assert np.array_equal(sc.distances(), np.linalg.norm(sensors[0] - source, axis=-1))
-
-
-def _svd_solve(jt, r):
-    """The Gauss-Newton solve by one SVD of J, the oracle of the normal-matrix
-    solve: _gated_solve on the transposed view of J^T."""
-    return _gated_solve(jt.swapaxes(1, 2), r)
 
 
 class TestNormalEquationStep:
@@ -769,14 +788,10 @@ class TestNormalEquationStep:
             direction = rng.normal(size=m)
             line = np.outer(rng.uniform(-1.0, 1.0, size=k), direction / np.linalg.norm(direction))
             sensors[-1] = p[-1] + spread * (line + 10.0**tilt * rng.normal(size=(k, m)))
-        with mock.patch.object(estimators, "_normal_solve", wraps=estimators._normal_solve) as solve:
-            gn_steps(p, sensors, y)
-        (jt, r), _ = solve.call_args
-        step, bad = estimators._normal_solve(jt, r)
-        expected, expected_bad = _svd_solve(jt, r)
-        s = np.linalg.svd(jt, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            condition = (s[:, 0] / s[:, -1]) ** 2
+        # gn_steps's J^T, r and solve, bit for bit (TestCoordinateMajorKernels).
+        jt, r, _ = _jacobian_by_rows(p, sensors, y)
+        step, bad = _normal_step(jt, r)
+        expected, expected_bad, condition, s_max = svd_solve(jt.swapaxes(1, 2), r)
         # The two gates may disagree only within 1e-3 of the limit.
         boundary = np.abs(condition / GRAM_CONDITION_LIMIT - 1.0) <= 1e-3
         assert np.array_equal(bad[~boundary], expected_bad[~boundary])
@@ -785,7 +800,7 @@ class TestNormalEquationStep:
         # residual's reach ||r|| / s_max.
         solved = ~bad & ~expected_bad
         k, eps = jt.shape[-1], np.finfo(float).eps
-        scale = np.linalg.norm(expected, axis=-1) + np.linalg.norm(r, axis=-1) / s[:, 0]
+        scale = np.linalg.norm(expected, axis=-1) + np.linalg.norm(r, axis=-1) / s_max
         gap = np.linalg.norm(step - expected, axis=-1)
         assert (gap[solved] <= 4.0 * k * eps * condition[solved] * scale[solved]).all()
 
@@ -801,13 +816,81 @@ class TestNormalEquationStep:
         for sigma in (2.0, 6.0):
             cfg = ExperimentConfig.from_dict({**d, "sigma_db": sigma}, seed=5)
             rows = run_experiment(cfg).rows
-            with mock.patch.object(estimators, "_normal_solve", _svd_solve):
+            with mock.patch.object(estimators, "gn_steps", _svd_gn_steps):
                 reference = run_experiment(cfg).rows
             for row, ref in zip(rows, reference):
                 assert (row.trials_ok, row.trials_failed) == (ref.trials_ok, ref.trials_failed)
                 for field in ("bias_m", "rmse_m"):
                     got, want = getattr(row, field), getattr(ref, field)
                     assert abs(got - want) <= 1e-11 * abs(want), (row, field)
+
+
+def _near_degenerate(sensors, kind, tilt, rng):
+    """``sensors`` (k, m) moved to within 10**tilt of their spread off one
+    hyperplane (line or plane) or one hypersphere (circle or sphere)."""
+    k, m = sensors.shape
+    centre = sensors.mean(axis=0)
+    spread = np.linalg.norm(sensors - centre, axis=-1).mean()
+    if kind == "hyperplane":
+        basis = np.linalg.qr(rng.normal(size=(m, m)))[0][:, : m - 1]
+        base = rng.uniform(-1.0, 1.0, size=(k, m - 1)) @ basis.T
+    else:
+        base = rng.normal(size=(k, m))
+        base /= np.linalg.norm(base, axis=-1, keepdims=True)
+    return centre + spread * (base + 10.0**tilt * rng.normal(size=(k, m)))
+
+
+class TestNormalEquationLeastSquares:
+    """Both LS designs are solved from one Gram of the hypersphere design by
+    one eigh each. Their solutions equal the SVD least-squares solutions of
+    the explicit designs within a bound proportional to eps cond(G), and they
+    gate on the same Gram condition."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stack=kernel_stacks(),
+        layout=st.sampled_from(["drawn", "hyperplane", "hypersphere"]),
+        # Gram conditions of about 1e6 to 1e16 for the near-degenerate
+        # layouts, across the gate.
+        tilt=st.floats(-8.0, -3.0),
+        b=st.sampled_from([None, 1.0, 1.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_solution_and_gate_match_the_svd_solve(self, stack, layout, tilt, b, seed):
+        _, sensors, y = stack
+        if layout != "drawn":
+            sensors = sensors.copy()
+            sensors[-1] = _near_degenerate(sensors[-1], layout, tilt, np.random.default_rng(seed))
+        z = np.power(10.0, 2.0 * y)
+        frame = normalise(sensors)
+        with mock.patch.object(estimators, "_normal_solve", wraps=estimators._normal_solve) as solve:
+            _least_squares(frame, *normal_equations(frame[0], z), b)
+        got, bad = estimators._normal_solve(*solve.call_args[0])
+        q, _, s = frame
+        plane, sphere = _concatenated_designs(q)
+        if b is None:
+            design, rhs = sphere, z / (s * s)[:, None]
+            reach = np.linalg.norm(rhs, axis=-1)
+        else:
+            scaled, sq = z / (b * s * s)[:, None], sq_norm(q)
+            design, rhs = plane, scaled - sq
+            reach = np.linalg.norm(scaled, axis=-1) + np.linalg.norm(sq, axis=-1)
+        expected, expected_bad, condition, s_max = svd_solve(design, rhs)
+        # The two gates may disagree only within 1e-3 of the limit.
+        boundary = np.abs(condition / GRAM_CONDITION_LIMIT - 1.0) <= 1e-3
+        assert np.array_equal(bad[~boundary], expected_bad[~boundary])
+        # Forming G and h costs k eps relative per entry (the known-variance
+        # right-hand side also that of G's last column, ||q_i||^2 projected);
+        # solving from G multiplies that by cond(G), on the scale of the
+        # solution and of the right-hand side's reach over s_max.
+        t, (k, c) = len(z), design.shape[1:]
+        solved = np.broadcast_to(~bad & ~expected_bad, (t,))
+        condition, s_max = np.broadcast_to(condition, (t,)), np.broadcast_to(s_max, (t,))
+        scale = np.linalg.norm(expected, axis=-1) + reach / s_max
+        gap = np.linalg.norm(got - expected, axis=-1)
+        bound = 4.0 * k * np.finfo(float).eps * condition * scale
+        assert got.shape == (t, c)
+        assert (gap[solved] <= bound[solved]).all()
 
 
 OUTCOME_FIELDS = ("p_hat", "coef", "failure", "degraded", "iterations", "converged")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from rssloc.bench import scenario_registry
 from rssloc.errors import InsufficientSensorsError, InvalidInputError, SingularGramError
 from rssloc.estimators import ls_known_variance, ls_unknown_variance
 from rssloc.geometry import (
+    GRAM_CONDITION_LIMIT,
     Localizability,
     check_hyperplane,
     check_hypersphere,
@@ -203,3 +206,39 @@ class TestVerdictIsTheEstimatorGate:
             _raises_singular_gram(ls_unknown_variance, ms),
         )
         assert self.VERDICTS.get(gates) is localizability(sensors).verdict
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["hyperplane", "hypersphere"]),
+        m=st.sampled_from([2, 3]),
+        extra=st.integers(3, 9),
+        nudge=st.floats(-2e-4, 2e-4),
+        log_scale=st.floats(-3.0, 3.0),
+        offset=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_both_tests_are_the_gates_at_the_limit(self, kind, m, extra, nudge, log_scale, offset, seed):
+        # A degenerate layout perturbed so that the Gram condition of the
+        # design it degrades lands within about 1e-3 of the limit, where a
+        # gate on singular values and one on Gram eigenvalues part in about
+        # one case in ten. The condition goes as the perturbation to the
+        # power -2.
+        rng = np.random.default_rng(seed)
+        base = _base_layout(kind, m, m + extra, rng)
+        noise = np.ptp(base) * rng.normal(size=base.shape)
+        key = "gram_condition_known" if kind == "hyperplane" else "gram_condition_unknown"
+
+        def layout(jitter):
+            return 10.0**log_scale * (base + jitter * noise) + offset
+
+        jitter = 1e-6
+        for _ in range(3):
+            jitter *= math.sqrt(getattr(localizability(layout(jitter)), key) / GRAM_CONDITION_LIMIT)
+        sensors = layout(jitter * (1.0 + nudge))
+        report = localizability(sensors)
+        assert abs(getattr(report, key) / GRAM_CONDITION_LIMIT - 1.0) <= 1e-2
+        source = sensors.mean(axis=0) + 10.0**log_scale * 7.0
+        y = np.log10(np.linalg.norm(sensors - source, axis=1)) + rng.normal(0.0, 0.05, len(sensors))
+        ms = MeasurementSet(sensor_coords=sensors, y=y)
+        assert report.hyperplane_ok is not _raises_singular_gram(ls_known_variance, ms, 1.0)
+        assert report.hypersphere_ok is not _raises_singular_gram(ls_unknown_variance, ms)

@@ -129,16 +129,19 @@ class TestRcrlbCurve:
 
 def _crlb_stack_by_rows(sensors, p, sigma_db, alpha, rounds):
     """crlb_stack as it was written row-major: np.sum over the coordinate
-    axis and a broadcast division."""
+    axis and a broadcast division. The row-major gradient goes to the same
+    Gram, copied into the contiguous (g, m, k) grad^T that crlb_stack builds:
+    the sums over the k rows then run in the same order."""
     diff = p - sensors
     d2 = np.sum(diff**2, axis=-1)
     if np.any(np.sqrt(d2) < SENSOR_CLEARANCE):
         raise SingularPointError("eval_point coincides with a sensor")
-    grad = diff / (d2 * LN10)[..., None]
-    s = np.linalg.svd(grad, compute_uv=False)
-    if np.any(singular(s, len(p))):
+    gt = np.ascontiguousarray((diff / (d2 * LN10)[..., None]).swapaxes(1, 2))
+    gram = gt @ gt.swapaxes(1, 2)
+    lam = np.linalg.eigvalsh(gram)
+    if np.any(singular(lam, sensors.shape[1])):
         raise DegenerateGeometryError("Fisher information matrix is singular")
-    return grad, np.sum(1.0 / (100.0 * alpha**2 / sigma_db**2 * rounds * s**2), axis=-1)
+    return gram, np.sum(1.0 / (100.0 * alpha**2 / sigma_db**2 * rounds * lam), axis=-1)
 
 
 class TestCrlbStack:

@@ -124,6 +124,13 @@ class TestNoiseModel:
         assert nm.bias_b == pytest.approx(lognormal_bias(2.0, 2.0))
 
 
+    @pytest.mark.parametrize("alpha", [0.0, -2.0])
+    def test_alpha_must_be_positive(self, alpha):
+        # alpha = 0 raised ZeroDivisionError before lognormal_bias checked it.
+        with pytest.raises(InvalidInputError, match="alpha must be positive"):
+            NoiseModel(sigma_db=2.0, alpha=alpha)
+
+
 class TestScenario:
     def test_basic_properties(self, scenario_2d):
         assert scenario_2d.dimension == 2
@@ -169,6 +176,14 @@ class TestScenario:
         d["dimension"] = 3
         with pytest.raises(InvalidInputError):
             Scenario.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "field, value", [("sigma_db", True), ("sigma_db", "4"), ("alpha", False), ("alpha", "2"), ("p0", True)]
+    )
+    def test_number_fields_in_dict_are_numbers(self, scenario_2d, field, value):
+        # A bool was read as 1.0 or 0.0, and a numeric string as its number.
+        with pytest.raises(InvalidInputError, match=f"{field} must be a finite number"):
+            Scenario.from_dict({**scenario_2d.to_dict(), field: value})
 
     @pytest.mark.parametrize("dimension", ["two", None, 2.5])
     def test_malformed_dimension_in_dict(self, scenario_2d, dimension):
