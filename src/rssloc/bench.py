@@ -9,7 +9,7 @@ The engine handles a sweep point in blocks of whole trials of about
 readings as blocks (trials, rounds, sensors), each converted and reduced at
 once to per-sensor means of y and of 10**(2*y) over the rounds. The layouts
 are checked, their RCRLB computed and the estimators run in blocks sized by
-the largest design, k x (m+2) doubles per trial: 65 trials at k = 1000, a
+the largest design, k x (m+2) doubles per trial: 32 trials at k = 1000, a
 whole fixed-layout point at k = 10. Each block runs one
 ``estimators.estimate_stack`` plan for all the requested estimators, which
 computes the stages they share (the normalised layouts, each LS design, the
@@ -17,7 +17,7 @@ first Gauss-Newton step) once. A problem's arithmetic does not depend on its
 stack-mates or on the other estimators of the plan, so neither the blocks
 nor the sharing change reports, and memory grows only with the layouts and
 means of the point: 2d-random at n = 1000 and 1000 trials peaks at about
-45 MB traced. ``estimate_stack`` is the one implementation of the estimator
+39 MB traced. ``estimate_stack`` is the one implementation of the estimator
 policy, which the per-call API also runs, with one estimator, on a trial's n
 tiled measurements; in exact arithmetic the two give the same estimates.
 
@@ -57,9 +57,10 @@ from .model import (
 SWEEP_PARAMS = ("rounds", "sigma", "n_random")
 
 # A sweep point is drawn, checked and solved in blocks of whole trials of
-# about this many doubles (2 MiB): readings when drawn, design entries when
-# solved. Larger blocks run no faster, and the estimators slower.
-BLOCK_DOUBLES = 2**18
+# about this many doubles (1 MiB): readings when drawn, design entries when
+# solved. Blocks of 2**18 run no faster and take more memory; 2**16 and
+# smaller slow the estimators at k = 1000.
+BLOCK_DOUBLES = 2**17
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,26 @@
 
 Two closed-form least-squares estimators (known and unknown noise variance)
 provide sqrt(n)-consistent initial estimates; a single Gauss-Newton step on
-the maximum-likelihood objective then attains asymptotic efficiency. An
-iterated-to-convergence Gauss-Newton solver serves as the ML reference.
+the maximum-likelihood objective then attains asymptotic efficiency. A
+monotone Newton iteration to convergence serves as the ML reference
+(``gn_iterate``): its first step is that Gauss-Newton step, every later step
+Newton's where the Hessian of the objective is positive definite and a
+backtracked Newton step lowers the objective, Gauss-Newton's elsewhere, each
+backtracked so that the objective never rises from the LS start beyond its
+rounding (Nocedal & Wright, Numerical Optimization, 2nd ed., sections 3.1
+and 3.4).
 
-Every least-squares solve, both LS designs and the Gauss-Newton step, runs
-through one kernel, ``_normal_solve``: one eigh of the normal matrix G = A^T A
-gates (``geometry.singular`` on its eigenvalues) and solves. The LS designs
-are solved on the layout normalised to its centroid and unit RMS radius, from
-one Gram of the hypersphere design per stack (``geometry.normal_equations``),
-whose leading block is the hyperplane design's: the estimators gate on the
-matrix ``geometry.localizability`` reports, and their estimates are
-translation, rotation and scale equivariant. A Gauss-Newton step is solved
-from the m x m normal matrix J^T J. The relative error of a solve from G,
+Every least-squares solve, both LS designs and the Gauss-Newton and Newton
+steps, runs through one kernel, ``_normal_solve``: one eigh of the normal
+matrix G = A^T A gates (``geometry.singular`` on its eigenvalues) and solves;
+for the Newton step's Hessian H that gate is the test that H is positive
+definite. The LS designs are solved on the layout normalised to its centroid
+and unit RMS radius, from one Gram of the hypersphere design per stack
+(``geometry.normal_equations``), whose leading block is the hyperplane
+design's: the estimators gate on the matrix ``geometry.localizability``
+reports, and their estimates are translation, rotation and scale
+equivariant. A Gauss-Newton step is solved from the m x m normal matrix
+J^T J, a Newton step from the m x m H. The relative error of a solve from G,
 about eps cond(G), is at most about 2e-4 at the gate; the LS stage needs only
 to be consistent, and the one-step argument a step accurate to o(n^-1/2)
 (Zeng et al., IEEE TSP 2022). No SVD or explicit inverse is taken outside the
@@ -25,22 +33,26 @@ over the coordinates in their order, which has the bits of the row-major
 sum. The Gauss-Newton Jacobian, the LS designs and the Fisher gradient are
 built coordinate-major: J is the transposed view of a contiguous (..., c, k)
 array J^T with one row per column. Every operation then runs along the k
-rows, the normal matrices and right-hand sides included.
+rows, the normal matrices, the Hessian, the right-hand sides and the
+objective included.
 
 The estimator policy lives in one plan, ``estimate_stack``, which runs a
 tuple of estimator ids on a stack of problems and computes each stage once
 for every id that uses it: the normalised layouts, each LS design (known
 variance for ``ls``, ``ls+gn`` and ``ml``, unknown for ``ls-u`` and
-``ls-u+gn``), and the first Gauss-Newton step from each LS start. ``+gn``
-keeps that step and ``ml`` iterates on from it (``gn_continue``), so ``ml``'s
-first iterate is the ``+gn`` estimate. A problem's arithmetic does not depend
-on which other ids share the plan. The single-problem estimators run the
-plan with one id on one problem of n rows and raise the failure it reports
-(``ml_reference`` runs its ML stages, first step then ``gn_continue``, from
-the caller's start point); the Monte Carlo engine runs it with every
-requested id on per-sensor means over the rounds, which give the same
-estimates as the n tiled rows because tiling multiplies both sides of every
-normal equation, LS and Gauss-Newton alike, by the number of rounds.
+``ls-u+gn``), and the first Gauss-Newton step from each LS start, which also
+returns the objective there. ``+gn`` keeps that step and ``ml`` iterates on
+from it (``gn_continue``), so ``ml``'s first iterate is the ``+gn`` estimate
+wherever that does not raise the objective, else a point on its step. A
+problem's arithmetic does not depend on which other ids share the plan. The
+single-problem estimators run the plan with one id on one problem of n rows
+and raise the failure it reports (``ml_reference`` runs its ML stages, first
+step then ``gn_continue``, from the caller's start point); the Monte Carlo
+engine runs it with every requested id on per-sensor means over the rounds,
+which give the same estimates as the n tiled rows in exact arithmetic:
+tiling multiplies both sides of every normal equation, LS, Gauss-Newton and
+Newton alike, by the number of rounds, and the objective by it plus a
+constant, the spread of the readings about their means.
 """
 
 from __future__ import annotations
@@ -65,6 +77,10 @@ from .geometry import normal_equations, normalise, singular
 from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel, number, sq_norm
 
 ESTIMATOR_IDS = ("ls", "ls+gn", "ls-u", "ls-u+gn", "ml")
+
+# Halvings of a backtracked Newton step of ml, down to lam = 2**-BACKTRACKS,
+# before the Gauss-Newton step replaces it (gn_continue).
+BACKTRACKS = 4
 
 # The typed error behind each failure code of gn_steps and estimate_stack (0 is
 # success): one Gauss-Newton step, in the order gn_steps checks, then LS.
@@ -112,7 +128,12 @@ class Estimate:
 
 @dataclass(frozen=True)
 class GnConfig:
-    """Stopping rules for the iterated Gauss-Newton reference solver."""
+    """Stopping rules for the ML reference iteration (gn_iterate).
+
+    A problem has converged when a step direction is shorter than
+    ``step_tolerance`` (metres); it stops unconverged after
+    ``max_iterations`` steps, backtracking halvings not counted.
+    """
 
     max_iterations: int = 100
     step_tolerance: float = 1e-10
@@ -264,17 +285,24 @@ def estimate_sigma_from_b(b_hat: float, alpha: float) -> float:
     return alpha / LN10 * math.sqrt(50.0 * math.log(b_hat))
 
 
-def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray):
-    """One Gauss-Newton step on the ML objective for each of t problems.
+def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray, newton: bool = False):
+    """One step on the ML objective F(p) = sum_i r_i^2, r_i = y_i - f_i(p),
+    f_i(p) = log10||p_i - p||, for each of t problems.
 
     ``p`` is (t, m), ``sensors`` (g, k, m) with g in {1, t}, ``y`` (t, k).
-    Each step is p + (J^T J)^{-1} J^T (y - f(p)) with f_i(p) =
-    log10||p_i - p||, solved from J^T J and J^T r (_normal_solve). Returns
-    (p_next (t, m), failure (t,)): failure indexes FAILURES and is 0 where
-    the step succeeded; elsewhere p_next is meaningless. ``p`` must be finite.
+    The Gauss-Newton step is p + (J^T J)^{-1} J^T r, solved from J^T J and
+    J^T r (_normal_solve). With ``newton``, the step is Newton's,
+    p + H^{-1} J^T r with H = J^T diag(1 + 2 ln10 r) J - (sum_i r_i /
+    (d_i^2 ln10)) I, half the Hessian of F, where _normal_solve's gate passes
+    H (positive definite and conditioned as a Gram), and the Gauss-Newton
+    step elsewhere. Returns (p_next (t, m), failure (t,), F(p) (t,)):
+    failure indexes FAILURES and is 0 where the step succeeded (with
+    ``newton``, ``_DEGENERATE`` only where both gates fail); elsewhere p_next
+    is meaningless. F is infinite where p is within SENSOR_CLEARANCE of a
+    sensor. ``p`` must be finite.
 
     J^T is built coordinate-major, one contiguous (t, m, k) array with one
-    row per coordinate, so J^T J and J^T r are sums along the k rows.
+    row per coordinate, so J^T J, H, J^T r and F are sums along the k rows.
     """
     (t, m), k = p.shape, sensors.shape[1]
     jt = np.subtract(p[:, :, None], sensors.swapaxes(1, 2), out=np.empty((t, m, k)))
@@ -282,12 +310,29 @@ def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray):
     near = d.min(axis=-1) < SENSOR_CLEARANCE
     d = np.maximum(d, SENSOR_CLEARANCE)
     # Rows (p - p_i)^T / (d_i^2 ln 10): gradient of log10||p_i - p||.
-    jt /= (d**2 * LN10)[:, None, :]
-    step, degenerate = _normal_solve(jt @ jt.swapaxes(1, 2), (jt @ (y - np.log10(d))[:, :, None])[..., 0], k)
+    scale = d**2 * LN10
+    jt /= scale[:, None, :]
+    r = y - np.log10(d)
+    objective = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    objective[near] = np.inf
+    rhs = (jt @ r[:, :, None])[..., 0]
+    if newton:
+        # sum_i r_i (1/(d_i^2 ln10) I - 2 ln10 J_i J_i^T) is the residual-
+        # weighted sum of the Hessians of f_i.
+        hessian = (jt * (1.0 + 2.0 * LN10 * r)[:, None, :]) @ jt.swapaxes(1, 2)
+        hessian[:, range(m), range(m)] -= (r[:, None, :] @ (1.0 / scale)[:, :, None])[:, 0]
+        step, degenerate = _normal_solve(hessian, rhs, k)
+        if degenerate.any():
+            jt_bad = jt[degenerate]
+            step[degenerate], degenerate[degenerate] = _normal_solve(
+                jt_bad @ jt_bad.swapaxes(1, 2), rhs[degenerate], k
+            )
+    else:
+        step, degenerate = _normal_solve(jt @ jt.swapaxes(1, 2), rhs, k)
     failure = np.where(np.isfinite(step).all(axis=-1), 0, _STEP_NONFINITE)
     failure[degenerate] = _DEGENERATE
     failure[near] = _NEAR
-    return p + step, failure
+    return p + step, failure, objective
 
 
 def _start(p, ms: MeasurementSet) -> np.ndarray:
@@ -300,7 +345,7 @@ def _start(p, ms: MeasurementSet) -> np.ndarray:
 
 def gn_step(p, ms: MeasurementSet) -> np.ndarray:
     """One Gauss-Newton step on the ML objective from p (see gn_steps)."""
-    p_next, failure = gn_steps(_start(p, ms), ms.sensor_coords[None], ms.y[None])
+    p_next, failure, _ = gn_steps(_start(p, ms), ms.sensor_coords[None], ms.y[None])
     _raise(failure[0])
     return p_next[0]
 
@@ -311,11 +356,10 @@ def _layouts(sensors: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def gn_iterate(p: np.ndarray, sensors: np.ndarray, y: np.ndarray, cfg: GnConfig = GnConfig()):
-    """Iterate gn_steps from p (t, m) over the problems that have neither
-    converged (a step shorter than cfg.step_tolerance) nor failed, at most
-    cfg.max_iterations times: gn_continue after the first step. Returns (p,
-    failure, iterations, converged), one row per problem; iterations counts
-    the steps taken, a failing one included.
+    """Minimise the ML objective from p (t, m) by a monotone iteration: one
+    Gauss-Newton step (gn_steps), then Newton steps, each backtracked
+    (gn_continue). Returns (p, failure, iterations, converged), one row per
+    problem; see gn_continue.
     """
     p = np.array(p, dtype=float)
     return gn_continue(p, gn_steps(p, sensors, y), sensors, y, cfg)
@@ -323,33 +367,92 @@ def gn_iterate(p: np.ndarray, sensors: np.ndarray, y: np.ndarray, cfg: GnConfig 
 
 def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray, cfg: GnConfig):
     """gn_iterate from p once its first step, ``first`` = gn_steps(p, sensors,
-    y), has been taken; the iterates are written into p. The layouts and y of
-    the problems still iterating are gathered anew only when that set shrinks.
+    y), has been computed; the iterates are written into p.
+
+    A step from point x towards x_next, the end of its full step, tries
+    x + lam (x_next - x) for lam = lam0, lam0/2, ... and takes the first
+    trial whose objective F is not above F(x) by more than F's rounding,
+    eps (k F(x) + 4 ||r|| ||y||): each residual r = y - log10 d carries an
+    error of about eps |y|, and the sum over the k rows one of k eps F. So F
+    never rises from the start beyond rounding, and near convergence no step
+    is rejected on rounding alone. lam0 is 1 for the first step and twice
+    the lam of the step before, at most 1, for the later ones. Each trial
+    point is evaluated by gn_steps(..., newton=True), which returns its F
+    together with the direction from it: an accepted step costs no further
+    pass, and only the rejected problems are evaluated again.
+
+    The first step is Gauss-Newton's, the later ones Newton's where their
+    Hessian passes the gate. A Newton step is halved down to lam =
+    2**-BACKTRACKS; where no trial passes, the Gauss-Newton step from the
+    same point takes its place, from lam = 1. A Gauss-Newton step is halved
+    until a trial passes or the step is shorter than cfg.step_tolerance.
+
+    A full step shorter than cfg.step_tolerance is taken untested and ends
+    the iteration: the problem has converged. A problem stops unconverged
+    after cfg.max_iterations steps, or where a Gauss-Newton step is halved
+    below cfg.step_tolerance without passing (or the one replacing a Newton
+    step fails). It fails where a step fails (failure indexes FAILURES): the
+    first step, or a Newton step where both gates fail. A stopped problem
+    stays at its last accepted point. ``iterations`` counts the steps, each
+    from its own point, a failing or wholly rejected one included; the
+    halvings and a Gauss-Newton replacement are part of their step. The
+    layouts and y of the problems still iterating are gathered anew only
+    when that set shrinks.
     """
-    p_next, step_failure = first
-    t = len(p)
-    failure = np.zeros(t, dtype=int)
-    iterations = np.zeros(t, dtype=int)
+    p_next, failure, objective = first
+    t, k = y.shape
+    eps = np.finfo(float).eps
+    y_norm = np.sqrt((y * y).sum(axis=-1))
+    shortest = 0.5**BACKTRACKS
+    failure = failure.copy()
+    iterations = np.ones(t, dtype=int)
     converged = np.zeros(t, dtype=bool)
-    active, current = np.arange(t), p
-    for iteration in range(1, cfg.max_iterations + 1):
-        iterations[active] = iteration
-        failure[active] = step_failure
-        stepped = step_failure == 0
-        if not stepped.all():
-            # A failed step leaves its problem where it was.
-            p_next = np.where(stepped[:, None], p_next, current)
-        done = np.sqrt(sq_norm(p_next - current)) < cfg.step_tolerance
-        p[active] = p_next
-        converged[active] = stepped & done
-        going = stepped & ~done
-        if not going.all():
-            active, p_next, y = active[going], p_next[going], y[going]
-            sensors = _layouts(sensors, going)
-        if not active.size or iteration == cfg.max_iterations:
+    # Per problem still iterating: its point, F there, the end of its full
+    # step, the point on trial, that trial's lam, and whether the step is
+    # Gauss-Newton's.
+    active, current, f, full, lam = np.arange(t), p.copy(), objective, p_next, np.ones(t)
+    trial, stop, gauss = full, failure != 0, np.ones(t, dtype=bool)
+    while True:
+        short = ~stop & (np.sqrt(sq_norm(full - current)) < cfg.step_tolerance)
+        p[active[short]] = full[short]
+        converged[active[short]] = True
+        stop |= short
+        if stop.any():
+            keep = ~stop
+            active, current, f, full, trial, lam, gauss, y, y_norm = (
+                a[keep] for a in (active, current, f, full, trial, lam, gauss, y, y_norm)
+            )
+            sensors = _layouts(sensors, keep)
+        if not active.size:
             break
-        current = p_next
-        p_next, step_failure = gn_steps(current, sensors, y)
+        nxt, step_failure, f_trial = gn_steps(trial, sensors, y, True)
+        accepted = f_trial <= f + eps * (k * f + 4.0 * np.sqrt(f) * y_norm)
+        p[active[accepted]] = trial[accepted]
+        at_limit = accepted & (iterations[active] == cfg.max_iterations)
+        stepping = accepted & ~at_limit
+        iterations[active[stepping]] += 1
+        failed = stepping & (step_failure != 0)
+        failure[active[failed]] = step_failure[failed]
+        stop = at_limit | failed
+        if accepted.all() and (lam == 1.0).all():
+            current, f, full, trial = trial, f_trial, nxt, nxt
+            gauss = np.zeros(len(active), dtype=bool)
+            continue
+        current = np.where(accepted[:, None], trial, current)
+        f = np.where(accepted, f_trial, f)
+        full = np.where(accepted[:, None], nxt, full)
+        lam = np.where(accepted, np.minimum(1.0, 2.0 * lam), 0.5 * lam)
+        fallback = ~accepted & ~gauss & (lam < shortest)
+        gauss &= ~accepted
+        trial = np.where((lam == 1.0)[:, None], full, current + lam[:, None] * (full - current))
+        # A Gauss-Newton step halved below the tolerance without passing.
+        stop |= gauss & (np.sqrt(sq_norm(trial - current)) < cfg.step_tolerance)
+        rows = np.flatnonzero(fallback)
+        if rows.size:
+            gn_next, gn_failure, _ = gn_steps(current[rows], _layouts(sensors, rows), y[rows])
+            stop[rows] |= gn_failure != 0
+            full[rows] = trial[rows] = gn_next
+            lam[rows], gauss[rows] = 1.0, True
     return p, failure, iterations, converged
 
 
@@ -397,9 +500,12 @@ def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndar
     and ``ls-u+gn`` from the unknown-variance LS; a singular design or
     non-finite coefficients fail the problem (``failure`` indexes FAILURES,
     0 where solved). ``+gn`` takes one Gauss-Newton step and, where it fails,
-    keeps the LS estimate flagged ``degraded``. ``ml`` continues from that
-    step (gn_continue, default GnConfig) and fails the problem where a step
-    fails. ``coef`` holds the LS coefficients, theta or beta.
+    keeps the LS estimate flagged ``degraded``. ``ml`` backtracks that step
+    and iterates on (gn_continue, default GnConfig), never raising the
+    objective from the LS start beyond rounding; it fails the problem where
+    a step fails (a Newton step only where both its gates fail), and
+    ``converged`` and ``iterations`` are gn_continue's. ``coef`` holds the LS
+    coefficients, theta or beta.
 
     Each stage runs once for all the estimators that use it: normalising the
     layouts and forming the one Gram and right-hand side both LS designs
@@ -428,7 +534,7 @@ def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndar
             since, rows = now, np.flatnonzero(failure_ls == 0)
             start = p_ls[rows]
             layouts, y = (sensors, ybar) if len(rows) == t else (_layouts(sensors, rows), ybar[rows])
-            refined, step_failure = first = gn_steps(start, layouts, y)
+            refined, step_failure, _ = first = gn_steps(start, layouts, y)
             now = perf_counter()
             stepped_once = solved + now - since
         last = users[-1][0]
@@ -470,10 +576,15 @@ def two_step(ms: MeasurementSet, noise: Optional[NoiseModel] = None) -> Estimate
 
 
 def ml_reference(ms: MeasurementSet, init, cfg: GnConfig = GnConfig()) -> Estimate:
-    """Iterate Gauss-Newton to convergence; reference approximation of the ML estimator.
+    """Minimise the ML objective from ``init``; reference approximation of the ML estimator.
 
-    Runs gn_iterate from ``init``: a first step, then gn_continue, the ML
-    stages of estimate_stack.
+    Runs gn_iterate: a first Gauss-Newton step, then backtracked Newton steps
+    (gn_continue), the ML stages of estimate_stack. The objective never rises
+    above its value at ``init`` beyond rounding. ``converged`` is True where a
+    step direction fell below cfg.step_tolerance, False where the iteration
+    stopped after cfg.max_iterations steps or where no backtracked step
+    lowered the objective; ``gn_iterations`` counts the steps (see
+    gn_continue). A failing step raises its typed error.
     """
     p, failure, iterations, converged = gn_iterate(_start(init, ms), ms.sensor_coords[None], ms.y[None], cfg)
     _raise(failure[0])

@@ -112,6 +112,9 @@ class Scenario:
             measurements are invariant to its value.
         rounds: number of i.i.d. observation rounds per sensor, a whole
             number >= 1 (see :func:`number`).
+
+    sigma_db, alpha and p0_const are stored as floats; a value that is not a
+    finite real number (a bool, a string) raises InvalidInputError.
     """
 
     sensors: np.ndarray
@@ -123,6 +126,8 @@ class Scenario:
 
     def __post_init__(self):
         sensors = _as_points(self.sensors, "sensors")
+        for name in ("sigma_db", "alpha", "p0_const"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         source, rounds = check_layouts(
             sensors, self.source, self.sigma_db, self.alpha, self.p0_const, self.rounds
         )
@@ -170,8 +175,8 @@ class Scenario:
             scenario = cls(
                 sensors=d["sensors"],
                 source=d["source"],
-                sigma_db=number(d["sigma_db"], "sigma_db"),
-                alpha=number(d.get("alpha", 2.0), "alpha"),
+                sigma_db=d["sigma_db"],
+                alpha=d.get("alpha", 2.0),
                 p0_const=number(d.get("p0", 1.0), "p0"),
                 rounds=d.get("rounds", 1),
             )
@@ -279,6 +284,8 @@ class NoiseModel:
     """Noise parameters and the derived lognormal moments.
 
     Passing a NoiseModel to an estimator selects the known-variance path.
+    sigma_db and alpha are stored as floats; a value that is not a finite
+    real number (a bool, a string) raises InvalidInputError.
     """
 
     sigma_db: float
@@ -287,6 +294,8 @@ class NoiseModel:
     bias_b: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("sigma_db", "alpha"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         object.__setattr__(self, "bias_b", lognormal_bias(self.sigma_db, self.alpha))
         object.__setattr__(self, "omega_std", self.sigma_db / (10.0 * self.alpha))
 

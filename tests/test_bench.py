@@ -500,10 +500,10 @@ class TestSharedStagePlan:
 
     @pytest.mark.parametrize("case", CASES)
     def test_one_plan_equals_single_estimator_runs(self, case):
-        # 70 trials at n = 1000: blocks of 65 and a ragged 5.
+        # 70 trials at n = 1000: blocks of 32, 32 and a ragged 6.
         cfg = _cfg(estimators=ESTIMATOR_IDS, trials=70, master_seed=37, **self.CASES[case])
         if case != "2d-fixed":
-            assert [stop - start for start, stop in bench._blocks(cfg.trials, 1000 * 4)] == [65, 5]
+            assert [stop - start for start, stop in bench._blocks(cfg.trials, 1000 * 4)] == [32, 32, 6]
         together = run_experiment(cfg)
         alone = [run_experiment(replace(cfg, estimators=(est_id,))).rows for est_id in ESTIMATOR_IDS]
         merged = bench.TrialReport(rows=tuple(row for point in zip(*alone) for row in point))

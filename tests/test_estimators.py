@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import COLLINEAR_2D, PER_CALL, SQUARE_CORNERS, kernel_stacks, normal_equations_solve, outcome, svd_solve
 from rssloc import estimators, geometry
-from rssloc.bench import ExperimentConfig, run_experiment, scenario_registry
+from rssloc.bench import ExperimentConfig, run_experiment, scenario_registry, sweep_point
 from rssloc.errors import (
     DegenerateGeometryError,
     DegenerateJacobianError,
@@ -253,9 +253,14 @@ class TestGnSteps:
         layouts[7] = points[7] + np.outer(np.linspace(-90.0, 90.0, 31)[:30] + 1.5, line)
         p, sensors, y = np.array(points), np.array(layouts), np.array(ys)
 
-        p_next, failure = gn_steps(p, sensors, y)
+        p_next, failure, objective = gn_steps(p, sensors, y)
 
         assert np.flatnonzero(failure).tolist() == [3, 7]
+        # F is the sum of squared residuals; on a sensor it is infinite.
+        assert objective[3] == np.inf
+        for row in np.flatnonzero(np.arange(len(p)) != 3):
+            residual = y[row] - np.log10(np.linalg.norm(sensors[row] - p[row], axis=-1))
+            assert abs(objective[row] - residual @ residual) <= 1e-13 * objective[row]
         for row in range(len(p)):
             ms = MeasurementSet(sensor_coords=sensors[row], y=y[row])
             if failure[row]:
@@ -272,10 +277,12 @@ class TestGnSteps:
         ms = generate_measurements(scenario_2d.with_rounds(2), 3)
         p = np.array([[60.0, 25.0], [75.0, 35.0]])
         y = np.array([ms.y, ms.y[::-1]])
-        p_next, failure = gn_steps(p, ms.sensor_coords[None], y)
-        assert not failure.any()
         shared = np.array([ms.sensor_coords, ms.sensor_coords])
-        np.testing.assert_array_equal(p_next, gn_steps(p, shared, y)[0])
+        for newton in (False, True):
+            out = gn_steps(p, ms.sensor_coords[None], y, newton)
+            assert not out[1].any()
+            for got, want in zip(out, gn_steps(p, shared, y, newton)):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestNearSensorThreshold:
@@ -556,43 +563,77 @@ class TestStartPoints:
         assert np.array_equal(ml_reference(ms, start).p_hat, ml_reference(ms, np.array(start)).p_hat)
 
 
-def _gn_loop(p, ms, cfg):
-    """Reference ML iteration: gn_step in a loop on one problem.
+def _guarded_newton_loop(p, sensors, y, cfg):
+    """Reference ML iteration on one problem, one evaluation at a time:
+    gn_iterate's rules written as a plain loop over gn_steps on that problem
+    alone.
 
-    Returns (p, error type or None, iterations, converged).
+    Returns (p, error type or None, iterations, converged, events), events
+    the set of "halved" (a step taken at lam < 1) and "fallback" (a Newton
+    step that no lam down to 2**-BACKTRACKS passed, replaced by the
+    Gauss-Newton step).
     """
-    for iteration in range(1, cfg.max_iterations + 1):
-        try:
-            p_next = gn_step(p, ms)
-        except RssLocError as exc:
-            return p, type(exc), iteration, False
-        step = np.linalg.norm(p_next - p)
-        p = p_next
-        if step < cfg.step_tolerance:
-            return p, None, iteration, True
-    return p, None, cfg.max_iterations, False
+    eps, k, events = np.finfo(float).eps, len(y), set()
+
+    def evaluate(x, newton):
+        nxt, failure, f = gn_steps(x[None], sensors[None], y[None], newton)
+        return nxt[0], failure[0], f[0]
+
+    full, failure, f = evaluate(p, False)
+    if failure:
+        return p, FAILURES[failure][0], 1, False, events
+    iterations, gauss, lam, trial = 1, True, 1.0, full
+    while np.linalg.norm(full - p) >= cfg.step_tolerance:
+        nxt, failure, f_trial = evaluate(trial, True)
+        if f_trial <= f + eps * (k * f + 4.0 * math.sqrt(f) * np.linalg.norm(y)):
+            if lam < 1.0:
+                events.add("halved")
+            p, f = trial, f_trial
+            if iterations == cfg.max_iterations:
+                return p, None, iterations, False, events
+            iterations += 1
+            if failure:
+                return p, FAILURES[failure][0], iterations, False, events
+            # The next step starts at twice the lam this one was taken at.
+            full, gauss, lam = nxt, False, min(1.0, 2.0 * lam)
+        elif gauss:
+            lam /= 2.0
+            if np.linalg.norm(lam * (full - p)) < cfg.step_tolerance:
+                return p, None, iterations, False, events
+        else:
+            lam /= 2.0
+            if lam < 0.5**estimators.BACKTRACKS:
+                full, failure, _ = evaluate(p, False)
+                if failure:
+                    return p, None, iterations, False, events
+                gauss, lam = True, 1.0
+                events.add("fallback")
+        trial = full if lam == 1.0 else p + lam * (full - p)
+    return full, None, iterations, True, events
 
 
 class TestGnIterate:
-    def test_matches_a_per_problem_loop_of_gn_step(self, scenario_2d):
-        cfg = GnConfig(max_iterations=11)
-        sc = scenario_2d.with_rounds(3)
-        layout = np.tile(scenario_2d.sensors, (3, 1))
-        ys, starts = [], []
-        # Noisy trials from their LS estimates: 10-12 iterations to converge,
-        # so some stop at max_iterations.
-        for trial in range(4):
-            ms = generate_measurements(sc, trial_rng(91, trial))
-            ys.append(ms.y)
-            starts.append(ls_known_variance(ms, NOISE.bias_b).p_hat)
-        # y = f(p) + J(p) (s_4 - p): the first step from p lands on sensor 4.
-        p = np.array([60.0, 25.0])
-        diff = p - layout
-        d = np.linalg.norm(diff, axis=1)
-        ys.append(np.log10(d) + diff / (d[:, None] ** 2 * LN10) @ (layout[4] - p))
-        starts.append(p)
-        # Noise-free data from 1e-10 m off sensor 4: the iterates run away
-        # until every Jacobian row is parallel (degenerate) or time runs out.
+    def test_matches_a_per_problem_guarded_newton_loop(self):
+        cfg = GnConfig(max_iterations=15)
+        # 2d-fixed at 6 dB, T = 1 (seed 7) from the LS estimates: trial 0
+        # halves a step, 47 falls back to Gauss-Newton and 20 needs more than
+        # 15 steps.
+        point = sweep_point(
+            ExperimentConfig.from_dict(
+                {"scenario": "2d-fixed", "sigma_db": 6.0, "sweep": {"rounds": [1]}, "trials": 48}, seed=7
+            ),
+            0,
+        )
+        rows = [0, 47, 20]
+        layout = point.sensors[0]
+        frame = normalise(point.sensors)
+        starts = list(_least_squares(frame, *normal_equations(frame[0], point.zbar), point.bias_b)[0][rows])
+        ys = list(point.ybar[rows])
+        # A start on sensor 4, and one so far off that J^T J is singular.
+        starts += [layout[4].copy(), np.array([1e8, 0.0])]
+        ys += [point.ybar[1], point.ybar[1]]
+        # Noise-free data from 1e-10 m off sensor 4: the iterates close in on
+        # that sensor until both the Newton and the Gauss-Newton gate fail.
         near = np.log10(np.linalg.norm(layout - (layout[4] + [1e-10, 0.0]), axis=1))
         for offset in ([5.0, 3.0], [0.01, 0.0]):
             ys.append(near)
@@ -602,21 +643,122 @@ class TestGnIterate:
 
         p_hat, failure, iterations, converged = gn_iterate(p0, layouts, y, cfg)
 
-        kinds = []
+        kinds, events = [], set()
         for row in range(len(p0)):
-            ref_p, ref_error, ref_iterations, ref_converged = _gn_loop(
-                p0[row], MeasurementSet(layouts[row], y[row]), cfg
+            ref_p, ref_error, ref_iterations, ref_converged, ref_events = _guarded_newton_loop(
+                p0[row], layouts[row], y[row], cfg
             )
             error = FAILURES[failure[row]][0] if failure[row] else None
-            assert (error, iterations[row], converged[row]) == (ref_error, ref_iterations, ref_converged)
-            assert np.linalg.norm(p_hat[row] - ref_p) <= 1e-12 * np.linalg.norm(ref_p)
+            assert (error, iterations[row], converged[row]) == (ref_error, ref_iterations, ref_converged), row
+            assert np.array_equal(p_hat[row], ref_p), row
             kinds.append(error or ("converged" if converged[row] else "max_iterations"))
-        assert {"converged", "max_iterations", SingularPointError, DegenerateJacobianError} <= set(kinds)
-        assert kinds[4] is SingularPointError and iterations[4] == 2
+            events |= ref_events
+        assert kinds == [
+            "converged", "converged", "max_iterations", SingularPointError, DegenerateJacobianError,
+            DegenerateJacobianError, DegenerateJacobianError,
+        ]
+        assert iterations[3:5].tolist() == [1, 1] and (iterations[5:] > 2).all()
+        assert events == {"halved", "fallback"}
         # A shared layout gives the same iterates as its per-problem copies.
         shared = gn_iterate(p0, layout[None], y, cfg)
         for got, want in zip(shared, (p_hat, failure, iterations, converged)):
             np.testing.assert_array_equal(got, want)
+
+    def test_a_step_that_no_lam_passes_stops_unconverged(self, scenario_2d):
+        # Every trial point reads a higher objective: the first (Gauss-Newton)
+        # step is halved until it is shorter than the tolerance, and the
+        # problem stops unconverged where it started, after one step.
+        ms = generate_measurements(scenario_2d.with_rounds(3), 4)
+        p0 = ls_known_variance(ms, NOISE.bias_b).p_hat[None]
+        sensors, y = ms.sensor_coords[None], ms.y[None]
+        trials = []
+
+        def uphill(p, sensors, y, newton=False):
+            p_next, failure, objective = gn_steps(p, sensors, y, newton)
+            if newton:
+                trials.append(p[0])
+                objective = objective + 1.0
+            return p_next, failure, objective
+
+        cfg = GnConfig()
+        with mock.patch.object(estimators, "gn_steps", uphill):
+            p_hat, failure, iterations, converged = gn_iterate(p0, sensors, y, cfg)
+        assert (failure[0], iterations[0], converged[0]) == (0, 1, False)
+        assert np.array_equal(p_hat, p0)
+        step = np.linalg.norm(gn_steps(p0, sensors, y)[0] - p0)
+        assert len(trials) == math.floor(math.log2(step / cfg.step_tolerance)) + 1 > 30
+        halved = step * 0.5 ** np.arange(len(trials))
+        np.testing.assert_allclose(np.linalg.norm(trials - p0, axis=1), halved, rtol=1e-12, atol=1e-13)
+
+
+class TestNewtonStep:
+    def test_solves_the_finite_difference_hessian(self, scenario_2d, scenario_3d):
+        # H is half the Hessian of F = sum r_i^2, whose gradient is -2 J^T r:
+        # central differences of the analytic gradient give it to ~1e-7.
+        rng = np.random.default_rng(23)
+        checked = 0
+        for sc in (scenario_2d, scenario_3d):
+            ms = generate_measurements(sc.with_rounds(3), 5)
+            sensors, y = ms.sensor_coords, ms.y
+            for p in sc.source + rng.normal(0.0, 15.0, size=(20, sc.dimension)):
+                def half_gradient(x):
+                    diff = x - sensors
+                    d2 = (diff * diff).sum(axis=1)
+                    return -(diff / (d2[:, None] * LN10)).T @ (y - 0.5 * np.log10(d2))
+
+                h = 1e-4
+                hessian = np.array([
+                    (half_gradient(p + h * e) - half_gradient(p - h * e)) / (2 * h) for e in np.eye(sc.dimension)
+                ])
+                hessian = 0.5 * (hessian + hessian.T)
+                p_next, failure, _ = gn_steps(p[None], sensors[None], y[None], True)
+                assert failure[0] == 0
+                if np.linalg.eigvalsh(hessian)[0] <= 0:
+                    # Not positive definite: the Gauss-Newton step.
+                    assert np.array_equal(p_next, gn_steps(p[None], sensors[None], y[None])[0])
+                    continue
+                expected = p - np.linalg.solve(hessian, half_gradient(p))
+                np.testing.assert_allclose(p_next[0], expected, rtol=0, atol=1e-5 * np.linalg.norm(expected - p))
+                checked += 1
+        assert checked >= 20
+
+
+class TestMonotoneMl:
+    """ml's backtracked iteration never raises the ML objective above its LS
+    start's beyond rounding, and it does not fail on the noisy small-n sets
+    where the undamped iteration did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=kernel_stacks(), b=st.sampled_from([1.0, 1.7]), row0=st.sampled_from(["drawn", "near-sensor"]))
+    def test_objective_never_above_the_ls_start(self, stack, b, row0):
+        _, sensors, y = stack
+        y = y.copy()
+        if row0 == "near-sensor":
+            y[0] = np.log10(np.linalg.norm(sensors[0] - (sensors[0, 0] + 1e-10), axis=-1))
+        ls, ml = estimate_stack(("ls", "ml"), sensors, y, np.power(10.0, 2.0 * y), b)
+        layouts = np.broadcast_to(sensors, (len(y),) + sensors.shape[1:])
+        for row in np.flatnonzero(ml.failure == 0):
+            def objective(p):
+                r = y[row] - np.log10(np.linalg.norm(layouts[row] - p, axis=-1))
+                return r @ r
+
+            start, end = objective(ls.p_hat[row]), objective(ml.p_hat[row])
+            k, eps = y.shape[1], np.finfo(float).eps
+            rounding = eps * (k * start + 4.0 * math.sqrt(start) * np.linalg.norm(y[row]))
+            assert end <= start + 2.0 * (ml.iterations[row] + 1) * rounding, (row, start, end)
+
+    def test_no_degenerate_jacobian_at_3d_sigma_6_t_1(self):
+        # The undamped iteration failed 933 of these trials with
+        # degenerate-jacobian (and 391 more stopped at max_iterations).
+        cfg = ExperimentConfig.from_dict(
+            {"scenario": "3d-fixed", "sigma_db": 6.0, "estimators": ["ml"], "sweep": {"rounds": [1]},
+             "trials": 2000, "measure_time": False},
+            seed=7,
+        )
+        point = sweep_point(cfg, 0)
+        (ml,) = estimate_stack(("ml",), point.sensors, point.ybar, point.zbar, point.bias_b)
+        assert not (ml.failure == estimators._DEGENERATE).any()
+        assert run_experiment(cfg).rows[0].trials_failed == 0
 
 
 class TestResidualNorm:
@@ -690,18 +832,40 @@ def _step_failures(step, degenerate, near):
     return failure
 
 
-def _gn_steps_by_rows(p, sensors, y):
+def _objective(r, near):
+    """Sum of squared residuals per row, as gn_steps forms it; inf on a sensor."""
+    objective = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    objective[near] = np.inf
+    return objective
+
+
+def _newton_step(p, sensors, jt, r):
+    """gn_steps's Newton step from the Hessian written row by row, sum_i
+    (1 + 2 ln10 r_i) J_i J_i^T - r_i / (d_i^2 ln10) I, in the same order of
+    operations; the Gauss-Newton step where it fails the gate."""
+    d = np.maximum(np.linalg.norm(p[:, None, :] - sensors, axis=-1), SENSOR_CLEARANCE)
+    weighted = np.ascontiguousarray((jt.swapaxes(1, 2) * (1.0 + 2.0 * LN10 * r)[..., None]).swapaxes(1, 2))
+    hessian = weighted @ jt.swapaxes(1, 2)
+    shift = (r[:, None, :] @ (1.0 / (d**2 * LN10))[:, :, None])[:, 0, 0]
+    hessian -= shift[:, None, None] * np.eye(p.shape[1])
+    step, degenerate = estimators._normal_solve(hessian, (jt @ r[:, :, None])[..., 0], jt.shape[-1])
+    fallback, still = _normal_step(jt[degenerate], r[degenerate])
+    step[degenerate], degenerate[degenerate] = fallback, still
+    return step, degenerate
+
+
+def _gn_steps_by_rows(p, sensors, y, newton=False):
     """gn_steps on the row-major Jacobian, through the same normal-matrix solve."""
     jt, r, near = _jacobian_by_rows(p, sensors, y)
-    step, degenerate = _normal_step(jt, r)
-    return p + step, _step_failures(step, degenerate, near)
+    step, degenerate = _newton_step(p, sensors, jt, r) if newton else _normal_step(jt, r)
+    return p + step, _step_failures(step, degenerate, near), _objective(r, near)
 
 
 def _svd_gn_steps(p, sensors, y):
     """gn_steps with each step solved by the SVD oracle of J."""
     jt, r, near = _jacobian_by_rows(p, sensors, y)
     step, degenerate = svd_solve(jt.swapaxes(1, 2), r)[:2]
-    return p + step, _step_failures(step, degenerate, near)
+    return p + step, _step_failures(step, degenerate, near), _objective(r, near)
 
 
 def _concatenated_designs(q):
@@ -725,13 +889,14 @@ class TestCoordinateMajorKernels:
         assert np.array_equal(np.sqrt(sq_norm(diff)), np.linalg.norm(diff, axis=-1))
 
     @settings(max_examples=200, deadline=None)
-    @given(stack=kernel_stacks())
-    def test_gn_steps(self, stack):
+    @given(stack=kernel_stacks(), newton=st.booleans())
+    def test_gn_steps(self, stack, newton):
         p, sensors, y = stack
-        p_next, failure = gn_steps(p, sensors, y)
-        expected, expected_failure = _gn_steps_by_rows(p, sensors, y)
+        p_next, failure, objective = gn_steps(p, sensors, y, newton)
+        expected, expected_failure, expected_objective = _gn_steps_by_rows(p, sensors, y, newton)
         assert np.array_equal(failure, expected_failure)
         assert np.array_equal(p_next, expected, equal_nan=True)
+        assert np.array_equal(objective, expected_objective)
 
     @settings(max_examples=200, deadline=None)
     @given(stack=kernel_stacks())
@@ -927,11 +1092,20 @@ class TestPlan:
                 assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), (est_id, field)
 
     def test_ml_continues_from_the_two_step_estimate(self, scenario_2d):
-        for trial in range(5):
-            ms = generate_measurements(scenario_2d.with_rounds(3), trial_rng(95, trial))
+        # Where the full first step lowers the ML objective, ml's first
+        # iterate is the two-step estimate; at T = 1, trial 100 (seed 95) the
+        # full step raises it, and ml's first iterate is the half step.
+        for rounds, trial, lam in [(3, 0, 1.0), (3, 1, 1.0), (3, 2, 1.0), (3, 3, 1.0), (3, 4, 1.0), (1, 100, 0.5)]:
+            ms = generate_measurements(scenario_2d.with_rounds(rounds), trial_rng(95, trial))
             start = ls_known_variance(ms, NOISE.bias_b).p_hat
             first = ml_reference(ms, start, GnConfig(max_iterations=1))
-            assert np.array_equal(first.p_hat, two_step(ms, NOISE).p_hat)
+            refined = two_step(ms, NOISE).p_hat
+            assert (ml_objective(refined, ms) <= ml_objective(start, ms)) == (lam == 1.0)
+            if lam == 1.0:
+                assert np.array_equal(first.p_hat, refined)
+            else:
+                assert np.array_equal(first.p_hat, start + lam * (refined - start))
+                assert ml_objective(first.p_hat, ms) < ml_objective(start, ms)
         # In one plan, ml's iteration starts from the step ls+gn keeps.
         point = _stack_of_trials(scenario_2d, 20)
         with mock.patch.object(estimators, "gn_continue", wraps=estimators.gn_continue) as continued:

@@ -124,6 +124,18 @@ class TestNoiseModel:
         assert nm.bias_b == pytest.approx(lognormal_bias(2.0, 2.0))
 
 
+    @pytest.mark.parametrize("field", ["sigma_db", "alpha"])
+    @pytest.mark.parametrize("value", [True, "2", math.inf])
+    def test_fields_are_finite_numbers(self, field, value):
+        # NoiseModel(True, 2.0) ran at sigma 1 dB.
+        with pytest.raises(InvalidInputError, match=f"{field} must be a finite number"):
+            NoiseModel(**{"sigma_db": 2.0, "alpha": 2.0, field: value})
+
+    def test_whole_numbers_are_stored_as_floats(self):
+        nm = NoiseModel(sigma_db=2, alpha=np.float64(2.0))
+        assert (type(nm.sigma_db), type(nm.alpha)) == (float, float)
+        assert nm.bias_b == NoiseModel(2.0, 2.0).bias_b
+
     @pytest.mark.parametrize("alpha", [0.0, -2.0])
     def test_alpha_must_be_positive(self, alpha):
         # alpha = 0 raised ZeroDivisionError before lognormal_bias checked it.
@@ -184,6 +196,16 @@ class TestScenario:
         # A bool was read as 1.0 or 0.0, and a numeric string as its number.
         with pytest.raises(InvalidInputError, match=f"{field} must be a finite number"):
             Scenario.from_dict({**scenario_2d.to_dict(), field: value})
+
+    @pytest.mark.parametrize("field", ["sigma_db", "alpha", "p0_const"])
+    @pytest.mark.parametrize("value", [True, "2", math.nan])
+    def test_number_fields_are_finite_numbers(self, field, value):
+        # Scenario(..., sigma_db=True, alpha=True) kept True in both fields.
+        base = dict(sensors=[[0.0, 1.0]], source=[5.0, 5.0], sigma_db=1.0)
+        with pytest.raises(InvalidInputError, match=f"{field} must be a finite number"):
+            Scenario(**{**base, field: value})
+        sc = Scenario(**{**base, field: 2})
+        assert getattr(sc, field) == 2.0 and type(getattr(sc, field)) is float
 
     @pytest.mark.parametrize("dimension", ["two", None, 2.5])
     def test_malformed_dimension_in_dict(self, scenario_2d, dimension):
