@@ -21,14 +21,12 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import bench
 from .errors import ConfigError, InvalidInputError, RssLocError
 from .estimators import two_step
 from .geometry import localizability
 from .inference import rcrlb_curve
-from .model import MeasurementSet, NoiseModel, Scenario, equivalent_measurement, number
+from .model import MeasurementSet, NoiseModel, Scenario, equivalent_measurement, floats, number
 
 
 def _load_json(path: str) -> dict:
@@ -62,7 +60,7 @@ def _measurements_from_file(payload: dict):
         p0_const = number(payload.get("p0", 1.0), "p0")
         sigma_db = None if payload.get("sigma_db") is None else number(payload["sigma_db"], "sigma_db")
         if "raw_db" in payload:
-            raw_db = np.asarray(payload["raw_db"], dtype=float)
+            raw_db = floats(payload["raw_db"], "raw_db")
             y = equivalent_measurement(raw_db, p0_const, alpha)
             ms = MeasurementSet(sensor_coords=payload["sensors"], y=y, raw_db=raw_db)
         elif "y" in payload:

@@ -5,11 +5,10 @@ provide sqrt(n)-consistent initial estimates; a single Gauss-Newton step on
 the maximum-likelihood objective then attains asymptotic efficiency. A
 monotone Newton iteration to convergence serves as the ML reference
 (``gn_iterate``): its first step is that Gauss-Newton step, every later step
-Newton's where the Hessian of the objective is positive definite and a
-backtracked Newton step lowers the objective, Gauss-Newton's elsewhere, each
-backtracked so that the objective never rises from the LS start beyond its
-rounding (Nocedal & Wright, Numerical Optimization, 2nd ed., sections 3.1
-and 3.4).
+Newton's where the Hessian of the objective is positive definite and
+Gauss-Newton's elsewhere, each halved until the objective does not rise
+beyond its rounding (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+sections 3.1 and 3.4).
 
 Every least-squares solve, both LS designs and the Gauss-Newton and Newton
 steps, runs through one kernel, ``_normal_solve``: one eigh of the normal
@@ -74,13 +73,9 @@ from .errors import (
     SingularPointError,
 )
 from .geometry import normal_equations, normalise, singular
-from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel, number, sq_norm
+from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel, floats, number, sq_norm
 
 ESTIMATOR_IDS = ("ls", "ls+gn", "ls-u", "ls-u+gn", "ml")
-
-# Halvings of a backtracked Newton step of ml, down to lam = 2**-BACKTRACKS,
-# before the Gauss-Newton step replaces it (gn_continue).
-BACKTRACKS = 4
 
 # The typed error behind each failure code of gn_steps and estimate_stack (0 is
 # success): one Gauss-Newton step, in the order gn_steps checks, then LS.
@@ -190,9 +185,23 @@ def _least_squares(frame, gram: np.ndarray, h: np.ndarray, b: Optional[float]):
     return p_hat, beta, bad
 
 
+def _start(p, ms: MeasurementSet) -> np.ndarray:
+    """p as a stack (1, m) if it is m finite coordinates, else InvalidInputError."""
+    p = floats(p, "start point")
+    if p.shape != ms.sensor_coords.shape[1:] or not np.isfinite(p).all():
+        raise InvalidInputError(f"start point must be {ms.dimension} finite coordinates, got {p.tolist()}")
+    return p[None]
+
+
 def ml_objective(p, ms: MeasurementSet) -> float:
-    """Mean squared equivalent-measurement residual (1/n) sum (y_i - log10 d_i)^2."""
-    d = np.sqrt(sq_norm(ms.sensor_coords - np.asarray(p, dtype=float)))
+    """Mean squared equivalent-measurement residual (1/n) sum (y_i - log10 d_i)^2
+    at p, m finite coordinates (see _start)."""
+    return _objective(_start(p, ms)[0], ms)
+
+
+def _objective(p: np.ndarray, ms: MeasurementSet) -> float:
+    """ml_objective at a checked point p (m,)."""
+    d = np.sqrt(sq_norm(ms.sensor_coords - p))
     if (d < SENSOR_CLEARANCE).any():
         _raise(_NEAR)
     r = ms.y - np.log10(d)
@@ -208,7 +217,7 @@ def _raise(code: int) -> None:
 def _residual(p_hat: np.ndarray, ms: MeasurementSet) -> float:
     """sqrt(ml_objective) at the final estimate; NaN on a sensor."""
     try:
-        return math.sqrt(ml_objective(p_hat, ms))
+        return math.sqrt(_objective(p_hat, ms))
     except SingularPointError:
         return float("nan")
 
@@ -242,6 +251,7 @@ def ls_known_variance(ms: MeasurementSet, b: float) -> Estimate:
     SingularGramError when localizability's hyperplane test fails and
     NumericError when 10**(2*y) or the coefficients are not finite.
     """
+    b = number(b, "b")
     if not (b >= 1.0):
         raise InvalidInputError("b must be >= 1")
     return _estimate("ls", ms, Stage.LS_KNOWN_VAR, b)
@@ -276,10 +286,9 @@ def estimate_sigma_from_b(b_hat: float, alpha: float) -> float:
 
     Returns 0 for b_hat <= 1 (noise-free or below the theoretical floor).
     """
-    if not (alpha > 0):
+    b_hat = number(b_hat, "b_hat")
+    if not (number(alpha, "alpha") > 0):
         raise InvalidInputError("alpha must be positive")
-    if not np.isfinite(b_hat):
-        raise InvalidInputError("b_hat must be finite")
     if b_hat <= 1.0:
         return 0.0
     return alpha / LN10 * math.sqrt(50.0 * math.log(b_hat))
@@ -335,14 +344,6 @@ def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray, newton: bool = F
     return p + step, failure, objective
 
 
-def _start(p, ms: MeasurementSet) -> np.ndarray:
-    """p as a stack (1, m) if it is m finite coordinates, else InvalidInputError."""
-    p = np.asarray(p, dtype=float)
-    if p.shape != ms.sensor_coords.shape[1:] or not np.isfinite(p).all():
-        raise InvalidInputError(f"start point must be {ms.dimension} finite coordinates, got {p.tolist()}")
-    return p[None]
-
-
 def gn_step(p, ms: MeasurementSet) -> np.ndarray:
     """One Gauss-Newton step on the ML objective from p (see gn_steps)."""
     p_next, failure, _ = gn_steps(_start(p, ms), ms.sensor_coords[None], ms.y[None])
@@ -357,9 +358,9 @@ def _layouts(sensors: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def gn_iterate(p: np.ndarray, sensors: np.ndarray, y: np.ndarray, cfg: GnConfig = GnConfig()):
     """Minimise the ML objective from p (t, m) by a monotone iteration: one
-    Gauss-Newton step (gn_steps), then Newton steps, each backtracked
-    (gn_continue). Returns (p, failure, iterations, converged), one row per
-    problem; see gn_continue.
+    Gauss-Newton step (gn_steps), then Newton steps, each halved until it
+    passes (gn_continue). Returns (p, failure, iterations, converged), one
+    row per problem; see gn_continue.
     """
     p = np.array(p, dtype=float)
     return gn_continue(p, gn_steps(p, sensors, y), sensors, y, cfg)
@@ -369,33 +370,32 @@ def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray, cfg: G
     """gn_iterate from p once its first step, ``first`` = gn_steps(p, sensors,
     y), has been computed; the iterates are written into p.
 
-    A step from point x towards x_next, the end of its full step, tries
-    x + lam (x_next - x) for lam = lam0, lam0/2, ... and takes the first
-    trial whose objective F is not above F(x) by more than F's rounding,
-    eps (k F(x) + 4 ||r|| ||y||): each residual r = y - log10 d carries an
-    error of about eps |y|, and the sum over the k rows one of k eps F. So F
-    never rises from the start beyond rounding, and near convergence no step
-    is rejected on rounding alone. lam0 is 1 for the first step and twice
-    the lam of the step before, at most 1, for the later ones. Each trial
-    point is evaluated by gn_steps(..., newton=True), which returns its F
-    together with the direction from it: an accepted step costs no further
-    pass, and only the rejected problems are evaluated again.
+    Every step follows one rule. A step from point x towards x_next, the end
+    of its full step, tries x + lam (x_next - x) for lam = lam0, lam0/2, ...
+    and takes the first trial whose objective F is not above F(x) by more
+    than F's rounding, eps (k F(x) + 4 ||r|| ||y||): each residual r = y -
+    log10 d carries an error of about eps |y|, and the sum over the k rows
+    one of k eps F. So F never rises from the start beyond rounding, and near
+    convergence no step is rejected on rounding alone. lam0 is 1 for the
+    first step and twice the lam of the step before, at most 1, for the
+    later ones. Each trial point is evaluated by gn_steps(..., newton=True),
+    which returns its F together with the direction from it: an accepted
+    step costs no further pass, and only the rejected problems are evaluated
+    again.
 
     The first step is Gauss-Newton's, the later ones Newton's where their
-    Hessian passes the gate. A Newton step is halved down to lam =
-    2**-BACKTRACKS; where no trial passes, the Gauss-Newton step from the
-    same point takes its place, from lam = 1. A Gauss-Newton step is halved
-    until a trial passes or the step is shorter than cfg.step_tolerance.
+    Hessian passes the gate and Gauss-Newton's elsewhere (gn_steps). Either
+    is a descent direction, so halving alone ends: a short enough trial
+    passes.
 
     A full step shorter than cfg.step_tolerance is taken untested and ends
     the iteration: the problem has converged. A problem stops unconverged
-    after cfg.max_iterations steps, or where a Gauss-Newton step is halved
-    below cfg.step_tolerance without passing (or the one replacing a Newton
-    step fails). It fails where a step fails (failure indexes FAILURES): the
-    first step, or a Newton step where both gates fail. A stopped problem
-    stays at its last accepted point. ``iterations`` counts the steps, each
-    from its own point, a failing or wholly rejected one included; the
-    halvings and a Gauss-Newton replacement are part of their step. The
+    after cfg.max_iterations steps, or where a step is halved below
+    cfg.step_tolerance without passing. It fails where a step fails
+    (failure indexes FAILURES): the first step, or a Newton step where both
+    gates fail. A stopped problem stays at its last accepted point.
+    ``iterations`` counts the steps, each from its own point, a failing or
+    wholly rejected one included; the halvings are part of their step. The
     layouts and y of the problems still iterating are gathered anew only
     when that set shrinks.
     """
@@ -403,15 +403,13 @@ def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray, cfg: G
     t, k = y.shape
     eps = np.finfo(float).eps
     y_norm = np.sqrt((y * y).sum(axis=-1))
-    shortest = 0.5**BACKTRACKS
     failure = failure.copy()
     iterations = np.ones(t, dtype=int)
     converged = np.zeros(t, dtype=bool)
     # Per problem still iterating: its point, F there, the end of its full
-    # step, the point on trial, that trial's lam, and whether the step is
-    # Gauss-Newton's.
+    # step, the point on trial and that trial's lam.
     active, current, f, full, lam = np.arange(t), p.copy(), objective, p_next, np.ones(t)
-    trial, stop, gauss = full, failure != 0, np.ones(t, dtype=bool)
+    trial, stop = full, failure != 0
     while True:
         short = ~stop & (np.sqrt(sq_norm(full - current)) < cfg.step_tolerance)
         p[active[short]] = full[short]
@@ -419,8 +417,8 @@ def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray, cfg: G
         stop |= short
         if stop.any():
             keep = ~stop
-            active, current, f, full, trial, lam, gauss, y, y_norm = (
-                a[keep] for a in (active, current, f, full, trial, lam, gauss, y, y_norm)
+            active, current, f, full, trial, lam, y, y_norm = (
+                a[keep] for a in (active, current, f, full, trial, lam, y, y_norm)
             )
             sensors = _layouts(sensors, keep)
         if not active.size:
@@ -434,25 +432,13 @@ def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray, cfg: G
         failed = stepping & (step_failure != 0)
         failure[active[failed]] = step_failure[failed]
         stop = at_limit | failed
-        if accepted.all() and (lam == 1.0).all():
-            current, f, full, trial = trial, f_trial, nxt, nxt
-            gauss = np.zeros(len(active), dtype=bool)
-            continue
         current = np.where(accepted[:, None], trial, current)
         f = np.where(accepted, f_trial, f)
         full = np.where(accepted[:, None], nxt, full)
         lam = np.where(accepted, np.minimum(1.0, 2.0 * lam), 0.5 * lam)
-        fallback = ~accepted & ~gauss & (lam < shortest)
-        gauss &= ~accepted
         trial = np.where((lam == 1.0)[:, None], full, current + lam[:, None] * (full - current))
-        # A Gauss-Newton step halved below the tolerance without passing.
-        stop |= gauss & (np.sqrt(sq_norm(trial - current)) < cfg.step_tolerance)
-        rows = np.flatnonzero(fallback)
-        if rows.size:
-            gn_next, gn_failure, _ = gn_steps(current[rows], _layouts(sensors, rows), y[rows])
-            stop[rows] |= gn_failure != 0
-            full[rows] = trial[rows] = gn_next
-            lam[rows], gauss[rows] = 1.0, True
+        # A step halved below the tolerance without passing.
+        stop |= ~accepted & (np.sqrt(sq_norm(trial - current)) < cfg.step_tolerance)
     return p, failure, iterations, converged
 
 
@@ -582,8 +568,8 @@ def ml_reference(ms: MeasurementSet, init, cfg: GnConfig = GnConfig()) -> Estima
     (gn_continue), the ML stages of estimate_stack. The objective never rises
     above its value at ``init`` beyond rounding. ``converged`` is True where a
     step direction fell below cfg.step_tolerance, False where the iteration
-    stopped after cfg.max_iterations steps or where no backtracked step
-    lowered the objective; ``gn_iterations`` counts the steps (see
+    stopped after cfg.max_iterations steps or where a step halved below
+    cfg.step_tolerance did not pass; ``gn_iterations`` counts the steps (see
     gn_continue). A failing step raises its typed error.
     """
     p, failure, iterations, converged = gn_iterate(_start(init, ms), ms.sensor_coords[None], ms.y[None], cfg)

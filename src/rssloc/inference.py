@@ -26,7 +26,7 @@ from .errors import (
     SingularPointError,
 )
 from .geometry import singular
-from .model import LN10, SENSOR_CLEARANCE, Scenario, sq_norm
+from .model import LN10, SENSOR_CLEARANCE, Scenario, floats, sq_norm
 
 _SWEEP_PARAMS = ("rounds", "sigma")
 
@@ -78,7 +78,7 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
         raise InfiniteInformationError(
             "Fisher information is unbounded for noise-free measurements"
         )
-    p = scenario.source if eval_point is None else np.asarray(eval_point, dtype=float)
+    p = scenario.source if eval_point is None else floats(eval_point, "eval_point")
     if p.shape != (scenario.dimension,):
         raise InvalidInputError("eval_point must be an m-vector")
     gram, crlb = crlb_stack(scenario.sensors[None], p, scenario.sigma_db, scenario.alpha, scenario.rounds)

@@ -33,8 +33,17 @@ LN10 = math.log(10.0)
 SENSOR_CLEARANCE = 1e-9
 
 
+def floats(values, name: str) -> np.ndarray:
+    """``values`` as a float array; InvalidInputError where numpy cannot read
+    it as one (a ragged or non-numeric array)."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} is not a rectangular array of numbers: {exc}") from None
+
+
 def _as_points(points, name: str) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
+    arr = floats(points, name)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be a 2-D array of coordinates")
     if not np.all(np.isfinite(arr)):
@@ -81,7 +90,7 @@ def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, p0_const, rounds
     if sensors.shape[-2] == 0:
         raise InvalidInputError("sensors list is empty")
     m = _dimension(sensors)
-    source = np.asarray(source, dtype=float)
+    source = floats(source, "source")
     if source.shape != (m,) or not np.all(np.isfinite(source)):
         raise InvalidInputError("source must be a finite m-vector")
     if not (alpha > 0):
@@ -203,7 +212,7 @@ class MeasurementSet:
     def __post_init__(self):
         coords = _as_points(self.sensor_coords, "sensor_coords")
         _dimension(coords)
-        y = np.asarray(self.y, dtype=float)
+        y = floats(self.y, "y")
         if y.ndim != 1 or y.shape[0] != coords.shape[0]:
             raise InvalidInputError("sensor_coords and y must have equal length")
         if not np.all(np.isfinite(y)):
@@ -214,7 +223,7 @@ class MeasurementSet:
             )
         raw = self.raw_db
         if raw is not None:
-            raw = np.asarray(raw, dtype=float)
+            raw = floats(raw, "raw_db")
             if raw.shape != y.shape:
                 raise InvalidInputError("raw_db must match y in length")
             if not np.all(np.isfinite(raw)):
@@ -243,7 +252,7 @@ def equivalent_measurement(raw_db, p0_const: float, alpha: float):
         raise InvalidInputError("p0_const must be positive")
     if not (alpha > 0):
         raise InvalidInputError("alpha must be positive")
-    raw = np.asarray(raw_db, dtype=float)
+    raw = floats(raw_db, "raw_db")
     if not np.all(np.isfinite(raw)):
         raise InvalidInputError("raw_db contains non-finite values")
     y = raw / 10.0
@@ -258,8 +267,10 @@ def lognormal_bias(sigma_db: float, alpha: float) -> float:
 
     b = exp((ln 10)^2 * sigma^2 / (50 * alpha^2)) >= 1, with equality iff
     sigma == 0. The matching variance is b^2 * (b^2 - 1); see
-    :func:`lognormal_variance`. NumericError where b overflows a double.
+    :func:`lognormal_variance`. NumericError where b overflows a double, and
+    InvalidInputError where sigma_db or alpha is not a finite number.
     """
+    sigma_db, alpha = number(sigma_db, "sigma_db"), number(alpha, "alpha")
     if not (sigma_db >= 0):
         raise InvalidInputError("sigma_db must be nonnegative")
     if not (alpha > 0):

@@ -100,6 +100,14 @@ class TestEstimate:
         assert code == 2
         assert json.loads(err)["error"] == "schema"
 
+    @pytest.mark.parametrize("command", ["estimate", "check-geometry"])
+    def test_ragged_coordinates_exit_2_schema(self, capsys, tmp_path, command):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"sensors": [[0, 1], [2], [3, 3]], "raw_db": [1.0, 2.0, 3.0]}))
+        code, _, err = _run(capsys, [command, "--input", str(path)])
+        assert code == 2
+        assert json.loads(err)["error"] == "schema"
+
     @pytest.mark.parametrize("sigma_db", [None, 2.0])
     def test_overflowing_reading_exits_1_numeric(self, capsys, tmp_path, scenario_2d, sigma_db):
         # 10**(2*200) overflows a double; the error is typed and alone on stderr.

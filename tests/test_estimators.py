@@ -150,11 +150,25 @@ class TestLsOracles:
         with pytest.raises(InvalidInputError):
             ls_known_variance(ms, 0.5)
 
+    @pytest.mark.parametrize("b", [True, math.inf, math.nan, "2"])
+    def test_known_variance_b_is_a_finite_number(self, scenario_2d, b):
+        # True ran as b = 1, and inf returned about (0, 0).
+        ms = generate_measurements(scenario_2d, 0)
+        with pytest.raises(InvalidInputError, match="b must be a finite number"):
+            ls_known_variance(ms, b)
+
 
 class TestSigmaFromB:
     def test_floor_at_one(self):
         assert estimate_sigma_from_b(1.0, 2.0) == 0.0
         assert estimate_sigma_from_b(0.9, 2.0) == 0.0
+
+    @pytest.mark.parametrize("field", ["b_hat", "alpha"])
+    @pytest.mark.parametrize("value", [True, "2", math.inf, math.nan])
+    def test_arguments_are_finite_numbers(self, field, value):
+        # b_hat = True returned 0.0.
+        with pytest.raises(InvalidInputError, match=f"{field} must be a finite number"):
+            estimate_sigma_from_b(**{"b_hat": 1.2, "alpha": 2.0, field: value})
 
     def test_exact_inverse(self):
         assert estimate_sigma_from_b(lognormal_bias(2.0, 2.0), 2.0) == pytest.approx(
@@ -536,13 +550,14 @@ BAD_STARTS = {
     "three coordinates": [50.0, 20.0, 0.0],
     "one coordinate": [50.0],
     "a stack of one": [[50.0, 20.0]],
+    "ragged": [50.0, [20.0]],
 }
 
 
 class TestStartPoints:
-    """gn_step and ml_reference take one finite point of the sensors'
-    dimension; anything else is an InvalidInputError, not a numpy error or a
-    silently degenerate step."""
+    """gn_step, ml_reference and ml_objective take one finite point of the
+    sensors' dimension; anything else is an InvalidInputError, not a numpy
+    error or a silently degenerate step."""
 
     @pytest.mark.parametrize("start", BAD_STARTS.values(), ids=BAD_STARTS.keys())
     def test_gn_step(self, scenario_2d, start):
@@ -556,6 +571,13 @@ class TestStartPoints:
         with pytest.raises(InvalidInputError, match="start point"):
             ml_reference(ms, start)
 
+    @pytest.mark.parametrize("start", BAD_STARTS.values(), ids=BAD_STARTS.keys())
+    def test_ml_objective(self, scenario_2d, start):
+        # [nan, 1] returned nan, [1] and [[x, y]] broadcast to a number.
+        ms = generate_measurements(scenario_2d, 0)
+        with pytest.raises(InvalidInputError, match="start point"):
+            ml_objective(start, ms)
+
     def test_a_list_start_is_accepted(self, scenario_2d):
         ms = generate_measurements(scenario_2d, 0)
         start = [60.0, 25.0]
@@ -565,13 +587,12 @@ class TestStartPoints:
 
 def _guarded_newton_loop(p, sensors, y, cfg):
     """Reference ML iteration on one problem, one evaluation at a time:
-    gn_iterate's rules written as a plain loop over gn_steps on that problem
-    alone.
+    gn_iterate's one halving rule written as a plain loop over gn_steps on
+    that problem alone.
 
     Returns (p, error type or None, iterations, converged, events), events
-    the set of "halved" (a step taken at lam < 1) and "fallback" (a Newton
-    step that no lam down to 2**-BACKTRACKS passed, replaced by the
-    Gauss-Newton step).
+    the set of "halved" (a step taken at lam < 1) and "halved out" (a step
+    halved below the tolerance without passing).
     """
     eps, k, events = np.finfo(float).eps, len(y), set()
 
@@ -582,7 +603,7 @@ def _guarded_newton_loop(p, sensors, y, cfg):
     full, failure, f = evaluate(p, False)
     if failure:
         return p, FAILURES[failure][0], 1, False, events
-    iterations, gauss, lam, trial = 1, True, 1.0, full
+    iterations, lam, trial = 1, 1.0, full
     while np.linalg.norm(full - p) >= cfg.step_tolerance:
         nxt, failure, f_trial = evaluate(trial, True)
         if f_trial <= f + eps * (k * f + 4.0 * math.sqrt(f) * np.linalg.norm(y)):
@@ -595,20 +616,14 @@ def _guarded_newton_loop(p, sensors, y, cfg):
             if failure:
                 return p, FAILURES[failure][0], iterations, False, events
             # The next step starts at twice the lam this one was taken at.
-            full, gauss, lam = nxt, False, min(1.0, 2.0 * lam)
-        elif gauss:
-            lam /= 2.0
-            if np.linalg.norm(lam * (full - p)) < cfg.step_tolerance:
-                return p, None, iterations, False, events
+            full, lam = nxt, min(1.0, 2.0 * lam)
+            trial = full if lam == 1.0 else p + lam * (full - p)
         else:
             lam /= 2.0
-            if lam < 0.5**estimators.BACKTRACKS:
-                full, failure, _ = evaluate(p, False)
-                if failure:
-                    return p, None, iterations, False, events
-                gauss, lam = True, 1.0
-                events.add("fallback")
-        trial = full if lam == 1.0 else p + lam * (full - p)
+            trial = p + lam * (full - p)
+            if np.linalg.norm(trial - p) < cfg.step_tolerance:
+                events.add("halved out")
+                return p, None, iterations, False, events
     return full, None, iterations, True, events
 
 
@@ -616,15 +631,15 @@ class TestGnIterate:
     def test_matches_a_per_problem_guarded_newton_loop(self):
         cfg = GnConfig(max_iterations=15)
         # 2d-fixed at 6 dB, T = 1 (seed 7) from the LS estimates: trial 0
-        # halves a step, 47 falls back to Gauss-Newton and 20 needs more than
-        # 15 steps.
+        # halves a step, 16 halves a Newton step five times and converges,
+        # and 20 needs more than 15 steps.
         point = sweep_point(
             ExperimentConfig.from_dict(
                 {"scenario": "2d-fixed", "sigma_db": 6.0, "sweep": {"rounds": [1]}, "trials": 48}, seed=7
             ),
             0,
         )
-        rows = [0, 47, 20]
+        rows = [0, 16, 20]
         layout = point.sensors[0]
         frame = normalise(point.sensors)
         starts = list(_least_squares(frame, *normal_equations(frame[0], point.zbar), point.bias_b)[0][rows])
@@ -641,7 +656,15 @@ class TestGnIterate:
         p0, y = np.array(starts), np.array(ys)
         layouts = np.broadcast_to(layout, (len(p0),) + layout.shape).copy()
 
-        p_hat, failure, iterations, converged = gn_iterate(p0, layouts, y, cfg)
+        with mock.patch.object(estimators, "gn_steps", wraps=gn_steps) as steps:
+            p_hat, failure, iterations, converged = gn_iterate(p0, layouts, y, cfg)
+        # Only the first step of the set is Gauss-Newton's by request; every
+        # later evaluation, a halved trial included, asks for Newton's.
+        newton = [
+            call.args[3] if len(call.args) > 3 else call.kwargs.get("newton", False)
+            for call in steps.call_args_list
+        ]
+        assert newton.count(False) == 1 and newton[0] is False and len(newton) > 15
 
         kinds, events = [], set()
         for row in range(len(p0)):
@@ -658,7 +681,7 @@ class TestGnIterate:
             DegenerateJacobianError, DegenerateJacobianError,
         ]
         assert iterations[3:5].tolist() == [1, 1] and (iterations[5:] > 2).all()
-        assert events == {"halved", "fallback"}
+        assert events == {"halved"}
         # A shared layout gives the same iterates as its per-problem copies.
         shared = gn_iterate(p0, layout[None], y, cfg)
         for got, want in zip(shared, (p_hat, failure, iterations, converged)):

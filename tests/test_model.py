@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rssloc.errors import DegenerateGeometryError, InvalidInputError, NumericError
+from rssloc.geometry import localizability
 from rssloc.model import (
     LN10,
     MeasurementSet,
@@ -44,6 +45,12 @@ class TestEquivalentMeasurement:
     @pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, raw):
         with pytest.raises(InvalidInputError):
+            equivalent_measurement(raw, 1.0, 2.0)
+
+    @pytest.mark.parametrize("raw", [[-40.0, [-20.0]], ["x"], [None, -40.0]])
+    def test_ragged_or_non_numeric_rejected(self, raw):
+        # A ragged or non-numeric list escaped as numpy's ValueError.
+        with pytest.raises(InvalidInputError, match="raw_db"):
             equivalent_measurement(raw, 1.0, 2.0)
 
     def test_bad_constants_rejected(self):
@@ -106,6 +113,14 @@ class TestLognormalBias:
             lognormal_bias(-1.0, 2.0)
         with pytest.raises(InvalidInputError):
             lognormal_bias(2.0, 0.0)
+
+    @pytest.mark.parametrize("function", [lognormal_bias, lognormal_variance])
+    @pytest.mark.parametrize("field", ["sigma_db", "alpha"])
+    @pytest.mark.parametrize("value", [True, "2", math.inf, math.nan])
+    def test_fields_are_finite_numbers(self, function, field, value):
+        # True ran as 1 dB (or alpha 1).
+        with pytest.raises(InvalidInputError, match=f"{field} must be a finite number"):
+            function(**{"sigma_db": 2.0, "alpha": 2.0, field: value})
 
     def test_overflow_is_a_numeric_error(self):
         # b overflows a double above sigma/alpha ~ 81.8, b^2 (b^2 - 1) above ~ 40.9.
@@ -214,6 +229,42 @@ class TestScenario:
         with pytest.raises(InvalidInputError, match="dimension must be a whole number"):
             Scenario.from_dict(d)
         assert Scenario.from_dict({**d, "dimension": 2.0}).dimension == 2
+
+
+# Arrays that numpy cannot read as one rectangular array of numbers, as
+# (points, vector); None reads as NaN.
+RAGGED_OR_NON_NUMERIC = {
+    "ragged": ([[0.0, 0.0], [1.0], [2.0, 2.0]], [1.0, [1.0], 1.0]),
+    "string": ([[0.0, 0.0], ["x", 1.0], [2.0, 2.0]], [1.0, "x", 1.0]),
+    "none": ([[0.0, 0.0], [None, 1.0], [2.0, 2.0]], [1.0, None, 1.0]),
+}
+
+
+class TestRaggedOrNonNumericArrays:
+    """Every array the library takes is read in one place (model.floats):
+    InvalidInputError, not numpy's ValueError."""
+
+    @pytest.mark.parametrize("points, vector", RAGGED_OR_NON_NUMERIC.values(), ids=RAGGED_OR_NON_NUMERIC.keys())
+    def test_measurement_set(self, points, vector):
+        good = [[0.0, 0.0], [1.0, 0.0], [2.0, 2.0]]
+        with pytest.raises(InvalidInputError, match="sensor_coords"):
+            MeasurementSet(points, [1.0, 1.0, 1.0])
+        with pytest.raises(InvalidInputError, match="y "):
+            MeasurementSet(good, vector)
+        with pytest.raises(InvalidInputError, match="raw_db"):
+            MeasurementSet(good, [1.0, 1.0, 1.0], raw_db=vector)
+
+    @pytest.mark.parametrize("points, vector", RAGGED_OR_NON_NUMERIC.values(), ids=RAGGED_OR_NON_NUMERIC.keys())
+    def test_scenario(self, points, vector):
+        with pytest.raises(InvalidInputError, match="sensors"):
+            Scenario(sensors=points, source=[5.0, 5.0], sigma_db=1.0)
+        with pytest.raises(InvalidInputError, match="source"):
+            Scenario(sensors=[[0.0, 1.0]], source=vector[:2], sigma_db=1.0)
+
+    @pytest.mark.parametrize("points, vector", RAGGED_OR_NON_NUMERIC.values(), ids=RAGGED_OR_NON_NUMERIC.keys())
+    def test_localizability(self, points, vector):
+        with pytest.raises(InvalidInputError, match="sensors"):
+            localizability(points)
 
 
 class TestMeasurementSet:
