@@ -6,8 +6,10 @@ over rounds T, noise sigma, or random-deployment size n.
 
 The engine handles a sweep point in blocks of whole trials of about
 ``BLOCK_DOUBLES`` doubles (one trial at least). ``sweep_point`` draws the
-readings as blocks (trials, rounds, sensors), each converted and reduced at
-once to per-sensor means of y and of 10**(2*y) over the rounds. The layouts
+standard normals eps as blocks (trials, rounds, sensors) and reduces each
+block at once to per-sensor means of y and of 10**(2*y) over the rounds,
+in closed form from eps (``model.draw_means``: y = log10(d) - w*eps with
+w = sigma/(10*alpha)), so the transmit constant p0 does not enter. The layouts
 are checked, their RCRLB computed and the estimators run in blocks sized by
 the largest design, k x (m+2) doubles per trial: 32 trials at k = 1000, a
 whole fixed-layout point at k = 10. Each block runs one
@@ -47,7 +49,7 @@ from .model import (
     NoiseModel,
     Scenario,
     check_layouts,
-    draw_rounds,
+    draw_means,
     generate_measurements,
     number,
     sq_norm,
@@ -274,7 +276,9 @@ class SweepPoint:
     ``sensors`` is (g, k, m): g = 1 when the geometry is shared by all
     trials, g = trials when each trial draws its own. ``ybar`` and ``zbar``
     are (trials, k): each trial's per-sensor means of y and of 10**(2*y)
-    over its rounds.
+    over its rounds, in closed form from its standard normals eps (y =
+    log10(d) - w*eps, w = sigma/(10*alpha); see ``model.draw_means``), so
+    p0 does not enter them.
     """
 
     sensors: np.ndarray
@@ -296,27 +300,33 @@ def _blocks(trials: int, doubles: int) -> List[Tuple[int, int]]:
 def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     """Draw every trial of one sweep point and reduce it to its means.
 
+    The noise model (its lognormal bias b and w = sigma/(10*alpha)) is built
+    first, so a bias that overflows raises NumericError before any draw.
     Trial t's noise comes from ``trial_rng(seed, sweep_index, t, 1)``; fresh
     random geometry from ``trial_rng(seed, sweep_index, t, 0)``, pinned
     geometry from ``trial_rng(seed, sweep_index, 0, 0)``. The layouts are
     checked and their RCRLB computed in blocks of about BLOCK_DOUBLES doubles
     of the design, k x (m+2) per trial. The trials are drawn in blocks
-    (trials, rounds, k) of at most about BLOCK_DOUBLES readings (one trial at
-    least); each block is converted and reduced at once.
+    (trials, rounds, k) of at most about BLOCK_DOUBLES standard normals (one
+    trial at least), each reduced at once to its means by
+    ``model.draw_means``.
     """
     value = cfg.sweep_values[sweep_index]
     seed = cfg.master_seed
-    if cfg.sweep_param == "n_random":
-        family = cfg.scenario
+    random = cfg.sweep_param == "n_random"
+    sc = cfg.scenario
+    if not random:
+        sc = sc.with_rounds(value) if cfg.sweep_param == "rounds" else sc.with_sigma(value)
+    noise = NoiseModel(sigma_db=sc.sigma_db, alpha=sc.alpha)
+    if random:
         geometry = (0,) if cfg.fixed_geometry else range(cfg.trials)
-        sensors = np.empty((len(geometry), value, family.dimension))
+        sensors = np.empty((len(geometry), value, sc.dimension))
         for g, trial in enumerate(geometry):
-            sensors[g] = family.layout(value, trial_rng(seed, sweep_index, trial, 0))
-        source, sigma, alpha, p0, rounds = family.source, family.sigma_db, family.alpha, 1.0, 1
+            sensors[g] = sc.layout(value, trial_rng(seed, sweep_index, trial, 0))
+        source, p0, rounds = sc.source, 1.0, 1
     else:
-        sc = cfg.scenario.with_rounds(value) if cfg.sweep_param == "rounds" else cfg.scenario.with_sigma(value)
-        sensors = sc.sensors[None]
-        source, sigma, alpha, p0, rounds = sc.source, sc.sigma_db, sc.alpha, sc.p0_const, sc.rounds
+        sensors, source, p0, rounds = sc.sensors[None], sc.source, sc.p0_const, sc.rounds
+    sigma, alpha = noise.sigma_db, noise.alpha
     _, k, m = sensors.shape
     layout_blocks = _blocks(len(sensors), k * (m + 2))
     for a, b in layout_blocks:
@@ -329,21 +339,19 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
         rcrlb = float(np.mean(np.sqrt(np.concatenate(crlb))))
     ybar, zbar = np.empty((cfg.trials, k)), np.empty((cfg.trials, k))
     blocks = _blocks(cfg.trials, rounds * k)
-    raw_db = np.empty((blocks[0][1], rounds, k))
+    eps = np.empty((blocks[0][1], rounds, k))
     for start, stop in blocks:
         rngs = (trial_rng(seed, sweep_index, trial, 1) for trial in range(start, stop))
         layouts = sensors if len(sensors) == 1 else sensors[start:stop]
-        y = draw_rounds(rngs, raw_db[: stop - start], np.sqrt(sq_norm(layouts - source)), sigma, alpha, p0)
-        ybar[start:stop] = y.mean(axis=1)
-        y *= 2.0
-        zbar[start:stop] = np.power(10.0, y, out=y).mean(axis=1)
-        del y  # freed before the next block's distances, which set the peak
+        ybar[start:stop], zbar[start:stop] = draw_means(
+            rngs, eps[: stop - start], sq_norm(layouts - source), noise.omega_std
+        )
     return SweepPoint(
         sensors=sensors,
         source=source,
         ybar=ybar,
         zbar=zbar,
-        bias_b=NoiseModel(sigma_db=sigma, alpha=alpha).bias_b,
+        bias_b=noise.bias_b,
         rcrlb=rcrlb,
         n=k * rounds,
     )

@@ -9,7 +9,10 @@ in the "equivalent measurement" domain,
 turns every downstream estimator into a function of (sensor coords, y) only.
 This module owns the dB <-> equivalent conversion, synthetic measurement
 generation, and the lognormal moments of 10**(2*omega) that drive the
-closed-form least-squares estimators.
+closed-form least-squares estimators. :func:`generate_measurements` returns
+one problem's readings in dB, as field files hold them; :func:`draw_means`
+gives the Monte Carlo engine per-sensor means straight from the same normals,
+which P0 does not enter.
 """
 
 from __future__ import annotations
@@ -322,37 +325,54 @@ def trial_rng(master_seed: int, *path: int) -> np.random.Generator:
     )
 
 
-def draw_rounds(rngs, raw_db: np.ndarray, distances: np.ndarray, sigma_db: float, alpha: float,
-                p0_const: float) -> np.ndarray:
-    """Fill the block ``raw_db`` (trials, rounds, k) with readings, one trial
-    per generator of ``rngs``, and return their equivalent measurements y,
-    of the same shape. Row r of a trial's slice holds round r of every sensor.
+def draw_means(rngs, eps: np.ndarray, sq_distances: np.ndarray, omega_std: float):
+    """Fill the block ``eps`` (trials, rounds, k) with standard normals, one
+    trial per generator of ``rngs``, and return each trial's per-sensor means
+    (ybar, zbar) over its rounds, (trials, k) each, of y and of 10**(2*y).
+    Row r of a trial's slice holds round r of every sensor; ``sq_distances``
+    (g, k), g in {1, trials}, holds the squared distances d**2.
 
-    Trial t's slice is drawn from the t-th generator alone, so its readings do
-    not depend on the other trials of the block. Noise is sampled in dB space
-    (eps ~ N(0, sigma^2), sigma times a standard normal: rng.normal(0, sigma)'s
-    draw bit for bit), added to the clean dB level of each sensor at its
-    distance in ``distances`` (g, k), g in {1, trials}, and converted through
-    the raw-dB pathway applied to field data.
+    Trial t's slice comes from the t-th generator alone, so a block of one
+    trial gives the engine's bits. :func:`generate_measurements` scales the
+    same normals by sigma into dB noise; here the means come straight from
+    eps: with w = omega_std = sigma/(10*alpha), y = log10(d) - w*eps, so
+
+        ybar = log10(d) - (w/T) * sum_r eps_r,
+        zbar = d**2 * sum_r exp(-2*ln(10)*w*eps_r) / T,
+
+    one multiply and one exp per reading (``eps`` is overwritten). The
+    transmit constant p0 cancels from y, so it does not enter; at sigma = 0
+    ybar is log10(d) and zbar is d**2 bit for bit.
     """
-    for block, rng in zip(raw_db, rngs):
+    for block, rng in zip(eps, rngs):
         rng.standard_normal(out=block)
-    raw_db *= sigma_db
-    raw_db += (10.0 * math.log10(p0_const) - 10.0 * alpha * np.log10(distances))[:, None, :]
-    return equivalent_measurement(raw_db, p0_const, alpha)
+    rounds = eps.shape[1]
+    ones = np.ones(rounds)
+    ybar = ones @ eps
+    ybar *= -omega_std / rounds
+    ybar += np.log10(np.sqrt(sq_distances))
+    eps *= -2.0 * LN10 * omega_std
+    zbar = ones @ np.exp(eps, out=eps)
+    zbar /= rounds
+    zbar *= sq_distances
+    return ybar, zbar
 
 
 def generate_measurements(scenario: Scenario, seed) -> MeasurementSet:
     """Draw one synthetic MeasurementSet from a scenario.
 
-    The rows are those of :func:`draw_rounds`, flattened round-major: all
-    sensors for round 0, then round 1, and so on. ``seed`` may be an int or
-    a Generator.
+    Noise is sampled in dB space (sigma times a standard normal:
+    rng.normal(0, sigma)'s draw bit for bit), added to the clean dB level of
+    each sensor and converted through the raw-dB pathway applied to field
+    data. The rows are flattened round-major: all sensors for round 0, then
+    round 1, and so on. ``seed`` may be an int or a Generator.
 
     Identical (scenario, seed) always yields a bit-identical result.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    raw_db = np.empty((1, scenario.rounds, scenario.n_sensors))
-    y = draw_rounds([rng], raw_db, scenario.distances()[None], scenario.sigma_db, scenario.alpha, scenario.p0_const)
+    raw_db = rng.standard_normal((scenario.rounds, scenario.n_sensors))
+    raw_db *= scenario.sigma_db
+    raw_db += 10.0 * math.log10(scenario.p0_const) - 10.0 * scenario.alpha * np.log10(scenario.distances())
+    y = equivalent_measurement(raw_db, scenario.p0_const, scenario.alpha)
     coords = np.tile(scenario.sensors, (scenario.rounds, 1))
     return MeasurementSet(sensor_coords=coords, y=y.ravel(), raw_db=raw_db.ravel())

@@ -18,10 +18,10 @@ from rssloc.bench import (
     sweep_point,
     time_scaling,
 )
-from rssloc.errors import ConfigError, DegenerateGeometryError, InvalidInputError
+from rssloc.errors import ConfigError, DegenerateGeometryError, InvalidInputError, NumericError
 from rssloc.estimators import estimate_stack, ls_known_variance, two_step
 from rssloc.inference import fisher_information
-from rssloc.model import NoiseModel, Scenario, generate_measurements, trial_rng
+from rssloc.model import NoiseModel, Scenario, generate_measurements, sq_norm, trial_rng
 
 
 def _cfg(scenario, **kwargs):
@@ -373,10 +373,16 @@ def _per_trial_point(cfg, sweep_index):
     )
 
 
-def _assert_same_point(point, ref):
+def _assert_same_point(point, ref, means_rtol=0.0):
+    """Equal points: every field bit for bit, or with ``means_rtol`` the means
+    ybar and zbar within that relative tolerance."""
     for name in ("sensors", "source", "ybar", "zbar"):
         a, b = getattr(point, name), getattr(ref, name)
-        assert a.shape == b.shape and np.array_equal(a, b), name
+        assert a.shape == b.shape, name
+        if means_rtol and name in ("ybar", "zbar"):
+            np.testing.assert_allclose(a, b, rtol=means_rtol, atol=0.0, err_msg=name)
+        else:
+            assert np.array_equal(a, b), name
     assert (point.bias_b, point.rcrlb, point.n) == (ref.bias_b, ref.rcrlb, ref.n)
 
 
@@ -385,9 +391,47 @@ class TestBlockDraw:
 
     @pytest.mark.parametrize("case", CASES)
     def test_bit_identical_to_per_trial_draws(self, case, scenario_2d, scenario_3d):
+        # The layouts, bias, RCRLB and n are the per-trial oracle's bit for
+        # bit. The engine takes the means straight from the standard normals,
+        # the oracle from the dB readings converted as field data is, so the
+        # two round differently: within 1e-13 relative.
         cfg = _cfg(trials=30, master_seed=23, **_block_draw_configs(scenario_2d, scenario_3d)[case])
         for sweep_index in range(len(cfg.sweep_values)):
-            _assert_same_point(sweep_point(cfg, sweep_index), _per_trial_point(cfg, sweep_index))
+            _assert_same_point(sweep_point(cfg, sweep_index), _per_trial_point(cfg, sweep_index), means_rtol=1e-13)
+
+    @pytest.mark.parametrize("case", ["2d-fixed-sigma", "2d-random-fresh"])
+    def test_noise_free_means_are_exact(self, case, scenario_2d, scenario_3d):
+        cfg = _cfg(trials=5, **_block_draw_configs(scenario_2d, scenario_3d)[case])
+        if case == "2d-random-fresh":
+            cfg = replace(cfg, scenario=RandomScenarioFamily(sigma_db=0.0))
+        point = sweep_point(cfg, 0)
+        sq = sq_norm(point.sensors - point.source)
+        assert point.bias_b == 1.0
+        assert np.array_equal(point.ybar, np.broadcast_to(np.log10(np.sqrt(sq)), point.ybar.shape))
+        assert np.array_equal(point.zbar, np.broadcast_to(sq, point.zbar.shape))
+
+    def test_p0_does_not_enter_the_point(self, scenario_2d):
+        def point(p0):
+            sc = Scenario.from_dict(dict(scenario_2d.to_dict(), p0=p0, sigma_db=6.0))
+            return sweep_point(_cfg(sc, sweep_values=(3, 30), trials=40, master_seed=17), 1)
+
+        _assert_same_point(point(1e6), point(1.0))
+
+    @pytest.mark.parametrize(
+        "scenario, sweep",
+        [
+            (scenario_registry()["2d-fixed"], dict(sweep_param="sigma", sweep_values=(200.0,))),
+            (replace(scenario_registry()["2d-fixed"], alpha=0.05), dict(sweep_param="sigma", sweep_values=(6.0,))),
+            (RandomScenarioFamily(sigma_db=200.0), dict(sweep_param="n_random", sweep_values=(10,))),
+        ],
+        ids=["sigma-200", "alpha-0.05", "random-sigma-200"],
+    )
+    def test_overflowing_bias_raises_before_any_draw(self, scenario, sweep, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "trial_rng", lambda *path: calls.append(path) or trial_rng(*path))
+        with pytest.raises(NumericError, match="overflows"):
+            sweep_point(_cfg(scenario, **sweep), 0)
+        assert calls == []
 
     @pytest.mark.parametrize("case", ["2d-fixed-rounds", "2d-random-fresh"])
     def test_chunking_leaves_the_point_unchanged(self, case, scenario_2d, scenario_3d, monkeypatch):
