@@ -13,10 +13,10 @@ w = sigma/(10*alpha)), so the transmit constant p0 does not enter. The layouts
 are checked, their RCRLB computed and the estimators run in blocks sized by
 the largest design, k x (m+2) doubles per trial: 32 trials at k = 1000, a
 whole fixed-layout point at k = 10. Each block runs one
-``estimators.estimate_stack`` plan for all the requested estimators, which
-computes the stages they share (the normalised layouts, each LS design, the
+``estimators.estimate_stack`` call for all the requested estimators, which
+runs the stages they share (the normalised layouts, each LS design, the
 first Gauss-Newton step) once. A problem's arithmetic does not depend on its
-stack-mates or on the other estimators of the plan, so neither the blocks
+stack-mates or on the other estimators of the call, so neither the blocks
 nor the sharing change reports, and memory grows only with the layouts and
 means of the point: 2d-random at n = 1000 and 1000 trials peaks at about
 39 MB traced. ``estimate_stack`` is the one implementation of the estimator
@@ -51,12 +51,15 @@ from .model import (
     check_layouts,
     draw_means,
     generate_measurements,
+    known_keys,
     number,
     sq_norm,
     trial_rng,
 )
 
 SWEEP_PARAMS = ("rounds", "sigma", "n_random")
+_CONFIG_KEYS = ("scenario", "estimators", "sweep", "trials", "sigma_db", "alpha", "master_seed", "fixed_geometry",
+                "measure_time")
 
 # A sweep point is drawn, checked and solved in blocks of whole trials of
 # about this many doubles (1 MiB): readings when drawn, design entries when
@@ -171,6 +174,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict, seed: Optional[int] = None) -> "ExperimentConfig":
         try:
+            known_keys(d, _CONFIG_KEYS, "experiment config", ConfigError)
             sweep = d["sweep"]
             if len(sweep) != 1:
                 raise ConfigError("sweep must contain exactly one parameter")
@@ -357,9 +361,9 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     )
 
 
-def _median_of_means(times: List[float], batches: int = 10) -> float:
-    # Median over batch means resists scheduler noise outliers.
-    chunks = np.array_split(np.asarray(times), min(batches, len(times)))
+def _median_of_means(times: List[float]) -> float:
+    # Median over the means of 10 batches resists scheduler noise outliers.
+    chunks = np.array_split(np.asarray(times), min(10, len(times)))
     value = float(np.median([chunk.mean() for chunk in chunks]))
     if value <= 0.0:
         value = time.get_clock_info("perf_counter").resolution
@@ -373,7 +377,7 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     squared Euclidean error. Trials where an estimator fails are excluded
     from that estimator's statistics and counted as failed. The estimators
     run on the point in the blocks of whole trials that sweep_point checks
-    the layouts in, as one estimate_stack plan per block. With
+    the layouts in, as one estimate_stack call per block. With
     ``measure_time``, ``mean_time_s`` is the wall time of the estimator's
     computation summed over the blocks of the point, divided by the trial
     count: the stages it used, a stage shared with other estimators charged
@@ -418,27 +422,21 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     return TrialReport(rows=tuple(rows))
 
 
-def time_scaling(
-    n_values: Sequence[int],
-    runs: int = 100,
-    master_seed: int = 0,
-    sigma_db: float = 2.0,
-    alpha: float = 2.0,
-) -> List[Tuple[int, float]]:
+def time_scaling(n_values: Sequence[int], runs: int = 100, master_seed: int = 0) -> List[Tuple[int, float]]:
     """Mean two-step wall time at each measurement count n.
 
     Each run times a single two-step (known-variance) estimate on a fresh
-    random-deployment measurement set; measurement generation is excluded
-    from the timed section. Returns (n, mean_seconds) pairs; a clock
-    resolution floor guarantees nonzero entries. ``runs`` and each n must be
-    whole numbers >= 1 (InvalidInputError otherwise), ``master_seed`` a whole
-    number >= 0 (ConfigError otherwise).
+    deployment of the random family at its 2 dB and alpha = 2; measurement
+    generation is excluded from the timed section. Returns (n, mean_seconds)
+    pairs; a clock resolution floor guarantees nonzero entries. ``runs`` and
+    each n must be whole numbers >= 1 (InvalidInputError otherwise),
+    ``master_seed`` a whole number >= 0 (ConfigError otherwise).
     """
     runs = number(runs, "runs", True)
     n_values = [number(n, "n", True) for n in n_values]
     master_seed = number(master_seed, "master_seed", True, ConfigError, low=0)
-    family = RandomScenarioFamily(sigma_db=sigma_db, alpha=alpha)
-    noise = NoiseModel(sigma_db=sigma_db, alpha=alpha)
+    family = RandomScenarioFamily()
+    noise = NoiseModel(sigma_db=family.sigma_db, alpha=family.alpha)
     results = []
     for idx, n in enumerate(n_values):
         sets = []

@@ -26,7 +26,7 @@ from .errors import ConfigError, InvalidInputError, RssLocError
 from .estimators import two_step
 from .geometry import localizability
 from .inference import rcrlb_curve
-from .model import MeasurementSet, NoiseModel, Scenario, equivalent_measurement, floats, number
+from .model import MeasurementSet, NoiseModel, Scenario, equivalent_measurement, floats, known_keys, number
 
 
 def _load_json(path: str) -> dict:
@@ -52,9 +52,11 @@ def _measurements_from_file(payload: dict):
 
     raw_db takes precedence over y and is converted through the equivalent
     measurement map; presence of sigma_db selects the known-variance path.
+    Any other key raises ConfigError.
     """
     if not isinstance(payload, dict) or "sensors" not in payload:
         raise ConfigError("measurement file must be an object with a 'sensors' key")
+    known_keys(payload, {"sensors", "raw_db", "y", "alpha", "p0", "sigma_db"}, "measurement file", ConfigError)
     try:
         alpha = number(payload.get("alpha", 2.0), "alpha")
         p0_const = number(payload.get("p0", 1.0), "p0")

@@ -35,28 +35,28 @@ array J^T with one row per column. Every operation then runs along the k
 rows, the normal matrices, the Hessian, the right-hand sides and the
 objective included.
 
-The estimator policy lives in one plan, ``estimate_stack``, which runs a
-tuple of estimator ids on a stack of problems and computes each stage once
-for every id that uses it: the normalised layouts, each LS design (known
-variance for ``ls``, ``ls+gn`` and ``ml``, unknown for ``ls-u`` and
-``ls-u+gn``), and the first Gauss-Newton step from each LS start, which also
-returns the objective there. ``+gn`` keeps that step and ``ml`` iterates on
-from it (``gn_continue``), so ``ml``'s first iterate is the ``+gn`` estimate
-wherever that does not raise the objective, else a point on its step. A
-problem's arithmetic does not depend on which other ids share the plan. The
-single-problem estimators run the plan with one id on one problem of n rows
-and raise the failure it reports (``ml_reference`` runs its ML stages, first
-step then ``gn_continue``, from the caller's start point); the Monte Carlo
-engine runs it with every requested id on per-sensor means over the rounds,
-which give the same estimates as the n tiled rows in exact arithmetic:
-tiling multiplies both sides of every normal equation, LS, Gauss-Newton and
-Newton alike, by the number of rounds, and the objective by it plus a
-constant, the spread of the readings about their means.
+The estimator policy lives in one function, ``estimate_stack``, which runs a
+tuple of estimator ids in their order on a stack of problems; each stage
+runs once, when the first id that uses it asks for it: the normalised
+layouts, each LS design (known variance for ``ls``, ``ls+gn`` and ``ml``,
+unknown for ``ls-u`` and ``ls-u+gn``), and the first Gauss-Newton step from
+each LS start, which also returns the objective there. ``+gn`` keeps that
+step and ``ml`` iterates on from it (``gn_continue``), so ``ml``'s first
+iterate is the ``+gn`` estimate wherever that does not raise the objective,
+else a point on its step. A problem's arithmetic depends neither on which
+other ids run with it nor on their order. The single-problem estimators run
+``estimate_stack`` with one id on one problem of n rows and raise the
+failure it reports (``ml_reference`` runs its ML stages, first step then
+``gn_continue``, from the caller's start point); the Monte Carlo engine runs
+it with every requested id on per-sensor means over the rounds, which give
+the same estimates as the n tiled rows in exact arithmetic: tiling
+multiplies both sides of every normal equation, LS, Gauss-Newton and Newton
+alike, by the number of rounds, and the objective by it plus a constant, the
+spread of the readings about their means.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -76,6 +76,7 @@ from .geometry import normal_equations, normalise, singular
 from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel, floats, number, sq_norm
 
 ESTIMATOR_IDS = ("ls", "ls+gn", "ls-u", "ls-u+gn", "ml")
+_IDS = frozenset(ESTIMATOR_IDS)
 
 # The typed error behind each failure code of gn_steps and estimate_stack (0 is
 # success): one Gauss-Newton step, in the order gn_steps checks, then LS.
@@ -454,27 +455,6 @@ class StackOutcome(NamedTuple):
     seconds: float
 
 
-# The estimators on each LS design, known variance then unknown: the design
-# alone, then its Gauss-Newton refinements.
-_FAMILIES = (("ls", "ls+gn", "ml"), ("ls-u", "ls-u+gn"))
-
-
-@functools.lru_cache(maxsize=None)
-def _plan(est_ids: tuple) -> tuple:
-    """The stages estimate_stack runs for ``est_ids``: for each LS design that
-    one of them starts from, (unknown variance, whether a Gauss-Newton step
-    follows, its users as (position in est_ids, id)). Raises unless the ids
-    are distinct ids of ESTIMATOR_IDS; a valid tuple's plan is built once."""
-    if not set(est_ids) <= set(ESTIMATOR_IDS) or len(set(est_ids)) != len(est_ids):
-        raise InvalidInputError(f"estimators {list(est_ids)} are not distinct ids of {list(ESTIMATOR_IDS)}")
-    plan = []
-    for family in _FAMILIES:
-        users = tuple((est_ids.index(est_id), est_id) for est_id in family if est_id in est_ids)
-        if users:
-            plan.append((family[0] == "ls-u", users[-1][1] != family[0], users))
-    return tuple(plan)
-
-
 def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndarray, b: float) -> List[StackOutcome]:
     """The estimators ``est_ids``, distinct ids of ESTIMATOR_IDS, on t
     problems: ``sensors`` (g, k, m) with g in {1, t}, and each problem's y and
@@ -491,60 +471,68 @@ def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndar
     objective from the LS start beyond rounding; it fails the problem where
     a step fails (a Newton step only where both its gates fail), and
     ``converged`` and ``iterations`` are gn_continue's. ``coef`` holds the LS
-    coefficients, theta or beta.
+    coefficients, theta or beta. Outcomes may share the arrays that an id
+    does not write.
 
-    Each stage runs once for all the estimators that use it: normalising the
-    layouts and forming the one Gram and right-hand side both LS designs
-    solve from (geometry.normal_equations), each LS design, and the first
-    Gauss-Newton step from each LS start, which ``+gn`` keeps and ``ml``
-    continues from.
+    The ids run in their order, and each stage runs once, when the first id
+    that uses it asks for it: normalising the layouts and forming the one
+    Gram and right-hand side both LS designs solve from
+    (geometry.normal_equations), each LS design, and the first Gauss-Newton
+    step from each LS start, which ``+gn`` keeps and ``ml`` continues from.
     ``seconds`` is the wall time of the stages an estimator used, a shared
-    stage charged in full to each of its users: what the estimator would
-    have cost on its own.
+    stage charged in full to each of its users, plus its own assembly: what
+    the estimator would have cost on its own.
     """
+    if len(_IDS.intersection(est_ids)) != len(est_ids):
+        raise InvalidInputError(f"estimators {list(est_ids)} are not distinct ids of {list(ESTIMATOR_IDS)}")
     t = len(zbar)
-    outcomes = [None] * len(est_ids)
     since = perf_counter()
     frame = normalise(sensors)
     gram, h = normal_equations(frame[0], zbar)
     now = perf_counter()
     normalised = now - since
-    for unknown, refine, users in _plan(tuple(est_ids)):
-        since = now
-        p_ls, coef, bad = _least_squares(frame, gram, h, None if unknown else b)
-        singular_code = _SINGULAR_UNKNOWN if unknown else _SINGULAR_KNOWN
-        failure_ls = np.where(bad, singular_code, np.where(np.isfinite(coef).all(axis=-1), 0, _LS_NONFINITE))
-        now = perf_counter()
-        solved = stepped_once = normalised + now - since
-        if refine:
-            since, rows = now, np.flatnonzero(failure_ls == 0)
-            start = p_ls[rows]
-            layouts, y = (sensors, ybar) if len(rows) == t else (_layouts(sensors, rows), ybar[rows])
-            refined, step_failure, _ = first = gn_steps(start, layouts, y)
+    # Per LS design (unknown variance or not): its solution and the time of
+    # its stages, then its first Gauss-Newton step and that stage's time.
+    designs, steps, outcomes = {}, {}, []
+    for est_id in est_ids:
+        unknown = est_id.startswith("ls-u")
+        if unknown not in designs:
+            since = now
+            p_ls, coef, bad = _least_squares(frame, gram, h, None if unknown else b)
+            singular_code = _SINGULAR_UNKNOWN if unknown else _SINGULAR_KNOWN
+            failure = np.where(bad, singular_code, np.where(np.isfinite(coef).all(axis=-1), 0, _LS_NONFINITE))
             now = perf_counter()
-            stepped_once = solved + now - since
-        last = users[-1][0]
-        for pos, est_id in users:
-            since, upstream = now, stepped_once
-            # The last user of the LS result takes it, the others a copy.
-            p_hat, failure = (p_ls, failure_ls) if pos == last else (p_ls.copy(), failure_ls.copy())
-            degraded = np.zeros(t, dtype=bool)
-            iterations = np.zeros(t, dtype=int)
-            converged = np.ones(t, dtype=bool)
-            if est_id.endswith("+gn"):
+            designs[unknown] = p_ls, coef, failure, normalised + now - since
+        p_ls, coef, failure, seconds = designs[unknown]
+        refine = est_id.endswith("+gn") or est_id == "ml"
+        if refine and unknown not in steps:
+            since, rows = now, np.flatnonzero(failure == 0)
+            layouts, y = (sensors, ybar) if len(rows) == t else (_layouts(sensors, rows), ybar[rows])
+            first = gn_steps(p_ls[rows], layouts, y)
+            now = perf_counter()
+            steps[unknown] = rows, layouts, y, first, now - since
+        since = now
+        p_hat = p_ls.copy() if refine else p_ls
+        degraded = np.zeros(t, dtype=bool)
+        iterations = np.zeros(t, dtype=int)
+        converged = np.ones(t, dtype=bool)
+        if refine:
+            rows, layouts, y, first, stepped_once = steps[unknown]
+            seconds += stepped_once
+            if est_id == "ml":
+                failure = failure.copy()
+                p_hat[rows], failure[rows], iterations[rows], converged[rows] = gn_continue(
+                    p_ls[rows], first, layouts, y, GnConfig()
+                )
+            else:
+                refined, step_failure, _ = first
                 stepped = step_failure == 0
                 moved = rows[stepped]
                 p_hat[moved] = refined[stepped]
                 iterations[moved] = 1
                 degraded[rows] = step_failure != 0
-            elif est_id == "ml":
-                p_hat[rows], failure[rows], iterations[rows], converged[rows] = gn_continue(
-                    start, first, layouts, y, GnConfig()
-                )
-            else:
-                upstream = solved
-            now = perf_counter()
-            outcomes[pos] = StackOutcome(p_hat, coef, failure, degraded, iterations, converged, upstream + now - since)
+        now = perf_counter()
+        outcomes.append(StackOutcome(p_hat, coef, failure, degraded, iterations, converged, seconds + now - since))
     return outcomes
 
 

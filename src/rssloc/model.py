@@ -64,6 +64,15 @@ def number(value, name: str, whole: bool = False, error=InvalidInputError, low: 
     raise error(f"{name} must be a {f'whole number >= {low}' if whole else 'finite number'}, got {value!r}")
 
 
+def known_keys(d, known, what: str, error=InvalidInputError) -> None:
+    """Raise ``error`` unless ``d`` is a dict with no key outside ``known``."""
+    if not isinstance(d, dict):
+        raise error(f"{what} must be an object, got {type(d).__name__}")
+    unknown = d.keys() - known
+    if unknown:
+        raise error(f"unknown {what} keys {sorted(unknown)}; known: {sorted(known)}")
+
+
 def sq_norm(x: np.ndarray) -> np.ndarray:
     """x_0*x_0 + x_1*x_1 + ... over the last axis of x (m >= 2 coordinates),
     summed in coordinate order. For m <= 3 this is (x*x).sum(-1) bit for bit,
@@ -184,6 +193,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         try:
+            known_keys(d, {"dimension", "sensors", "source", "alpha", "p0", "sigma_db", "rounds"}, "scenario")
             scenario = cls(
                 sensors=d["sensors"],
                 source=d["source"],

@@ -91,6 +91,18 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out)["p_hat"] == pytest.approx([70.0, 30.0], abs=1e-6)
 
+    @pytest.mark.parametrize("key", ["sigma", "y_db", "rounds"])
+    def test_unknown_key_exits_2_schema(self, capsys, tmp_path, clean_measurement_file, key):
+        # A misspelt sigma_db would otherwise run the unknown-variance path.
+        _, payload = clean_measurement_file
+        path = tmp_path / "misspelt.json"
+        path.write_text(json.dumps({**payload, key: 2.0}))
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and repr(key) in error["message"]
+
     def test_malformed_coordinates_exit_2_schema(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -293,6 +305,15 @@ class TestCrlb:
         assert out == ""
         assert json.loads(err)["error"] == "invalid-input"
 
+    def test_unknown_scenario_key_exits_2_invalid_input(self, capsys, tmp_path, scenario_2d):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**scenario_2d.to_dict(), "round": 30}))
+        code, out, err = _run(capsys, ["crlb", "--config", str(path), "--sweep-values", "3"])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "invalid-input" and "'round'" in error["message"]
+
 
 class TestExperiment:
     def test_matches_library_golden(self, capsys, experiment_config_file):
@@ -368,6 +389,21 @@ class TestExperiment:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "schema"
+
+    @pytest.mark.parametrize("inline", [False, True])
+    def test_unknown_key_exits_2_schema(self, capsys, tmp_path, scenario_2d, inline):
+        # A misspelt trials would otherwise run 1000 trials, a misspelt
+        # inline rounds one round.
+        config = {"scenario": "2d-fixed", "sweep": {"rounds": [3]}, "trial": 7}
+        if inline:
+            config = {"scenario": {**scenario_2d.to_dict(), "round": 30}, "sweep": {"sigma": [2.0]}, "trials": 5}
+        path = tmp_path / "misspelt.json"
+        path.write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and ("'round'" if inline else "'trial'") in error["message"]
 
     def test_unknown_scenario_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -1176,6 +1176,37 @@ class TestPlan:
             assert out.seconds == expected[est_id]
             assert estimate_stack((est_id,), *point)[0].seconds == expected[est_id]
 
+    @pytest.mark.parametrize(
+        "ids, stages",
+        [
+            (ESTIMATOR_IDS[::-1], (1, 2, 2, 1)),
+            (("ml",), (1, 1, 1, 1)),
+            (("ls", "ls-u"), (1, 2, 0, 0)),
+            (("ls-u+gn", "ls"), (1, 2, 1, 0)),
+            (("ml", "ls+gn"), (1, 1, 1, 1)),
+        ],
+    )
+    def test_each_id_order_runs_the_stages_it_needs(self, scenario_2d, ids, stages):
+        # stages counts normalise, the LS designs, the first Gauss-Newton
+        # steps (the gn_steps calls without ``newton``; gn_continue's steps
+        # pass it) and gn_continue.
+        names = ("normalise", "_least_squares", "gn_steps", "gn_continue")
+        spies = {name: mock.Mock(wraps=getattr(estimators, name)) for name in names}
+        with mock.patch.multiple(estimators, **spies):
+            estimate_stack(ids, *_stack_of_trials(scenario_2d, 20))
+        counts = {name: spy.call_count for name, spy in spies.items()}
+        counts["gn_steps"] = sum(len(call.args) == 3 for call in spies["gn_steps"].call_args_list)
+        assert tuple(counts.values()) == stages
+
+    def test_reversed_ids_are_charged_the_stages_they_use(self, scenario_2d, monkeypatch):
+        # The clock of test_each_estimator_is_charged_the_stages_it_uses: each
+        # id still pays for the stages an earlier id ran.
+        point = _stack_of_trials(scenario_2d, 20)
+        expected = {"ls": 3.0, "ls+gn": 4.0, "ls-u": 3.0, "ls-u+gn": 4.0, "ml": 4.0}
+        monkeypatch.setattr(estimators, "perf_counter", itertools.count().__next__)
+        ids = ESTIMATOR_IDS[::-1]
+        assert [out.seconds for out in estimate_stack(ids, *point)] == [expected[est_id] for est_id in ids]
+
     @pytest.mark.parametrize("ids", [("ls", "ls"), ("ls", "nope"), ("l", "s")])
     def test_ids_must_be_distinct_and_known(self, scenario_2d, ids):
         with pytest.raises(InvalidInputError):
