@@ -10,7 +10,6 @@ from .bench import (
 )
 from .estimators import (
     Estimate,
-    GnConfig,
     Stage,
     estimate_sigma_from_b,
     gn_step,
@@ -45,7 +44,6 @@ __all__ = [
     "Estimate",
     "ExperimentConfig",
     "FisherSummary",
-    "GnConfig",
     "Localizability",
     "LocalizabilityReport",
     "MeasurementSet",

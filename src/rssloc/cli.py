@@ -16,6 +16,7 @@ Output is written by ``bench.table`` and ``bench.strict_json`` (strict JSON).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -84,6 +85,7 @@ def _cmd_check_geometry(args) -> int:
     payload = _load_json(args.input)
     if not isinstance(payload, dict) or "sensors" not in payload:
         raise ConfigError("geometry file must be an object with a 'sensors' key")
+    known_keys(payload, {"sensors"}, "geometry file", ConfigError)
     try:
         report = localizability(payload["sensors"])
     except (TypeError, ValueError, InvalidInputError) as exc:
@@ -109,12 +111,11 @@ def _cmd_crlb(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg_dict = _load_json(args.config)
+    cfg = bench.ExperimentConfig.from_dict(_load_json(args.config), seed=args.seed)
     if args.estimators:
-        cfg_dict["estimators"] = args.estimators.split(",")
+        cfg = dataclasses.replace(cfg, estimators=args.estimators.split(","))
     if args.fixed_geometry:
-        cfg_dict["fixed_geometry"] = True
-    cfg = bench.ExperimentConfig.from_dict(cfg_dict, seed=args.seed)
+        cfg = dataclasses.replace(cfg, fixed_geometry=True)
     report = bench.run_experiment(cfg)
     _emit(report.to_csv() if args.format == "csv" else report.to_json(), args.out)
     return 0

@@ -4,10 +4,11 @@ Two closed-form least-squares estimators (known and unknown noise variance)
 provide sqrt(n)-consistent initial estimates; a single Gauss-Newton step on
 the maximum-likelihood objective then attains asymptotic efficiency. A
 monotone Newton iteration to convergence serves as the ML reference
-(``gn_iterate``): its first step is that Gauss-Newton step, every later step
+(``gn_continue``): its first step is that Gauss-Newton step, every later step
 Newton's where the Hessian of the objective is positive definite and
 Gauss-Newton's elsewhere, each halved until the objective does not rise
-beyond its rounding (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+beyond its rounding, with one fixed stopping rule, MAX_ITERATIONS steps and
+STEP_TOLERANCE metres (Nocedal & Wright, Numerical Optimization, 2nd ed.,
 sections 3.1 and 3.4).
 
 Every least-squares solve, both LS designs and the Gauss-Newton and Newton
@@ -78,6 +79,12 @@ from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel, floats, n
 ESTIMATOR_IDS = ("ls", "ls+gn", "ls-u", "ls-u+gn", "ml")
 _IDS = frozenset(ESTIMATOR_IDS)
 
+# The ML iteration's stopping rule (gn_continue): a problem has converged when
+# a step direction is shorter than STEP_TOLERANCE metres, and stops unconverged
+# after MAX_ITERATIONS steps, backtracking halvings not counted.
+MAX_ITERATIONS = 100
+STEP_TOLERANCE = 1e-10
+
 # The typed error behind each failure code of gn_steps and estimate_stack (0 is
 # success): one Gauss-Newton step, in the order gn_steps checks, then LS.
 FAILURES = (
@@ -120,24 +127,6 @@ class Estimate:
         for key in ("p_hat", "theta_hat", "beta_hat"):
             d[key] = None if d[key] is None else np.asarray(d[key]).tolist()
         return {**d, "stage": self.stage.value}
-
-
-@dataclass(frozen=True)
-class GnConfig:
-    """Stopping rules for the ML reference iteration (gn_iterate).
-
-    A problem has converged when a step direction is shorter than
-    ``step_tolerance`` (metres); it stops unconverged after
-    ``max_iterations`` steps, backtracking halvings not counted.
-    """
-
-    max_iterations: int = 100
-    step_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        object.__setattr__(self, "max_iterations", number(self.max_iterations, "max_iterations", whole=True))
-        if not (number(self.step_tolerance, "step_tolerance") > 0):
-            raise InvalidInputError(f"step_tolerance must be positive, got {self.step_tolerance!r}")
 
 
 def _normal_solve(gram: np.ndarray, rhs: np.ndarray, rows: int):
@@ -357,19 +346,12 @@ def _layouts(sensors: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return sensors if len(sensors) == 1 else sensors[rows]
 
 
-def gn_iterate(p: np.ndarray, sensors: np.ndarray, y: np.ndarray, cfg: GnConfig = GnConfig()):
-    """Minimise the ML objective from p (t, m) by a monotone iteration: one
-    Gauss-Newton step (gn_steps), then Newton steps, each halved until it
-    passes (gn_continue). Returns (p, failure, iterations, converged), one
-    row per problem; see gn_continue.
-    """
-    p = np.array(p, dtype=float)
-    return gn_continue(p, gn_steps(p, sensors, y), sensors, y, cfg)
-
-
-def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray, cfg: GnConfig):
-    """gn_iterate from p once its first step, ``first`` = gn_steps(p, sensors,
-    y), has been computed; the iterates are written into p.
+def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray):
+    """Minimise the ML objective from p (t, m) by a monotone iteration, once
+    its first step, ``first`` = gn_steps(p, sensors, y), has been computed:
+    that Gauss-Newton step, then Newton steps, each halved until it passes.
+    Returns (p_hat, failure, iterations, converged), one row per problem; p
+    is left unchanged.
 
     Every step follows one rule. A step from point x towards x_next, the end
     of its full step, tries x + lam (x_next - x) for lam = lam0, lam0/2, ...
@@ -389,31 +371,30 @@ def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray, cfg: G
     is a descent direction, so halving alone ends: a short enough trial
     passes.
 
-    A full step shorter than cfg.step_tolerance is taken untested and ends
-    the iteration: the problem has converged. A problem stops unconverged
-    after cfg.max_iterations steps, or where a step is halved below
-    cfg.step_tolerance without passing. It fails where a step fails
-    (failure indexes FAILURES): the first step, or a Newton step where both
-    gates fail. A stopped problem stays at its last accepted point.
-    ``iterations`` counts the steps, each from its own point, a failing or
-    wholly rejected one included; the halvings are part of their step. The
-    layouts and y of the problems still iterating are gathered anew only
-    when that set shrinks.
+    A full step shorter than STEP_TOLERANCE is taken untested and ends the
+    iteration: the problem has converged. A problem stops unconverged after
+    MAX_ITERATIONS steps, or where a step is halved below STEP_TOLERANCE
+    without passing. It fails where a step fails (failure indexes FAILURES):
+    the first step, or a Newton step where both gates fail. A stopped problem
+    stays at its last accepted point. ``iterations`` counts the steps, each
+    from its own point, a failing or wholly rejected one included; the
+    halvings are part of their step. The layouts and y of the problems still
+    iterating are gathered anew only when that set shrinks.
     """
     p_next, failure, objective = first
     t, k = y.shape
     eps = np.finfo(float).eps
     y_norm = np.sqrt((y * y).sum(axis=-1))
-    failure = failure.copy()
+    p_hat, failure = p.copy(), failure.copy()
     iterations = np.ones(t, dtype=int)
     converged = np.zeros(t, dtype=bool)
     # Per problem still iterating: its point, F there, the end of its full
     # step, the point on trial and that trial's lam.
-    active, current, f, full, lam = np.arange(t), p.copy(), objective, p_next, np.ones(t)
+    active, current, f, full, lam = np.arange(t), p, objective, p_next, np.ones(t)
     trial, stop = full, failure != 0
     while True:
-        short = ~stop & (np.sqrt(sq_norm(full - current)) < cfg.step_tolerance)
-        p[active[short]] = full[short]
+        short = ~stop & (np.sqrt(sq_norm(full - current)) < STEP_TOLERANCE)
+        p_hat[active[short]] = full[short]
         converged[active[short]] = True
         stop |= short
         if stop.any():
@@ -426,8 +407,8 @@ def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray, cfg: G
             break
         nxt, step_failure, f_trial = gn_steps(trial, sensors, y, True)
         accepted = f_trial <= f + eps * (k * f + 4.0 * np.sqrt(f) * y_norm)
-        p[active[accepted]] = trial[accepted]
-        at_limit = accepted & (iterations[active] == cfg.max_iterations)
+        p_hat[active[accepted]] = trial[accepted]
+        at_limit = accepted & (iterations[active] == MAX_ITERATIONS)
         stepping = accepted & ~at_limit
         iterations[active[stepping]] += 1
         failed = stepping & (step_failure != 0)
@@ -439,8 +420,8 @@ def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray, cfg: G
         lam = np.where(accepted, np.minimum(1.0, 2.0 * lam), 0.5 * lam)
         trial = np.where((lam == 1.0)[:, None], full, current + lam[:, None] * (full - current))
         # A step halved below the tolerance without passing.
-        stop |= ~accepted & (np.sqrt(sq_norm(trial - current)) < cfg.step_tolerance)
-    return p, failure, iterations, converged
+        stop |= ~accepted & (np.sqrt(sq_norm(trial - current)) < STEP_TOLERANCE)
+    return p_hat, failure, iterations, converged
 
 
 class StackOutcome(NamedTuple):
@@ -467,12 +448,11 @@ def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndar
     non-finite coefficients fail the problem (``failure`` indexes FAILURES,
     0 where solved). ``+gn`` takes one Gauss-Newton step and, where it fails,
     keeps the LS estimate flagged ``degraded``. ``ml`` backtracks that step
-    and iterates on (gn_continue, default GnConfig), never raising the
-    objective from the LS start beyond rounding; it fails the problem where
-    a step fails (a Newton step only where both its gates fail), and
-    ``converged`` and ``iterations`` are gn_continue's. ``coef`` holds the LS
-    coefficients, theta or beta. Outcomes may share the arrays that an id
-    does not write.
+    and iterates on (gn_continue), never raising the objective from the LS
+    start beyond rounding; it fails the problem where a step fails (a Newton
+    step only where both its gates fail), and ``converged`` and
+    ``iterations`` are gn_continue's. ``coef`` holds the LS coefficients,
+    theta or beta. Outcomes may share the arrays that an id does not write.
 
     The ids run in their order, and each stage runs once, when the first id
     that uses it asks for it: normalising the layouts and forming the one
@@ -521,9 +501,7 @@ def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndar
             seconds += stepped_once
             if est_id == "ml":
                 failure = failure.copy()
-                p_hat[rows], failure[rows], iterations[rows], converged[rows] = gn_continue(
-                    p_ls[rows], first, layouts, y, GnConfig()
-                )
+                p_hat[rows], failure[rows], iterations[rows], converged[rows] = gn_continue(p_ls[rows], first, layouts, y)
             else:
                 refined, step_failure, _ = first
                 stepped = step_failure == 0
@@ -549,18 +527,19 @@ def two_step(ms: MeasurementSet, noise: Optional[NoiseModel] = None) -> Estimate
     return _estimate("ls+gn", ms, Stage.TWO_STEP, noise.bias_b)
 
 
-def ml_reference(ms: MeasurementSet, init, cfg: GnConfig = GnConfig()) -> Estimate:
+def ml_reference(ms: MeasurementSet, init) -> Estimate:
     """Minimise the ML objective from ``init``; reference approximation of the ML estimator.
 
-    Runs gn_iterate: a first Gauss-Newton step, then backtracked Newton steps
-    (gn_continue), the ML stages of estimate_stack. The objective never rises
-    above its value at ``init`` beyond rounding. ``converged`` is True where a
-    step direction fell below cfg.step_tolerance, False where the iteration
-    stopped after cfg.max_iterations steps or where a step halved below
-    cfg.step_tolerance did not pass; ``gn_iterations`` counts the steps (see
-    gn_continue). A failing step raises its typed error.
+    Runs the ML stages of estimate_stack: a first Gauss-Newton step, then
+    backtracked Newton steps (gn_continue). The objective never rises above
+    its value at ``init`` beyond rounding, and ``init`` is left unchanged.
+    ``converged`` is True where a step direction fell below STEP_TOLERANCE,
+    False where the iteration stopped after MAX_ITERATIONS steps or where a
+    step halved below STEP_TOLERANCE did not pass; ``gn_iterations`` counts
+    the steps (see gn_continue). A failing step raises its typed error.
     """
-    p, failure, iterations, converged = gn_iterate(_start(init, ms), ms.sensor_coords[None], ms.y[None], cfg)
+    p, sensors, y = _start(init, ms), ms.sensor_coords[None], ms.y[None]
+    p, failure, iterations, converged = gn_continue(p, gn_steps(p, sensors, y), sensors, y)
     _raise(failure[0])
     return Estimate(
         p_hat=p[0],

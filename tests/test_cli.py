@@ -253,6 +253,16 @@ class TestCheckGeometry:
         error = json.loads(err)
         assert error["error"] == "schema" and "dimension must be 2 or 3" in error["message"]
 
+    def test_unknown_key_exits_2_schema(self, capsys, tmp_path):
+        # A misspelt "sensors" beside a stale one would otherwise go unnoticed.
+        path = tmp_path / "geo.json"
+        path.write_text(json.dumps({"sensors": [[0, 0], [1, 0], [0, 1], [1, 1.2]], "sensor": 1}))
+        code, out, err = _run(capsys, ["check-geometry", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and "'sensor'" in error["message"]
+
 
 class TestCrlb:
     def test_rounds_sweep_matches_library(self, capsys, scenario_2d):
@@ -404,6 +414,17 @@ class TestExperiment:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "schema" and ("'round'" if inline else "'trial'") in error["message"]
+
+    @pytest.mark.parametrize("flags", [["--estimators", "ls"], ["--fixed-geometry"]], ids=["estimators", "fixed-geometry"])
+    def test_non_object_config_with_an_override_flag_exits_2_schema(self, capsys, tmp_path, flags):
+        # The flags override a checked config; a JSON list is not one.
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"] + flags)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and "must be an object" in error["message"]
 
     def test_unknown_scenario_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -22,12 +22,10 @@ from rssloc.errors import (
 from rssloc.estimators import (
     ESTIMATOR_IDS,
     FAILURES,
-    GnConfig,
     Stage,
     _least_squares,
     estimate_sigma_from_b,
     estimate_stack,
-    gn_iterate,
     gn_step,
     gn_steps,
     ls_known_variance,
@@ -495,52 +493,51 @@ class TestMlReference:
         est = ml_reference(ms, ls_known_variance(ms, NOISE.bias_b).p_hat)
         assert est.converged
         moved = gn_step(est.p_hat, ms)
-        assert np.linalg.norm(moved - est.p_hat) < GnConfig().step_tolerance
+        assert np.linalg.norm(moved - est.p_hat) < estimators.STEP_TOLERANCE
 
     def test_objective_decreases_along_iterates(self, scenario_2d):
         ms = generate_measurements(scenario_2d.with_rounds(100), 77)
         p = ls_known_variance(ms, NOISE.bias_b).p_hat
         objectives = [ml_objective(p, ms)]
-        for _ in range(GnConfig().max_iterations):
+        for _ in range(estimators.MAX_ITERATIONS):
             p_next = gn_step(p, ms)
-            done = np.linalg.norm(p_next - p) < GnConfig().step_tolerance
+            done = np.linalg.norm(p_next - p) < estimators.STEP_TOLERANCE
             p = p_next
             objectives.append(ml_objective(p, ms))
             if done:
                 break
         assert all(b <= a + 1e-15 for a, b in zip(objectives, objectives[1:]))
 
-    def test_non_convergence_flag(self, scenario_2d):
+    def test_non_convergence_flag(self, scenario_2d, monkeypatch):
+        monkeypatch.setattr(estimators, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(estimators, "STEP_TOLERANCE", 1e-14)
         ms = generate_measurements(scenario_2d.with_rounds(10), 2)
-        est = ml_reference(
-            ms,
-            np.array([500.0, -300.0]),
-            GnConfig(max_iterations=1, step_tolerance=1e-14),
-        )
+        est = ml_reference(ms, np.array([500.0, -300.0]))
         assert not est.converged
         assert est.gn_iterations == 1
 
-    def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            GnConfig(max_iterations=0)
-        with pytest.raises(InvalidInputError):
-            GnConfig(step_tolerance=0.0)
-
-    @pytest.mark.parametrize("max_iterations", [2.5, True, -3, float("inf"), "10", None])
-    def test_max_iterations_is_a_whole_number_from_one(self, max_iterations):
-        with pytest.raises(InvalidInputError, match="max_iterations"):
-            GnConfig(max_iterations=max_iterations)
-
-    def test_whole_float_max_iterations_is_read_as_an_int(self, scenario_2d):
-        cfg = GnConfig(max_iterations=3.0)
-        assert cfg.max_iterations == 3 and isinstance(cfg.max_iterations, int)
+    def test_init_is_left_unchanged(self, scenario_2d):
+        # A float64 start reaches the iteration as a view of the caller's
+        # array; the iterates must not be written into it.
         ms = generate_measurements(scenario_2d.with_rounds(10), 2)
-        assert ml_reference(ms, np.array([500.0, -300.0]), cfg).gn_iterations <= 3
+        init = np.array([500.0, -300.0])
+        est = ml_reference(ms, init)
+        assert init.tolist() == [500.0, -300.0]
+        assert est.gn_iterations > 1 and not np.array_equal(est.p_hat, init)
 
-    @pytest.mark.parametrize("step_tolerance", [-1e-10, float("nan"), float("inf"), True, "1e-10", None])
-    def test_step_tolerance_is_a_finite_positive_number(self, step_tolerance):
-        with pytest.raises(InvalidInputError, match="step_tolerance"):
-            GnConfig(step_tolerance=step_tolerance)
+    def test_max_iterations_is_read_at_each_call(self, scenario_2d, monkeypatch):
+        # Both ml_reference and the engine's ml stop after one step.
+        ms = generate_measurements(scenario_2d.with_rounds(10), 2)
+        start = np.array([500.0, -300.0])
+        point = _stack_of_trials(scenario_2d, 20)
+        assert ml_reference(ms, start).gn_iterations > 1
+        assert (estimate_stack(("ml",), *point)[0].iterations > 1).all()
+        monkeypatch.setattr(estimators, "MAX_ITERATIONS", 1)
+        est = ml_reference(ms, start)
+        assert (est.gn_iterations, est.converged) == (1, False)
+        (ml,) = estimate_stack(("ml",), *point)
+        assert not ml.failure.any()
+        assert (ml.iterations == 1).all() and not ml.converged.any()
 
 
 # Start points that are not a finite vector of the 2-D sensors' dimension.
@@ -585,10 +582,11 @@ class TestStartPoints:
         assert np.array_equal(ml_reference(ms, start).p_hat, ml_reference(ms, np.array(start)).p_hat)
 
 
-def _guarded_newton_loop(p, sensors, y, cfg):
+def _guarded_newton_loop(p, sensors, y):
     """Reference ML iteration on one problem, one evaluation at a time:
-    gn_iterate's one halving rule written as a plain loop over gn_steps on
-    that problem alone.
+    gn_continue's one halving rule written as a plain loop over gn_steps on
+    that problem alone, with the stopping rule of estimators.MAX_ITERATIONS
+    and estimators.STEP_TOLERANCE.
 
     Returns (p, error type or None, iterations, converged, events), events
     the set of "halved" (a step taken at lam < 1) and "halved out" (a step
@@ -604,13 +602,13 @@ def _guarded_newton_loop(p, sensors, y, cfg):
     if failure:
         return p, FAILURES[failure][0], 1, False, events
     iterations, lam, trial = 1, 1.0, full
-    while np.linalg.norm(full - p) >= cfg.step_tolerance:
+    while np.linalg.norm(full - p) >= estimators.STEP_TOLERANCE:
         nxt, failure, f_trial = evaluate(trial, True)
         if f_trial <= f + eps * (k * f + 4.0 * math.sqrt(f) * np.linalg.norm(y)):
             if lam < 1.0:
                 events.add("halved")
             p, f = trial, f_trial
-            if iterations == cfg.max_iterations:
+            if iterations == estimators.MAX_ITERATIONS:
                 return p, None, iterations, False, events
             iterations += 1
             if failure:
@@ -621,15 +619,21 @@ def _guarded_newton_loop(p, sensors, y, cfg):
         else:
             lam /= 2.0
             trial = p + lam * (full - p)
-            if np.linalg.norm(trial - p) < cfg.step_tolerance:
+            if np.linalg.norm(trial - p) < estimators.STEP_TOLERANCE:
                 events.add("halved out")
                 return p, None, iterations, False, events
     return full, None, iterations, True, events
 
 
+def _iterate(p, sensors, y):
+    """The ML iteration from p: its first step, then gn_continue. The step
+    is looked up in estimators at the call, so a patch of gn_steps sees it."""
+    return estimators.gn_continue(p, estimators.gn_steps(p, sensors, y), sensors, y)
+
+
 class TestGnIterate:
-    def test_matches_a_per_problem_guarded_newton_loop(self):
-        cfg = GnConfig(max_iterations=15)
+    def test_matches_a_per_problem_guarded_newton_loop(self, monkeypatch):
+        monkeypatch.setattr(estimators, "MAX_ITERATIONS", 15)
         # 2d-fixed at 6 dB, T = 1 (seed 7) from the LS estimates: trial 0
         # halves a step, 16 halves a Newton step five times and converges,
         # and 20 needs more than 15 steps.
@@ -657,7 +661,7 @@ class TestGnIterate:
         layouts = np.broadcast_to(layout, (len(p0),) + layout.shape).copy()
 
         with mock.patch.object(estimators, "gn_steps", wraps=gn_steps) as steps:
-            p_hat, failure, iterations, converged = gn_iterate(p0, layouts, y, cfg)
+            p_hat, failure, iterations, converged = _iterate(p0, layouts, y)
         # Only the first step of the set is Gauss-Newton's by request; every
         # later evaluation, a halved trial included, asks for Newton's.
         newton = [
@@ -669,7 +673,7 @@ class TestGnIterate:
         kinds, events = [], set()
         for row in range(len(p0)):
             ref_p, ref_error, ref_iterations, ref_converged, ref_events = _guarded_newton_loop(
-                p0[row], layouts[row], y[row], cfg
+                p0[row], layouts[row], y[row]
             )
             error = FAILURES[failure[row]][0] if failure[row] else None
             assert (error, iterations[row], converged[row]) == (ref_error, ref_iterations, ref_converged), row
@@ -683,7 +687,7 @@ class TestGnIterate:
         assert iterations[3:5].tolist() == [1, 1] and (iterations[5:] > 2).all()
         assert events == {"halved"}
         # A shared layout gives the same iterates as its per-problem copies.
-        shared = gn_iterate(p0, layout[None], y, cfg)
+        shared = _iterate(p0, layout[None], y)
         for got, want in zip(shared, (p_hat, failure, iterations, converged)):
             np.testing.assert_array_equal(got, want)
 
@@ -703,13 +707,12 @@ class TestGnIterate:
                 objective = objective + 1.0
             return p_next, failure, objective
 
-        cfg = GnConfig()
         with mock.patch.object(estimators, "gn_steps", uphill):
-            p_hat, failure, iterations, converged = gn_iterate(p0, sensors, y, cfg)
+            p_hat, failure, iterations, converged = _iterate(p0, sensors, y)
         assert (failure[0], iterations[0], converged[0]) == (0, 1, False)
         assert np.array_equal(p_hat, p0)
         step = np.linalg.norm(gn_steps(p0, sensors, y)[0] - p0)
-        assert len(trials) == math.floor(math.log2(step / cfg.step_tolerance)) + 1 > 30
+        assert len(trials) == math.floor(math.log2(step / estimators.STEP_TOLERANCE)) + 1 > 30
         halved = step * 0.5 ** np.arange(len(trials))
         np.testing.assert_allclose(np.linalg.norm(trials - p0, axis=1), halved, rtol=1e-12, atol=1e-13)
 
@@ -1114,14 +1117,16 @@ class TestPlan:
             for field in OUTCOME_FIELDS:
                 assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True), (est_id, field)
 
-    def test_ml_continues_from_the_two_step_estimate(self, scenario_2d):
+    def test_ml_continues_from_the_two_step_estimate(self, scenario_2d, monkeypatch):
         # Where the full first step lowers the ML objective, ml's first
         # iterate is the two-step estimate; at T = 1, trial 100 (seed 95) the
         # full step raises it, and ml's first iterate is the half step.
         for rounds, trial, lam in [(3, 0, 1.0), (3, 1, 1.0), (3, 2, 1.0), (3, 3, 1.0), (3, 4, 1.0), (1, 100, 0.5)]:
             ms = generate_measurements(scenario_2d.with_rounds(rounds), trial_rng(95, trial))
             start = ls_known_variance(ms, NOISE.bias_b).p_hat
-            first = ml_reference(ms, start, GnConfig(max_iterations=1))
+            with monkeypatch.context() as one_step:
+                one_step.setattr(estimators, "MAX_ITERATIONS", 1)
+                first = ml_reference(ms, start)
             refined = two_step(ms, NOISE).p_hat
             assert (ml_objective(refined, ms) <= ml_objective(start, ms)) == (lam == 1.0)
             if lam == 1.0:
