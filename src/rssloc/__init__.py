@@ -22,8 +22,6 @@ from .estimators import (
 from .geometry import (
     Localizability,
     LocalizabilityReport,
-    check_hyperplane,
-    check_hypersphere,
     localizability,
 )
 from .inference import FisherSummary, fisher_information, rcrlb_curve
@@ -52,8 +50,6 @@ __all__ = [
     "Scenario",
     "Stage",
     "TrialReport",
-    "check_hyperplane",
-    "check_hypersphere",
     "equivalent_measurement",
     "estimate_sigma_from_b",
     "fisher_information",

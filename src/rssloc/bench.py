@@ -9,10 +9,10 @@ The engine handles a sweep point in blocks of whole trials of about
 standard normals eps as blocks (trials, rounds, sensors) and reduces each
 block at once to per-sensor means of y and of 10**(2*y) over the rounds,
 in closed form from eps (``model.draw_means``: y = log10(d) - w*eps with
-w = sigma/(10*alpha)), so the transmit constant p0 does not enter. The layouts
-are checked, their RCRLB computed and the estimators run in blocks sized by
-the largest design, k x (m+2) doubles per trial: 32 trials at k = 1000, a
-whole fixed-layout point at k = 10. Each block runs one
+w = sigma/(10*alpha), as ``model.generate_measurements`` draws a reading).
+The layouts are checked, their RCRLB computed and the estimators run in
+blocks sized by the largest design, k x (m+2) doubles per trial: 32 trials
+at k = 1000, a whole fixed-layout point at k = 10. Each block runs one
 ``estimators.estimate_stack`` call for all the requested estimators, which
 runs the stages they share (the normalised layouts, each LS design, the
 first Gauss-Newton step) once. A problem's arithmetic does not depend on its
@@ -281,8 +281,7 @@ class SweepPoint:
     trials, g = trials when each trial draws its own. ``ybar`` and ``zbar``
     are (trials, k): each trial's per-sensor means of y and of 10**(2*y)
     over its rounds, in closed form from its standard normals eps (y =
-    log10(d) - w*eps, w = sigma/(10*alpha); see ``model.draw_means``), so
-    p0 does not enter them.
+    log10(d) - w*eps, w = sigma/(10*alpha); see ``model.draw_means``).
     """
 
     sensors: np.ndarray
@@ -327,14 +326,14 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
         sensors = np.empty((len(geometry), value, sc.dimension))
         for g, trial in enumerate(geometry):
             sensors[g] = sc.layout(value, trial_rng(seed, sweep_index, trial, 0))
-        source, p0, rounds = sc.source, 1.0, 1
+        source, rounds = sc.source, 1
     else:
-        sensors, source, p0, rounds = sc.sensors[None], sc.source, sc.p0_const, sc.rounds
+        sensors, source, rounds = sc.sensors[None], sc.source, sc.rounds
     sigma, alpha = noise.sigma_db, noise.alpha
     _, k, m = sensors.shape
     layout_blocks = _blocks(len(sensors), k * (m + 2))
     for a, b in layout_blocks:
-        source, rounds = check_layouts(sensors[a:b], source, sigma, alpha, p0, rounds)
+        source, rounds = check_layouts(sensors[a:b], source, sigma, alpha, rounds)
     if k * rounds < m + 1:
         raise InvalidInputError(f"need at least m+1 = {m + 1} measurements")
     rcrlb = 0.0

@@ -60,11 +60,11 @@ def _measurements_from_file(payload: dict):
     known_keys(payload, {"sensors", "raw_db", "y", "alpha", "p0", "sigma_db"}, "measurement file", ConfigError)
     try:
         alpha = number(payload.get("alpha", 2.0), "alpha")
-        p0_const = number(payload.get("p0", 1.0), "p0")
+        p0 = number(payload.get("p0", 1.0), "p0")
         sigma_db = None if payload.get("sigma_db") is None else number(payload["sigma_db"], "sigma_db")
         if "raw_db" in payload:
             raw_db = floats(payload["raw_db"], "raw_db")
-            y = equivalent_measurement(raw_db, p0_const, alpha)
+            y = equivalent_measurement(raw_db, p0, alpha)
             ms = MeasurementSet(sensor_coords=payload["sensors"], y=y, raw_db=raw_db)
         elif "y" in payload:
             ms = MeasurementSet(sensor_coords=payload["sensors"], y=payload["y"])

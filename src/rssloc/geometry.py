@@ -52,12 +52,6 @@ class LocalizabilityReport:
         return {**asdict(self), "verdict": self.verdict.value}
 
 
-def hyperplane_design(sensors: np.ndarray) -> np.ndarray:
-    """Rows [-2*p_i^T, 1]; the known-variance design matrix up to the b
-    factor, and the leading m+1 columns of :func:`hypersphere_design`."""
-    return hypersphere_design(sensors)[..., :-1]
-
-
 def hypersphere_design(sensors: np.ndarray) -> np.ndarray:
     """Rows [-2*p_i^T, 1, ||p_i||^2]; the unknown-variance design matrix.
 
@@ -107,33 +101,6 @@ def singular(lam: np.ndarray, rows: int) -> np.ndarray:
     return ~((lam[..., 0] > 0) & (lam[..., -1] <= GRAM_CONDITION_LIMIT * lam[..., 0]))
 
 
-def _enough(pts: np.ndarray, extra: int, test: str) -> np.ndarray:
-    n, m = pts.shape[0], _dimension(pts)
-    if n < m + extra:
-        raise InsufficientSensorsError(
-            f"{test} test needs at least m+{extra} = {m + extra} sensors, got {n}"
-        )
-    return pts
-
-
-def check_hyperplane(sensors) -> bool:
-    """True iff the sensors affinely span the full space: not all of them lie
-    on one line (2-D) or plane (3-D). See :func:`localizability`."""
-    return localizability(sensors).hyperplane_ok
-
-
-def check_hypersphere(sensors) -> bool:
-    """True iff no single circle (2-D) / sphere (3-D) contains all sensors.
-
-    A null vector of the n x (m+2) design [-2*q_i^T, 1, ||q_i||^2] with
-    nonzero last component certifies concyclicity/cosphericity, one with
-    zero last component cohyperplanarity, so this test subsumes the
-    hyperplane test. See :func:`localizability`.
-    """
-    pts = _enough(_as_points(sensors, "sensors"), 2, "hypersphere")
-    return localizability(pts).hypersphere_ok
-
-
 def localizability(sensors) -> LocalizabilityReport:
     """Both tests and the Gram conditions they gate on: one eigh per design
     of the Gram the estimators solve from, built and gated as they do, so a
@@ -144,8 +111,11 @@ def localizability(sensors) -> LocalizabilityReport:
     else FullyLocalizable. Sensors that are not 2-D or 3-D raise
     InvalidInputError, as they do for the estimators.
     """
-    pts = _enough(_as_points(sensors, "sensors"), 1, "hyperplane")
-    (n, m), gram = pts.shape, normal_equations(normalise(pts[None])[0])
+    pts = _as_points(sensors, "sensors")
+    n, m = pts.shape[0], _dimension(pts)
+    if n < m + 1:
+        raise InsufficientSensorsError(f"hyperplane test needs at least m+1 = {m + 1} sensors, got {n}")
+    gram = normal_equations(normalise(pts[None])[0])
     tests = []
     for block in (gram[:, : m + 1, : m + 1], gram):
         lam = np.linalg.eigh(block)[0]

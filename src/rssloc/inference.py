@@ -4,9 +4,9 @@ For n measurements (each of the T rounds contributes its sensor's term),
 
     F = (100 alpha^2 / sigma^2) * sum_i (p - p_i)(p - p_i)^T / (d_i^4 ln^2 10),
 
-and CRLB = tr(F^{-1}), RCRLB = sqrt(CRLB). The normalized matrix
-M_n = (1/n) sum grad f_i grad f_i^T satisfies F = (100 alpha^2/sigma^2) n M_n
-and serves as the finite-sample surrogate of the asymptotic covariance.
+and CRLB = tr(F^{-1}), RCRLB = sqrt(CRLB). F is (100 alpha^2/sigma^2) n
+times the mean over the k sensors of grad log10 d_i grad log10 d_i^T, the
+finite-sample surrogate of the inverse asymptotic covariance.
 
 The bound is always evaluated at the true source as a benchmarking oracle,
 never at estimates.
@@ -36,7 +36,6 @@ class FisherSummary:
     F: np.ndarray
     crlb: float
     rcrlb: float
-    M_n: np.ndarray
     eval_point: np.ndarray
 
 
@@ -68,7 +67,7 @@ def crlb_stack(sensors: np.ndarray, p: np.ndarray, sigma_db: float, alpha: float
 
 
 def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
-    """Fisher information, CRLB/RCRLB, and M_n at ``eval_point``.
+    """Fisher information and CRLB/RCRLB at ``eval_point``.
 
     Defaults to evaluating at the true source. Each of the
     scenario.rounds observation rounds contributes its sensor term, so F
@@ -79,8 +78,8 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
             "Fisher information is unbounded for noise-free measurements"
         )
     p = scenario.source if eval_point is None else floats(eval_point, "eval_point")
-    if p.shape != (scenario.dimension,):
-        raise InvalidInputError("eval_point must be an m-vector")
+    if p.shape != (scenario.dimension,) or not np.all(np.isfinite(p)):
+        raise InvalidInputError("eval_point must be a finite m-vector")
     gram, crlb = crlb_stack(scenario.sensors[None], p, scenario.sigma_db, scenario.alpha, scenario.rounds)
     m_n = gram[0] / scenario.n_sensors
     fisher = 100.0 * scenario.alpha**2 / scenario.sigma_db**2 * scenario.n_measurements * m_n
@@ -88,7 +87,6 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
         F=fisher,
         crlb=float(crlb[0]),
         rcrlb=float(np.sqrt(crlb[0])),
-        M_n=m_n,
         eval_point=p,
     )
 
@@ -99,7 +97,8 @@ def rcrlb_curve(
     """RCRLB as a function of rounds T or noise sigma.
 
     Exact scalings: rcrlb ~ 1/sqrt(T) for round sweeps and ~ sigma for noise
-    sweeps.
+    sweeps. Each value is checked as the Scenario field it replaces, so a
+    bool or a string raises InvalidInputError in either sweep.
     """
     if param not in _SWEEP_PARAMS:
         raise InvalidInputError(f"param must be one of {_SWEEP_PARAMS}")
@@ -108,6 +107,6 @@ def rcrlb_curve(
         if param == "rounds":
             variant = replace(scenario, rounds=value)
         else:
-            variant = replace(scenario, sigma_db=float(value))
+            variant = replace(scenario, sigma_db=value)
         curve.append((float(value), fisher_information(variant).rcrlb))
     return curve

@@ -1,18 +1,19 @@
 """Measurement model for RSS source localization.
 
-A source emitting with constant P0 is observed by n sensors; the received
-power in dB follows a log-distance law with additive Gaussian noise. Working
-in the "equivalent measurement" domain,
+A source is observed by n sensors; the received power in dB follows a
+log-distance law with additive Gaussian noise. Working in the "equivalent
+measurement" domain,
 
     y_i = log10(d_i) + omega_i,      omega_i ~ N(0, (sigma/(10*alpha))^2),
 
-turns every downstream estimator into a function of (sensor coords, y) only.
-This module owns the dB <-> equivalent conversion, synthetic measurement
-generation, and the lognormal moments of 10**(2*omega) that drive the
-closed-form least-squares estimators. :func:`generate_measurements` returns
-one problem's readings in dB, as field files hold them; :func:`draw_means`
-gives the Monte Carlo engine per-sensor means straight from the same normals,
-which P0 does not enter.
+turns every downstream estimator into a function of (sensor coords, y) only;
+the transmit constant P0 cancels from y. This module owns the conversion of
+field readings in dB to y, synthetic measurement generation, and the
+lognormal moments of 10**(2*omega) that drive the closed-form least-squares
+estimators. Simulated readings have one formula, y = log10(d) - w*eps with
+w = sigma/(10*alpha) and eps standard normal: :func:`generate_measurements`
+draws one problem's y by it, and :func:`draw_means` gives the Monte Carlo
+engine per-sensor means of the same readings straight from eps.
 """
 
 from __future__ import annotations
@@ -92,10 +93,10 @@ def _dimension(points: np.ndarray) -> int:
     return m
 
 
-def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, p0_const, rounds):
+def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, rounds):
     """The checks of a :class:`Scenario`, run once on a stack of layouts
     (..., k, m) that share one source and signal: at least one sensor, m in
-    {2, 3}, a finite source m-vector, alpha > 0, p0_const > 0, sigma_db >= 0,
+    {2, 3}, a finite source m-vector, alpha > 0, sigma_db >= 0,
     whole rounds >= 1 and every sensor at least SENSOR_CLEARANCE from the
     source. Returns (source, rounds).
     """
@@ -107,8 +108,6 @@ def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, p0_const, rounds
         raise InvalidInputError("source must be a finite m-vector")
     if not (alpha > 0):
         raise InvalidInputError("alpha must be positive")
-    if not (p0_const > 0):
-        raise InvalidInputError("p0_const must be positive")
     if not (sigma_db >= 0):
         raise InvalidInputError("sigma_db must be nonnegative")
     rounds = number(rounds, "rounds", whole=True)
@@ -129,12 +128,10 @@ class Scenario:
         source: (m,) true source coordinates in meters.
         sigma_db: noise standard deviation in dB, >= 0.
         alpha: path-loss exponent, > 0 (2 corresponds to free space).
-        p0_const: positive transmit-power constant; the equivalent
-            measurements are invariant to its value.
         rounds: number of i.i.d. observation rounds per sensor, a whole
             number >= 1 (see :func:`number`).
 
-    sigma_db, alpha and p0_const are stored as floats; a value that is not a
+    sigma_db and alpha are stored as floats; a value that is not a
     finite real number (a bool, a string) raises InvalidInputError.
     """
 
@@ -142,16 +139,13 @@ class Scenario:
     source: np.ndarray
     sigma_db: float
     alpha: float = 2.0
-    p0_const: float = 1.0
     rounds: int = 1
 
     def __post_init__(self):
         sensors = _as_points(self.sensors, "sensors")
-        for name in ("sigma_db", "alpha", "p0_const"):
+        for name in ("sigma_db", "alpha"):
             object.__setattr__(self, name, number(getattr(self, name), name))
-        source, rounds = check_layouts(
-            sensors, self.source, self.sigma_db, self.alpha, self.p0_const, self.rounds
-        )
+        source, rounds = check_layouts(sensors, self.source, self.sigma_db, self.alpha, self.rounds)
         object.__setattr__(self, "sensors", sensors)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "rounds", rounds)
@@ -185,7 +179,6 @@ class Scenario:
             "sensors": self.sensors.tolist(),
             "source": self.source.tolist(),
             "alpha": self.alpha,
-            "p0": self.p0_const,
             "sigma_db": self.sigma_db,
             "rounds": self.rounds,
         }
@@ -193,13 +186,12 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         try:
-            known_keys(d, {"dimension", "sensors", "source", "alpha", "p0", "sigma_db", "rounds"}, "scenario")
+            known_keys(d, {"dimension", "sensors", "source", "alpha", "sigma_db", "rounds"}, "scenario")
             scenario = cls(
                 sensors=d["sensors"],
                 source=d["source"],
                 sigma_db=d["sigma_db"],
                 alpha=d.get("alpha", 2.0),
-                p0_const=number(d.get("p0", 1.0), "p0"),
                 rounds=d.get("rounds", 1),
             )
             dimension = number(d["dimension"], "dimension", whole=True) if "dimension" in d else scenario.dimension
@@ -254,22 +246,22 @@ class MeasurementSet:
         return self.sensor_coords.shape[1]
 
 
-def equivalent_measurement(raw_db, p0_const: float, alpha: float):
+def equivalent_measurement(raw_db, p0: float, alpha: float):
     """Convert a raw dB reading 10*log10(P) into its equivalent measurement.
 
-    Returns y = -(raw_db/10 - log10(p0_const)) / alpha, which equals
-    log10(distance) plus noise under the measurement model. Accepts scalars
-    or arrays.
+    Returns y = -(raw_db/10 - log10(p0)) / alpha, which equals log10(distance)
+    plus noise under the measurement model, for a field reading taken with
+    transmit constant p0 > 0. Accepts scalars or arrays.
     """
-    if not (p0_const > 0):
-        raise InvalidInputError("p0_const must be positive")
+    if not (p0 > 0):
+        raise InvalidInputError("p0 must be positive")
     if not (alpha > 0):
         raise InvalidInputError("alpha must be positive")
     raw = floats(raw_db, "raw_db")
     if not np.all(np.isfinite(raw)):
         raise InvalidInputError("raw_db contains non-finite values")
     y = raw / 10.0
-    y -= math.log10(p0_const)
+    y -= math.log10(p0)
     # -(x) / alpha and x / -alpha are the same double.
     y /= -alpha
     return float(y) if np.isscalar(raw_db) else y
@@ -343,16 +335,15 @@ def draw_means(rngs, eps: np.ndarray, sq_distances: np.ndarray, omega_std: float
     (g, k), g in {1, trials}, holds the squared distances d**2.
 
     Trial t's slice comes from the t-th generator alone, so a block of one
-    trial gives the engine's bits. :func:`generate_measurements` scales the
-    same normals by sigma into dB noise; here the means come straight from
-    eps: with w = omega_std = sigma/(10*alpha), y = log10(d) - w*eps, so
+    trial gives the engine's bits. With w = omega_std = sigma/(10*alpha), a
+    reading is y = log10(d) - w*eps, as :func:`generate_measurements` draws
+    it; the means come straight from eps:
 
         ybar = log10(d) - (w/T) * sum_r eps_r,
         zbar = d**2 * sum_r exp(-2*ln(10)*w*eps_r) / T,
 
-    one multiply and one exp per reading (``eps`` is overwritten). The
-    transmit constant p0 cancels from y, so it does not enter; at sigma = 0
-    ybar is log10(d) and zbar is d**2 bit for bit.
+    one multiply and one exp per reading (``eps`` is overwritten). At
+    sigma = 0 ybar is log10(d) and zbar is d**2 bit for bit.
     """
     for block, rng in zip(eps, rngs):
         rng.standard_normal(out=block)
@@ -371,18 +362,17 @@ def draw_means(rngs, eps: np.ndarray, sq_distances: np.ndarray, omega_std: float
 def generate_measurements(scenario: Scenario, seed) -> MeasurementSet:
     """Draw one synthetic MeasurementSet from a scenario.
 
-    Noise is sampled in dB space (sigma times a standard normal:
-    rng.normal(0, sigma)'s draw bit for bit), added to the clean dB level of
-    each sensor and converted through the raw-dB pathway applied to field
-    data. The rows are flattened round-major: all sensors for round 0, then
-    round 1, and so on. ``seed`` may be an int or a Generator.
+    Each reading is y = log10(d) - w*eps with w = sigma/(10*alpha) and eps
+    a standard normal, the formula whose per-sensor means :func:`draw_means`
+    gives the engine. The normals are one (rounds, sensors) draw and the rows
+    are flattened round-major: all sensors for round 0, then round 1, and so
+    on. ``seed`` may be an int or a Generator.
 
     Identical (scenario, seed) always yields a bit-identical result.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    raw_db = rng.standard_normal((scenario.rounds, scenario.n_sensors))
-    raw_db *= scenario.sigma_db
-    raw_db += 10.0 * math.log10(scenario.p0_const) - 10.0 * scenario.alpha * np.log10(scenario.distances())
-    y = equivalent_measurement(raw_db, scenario.p0_const, scenario.alpha)
+    y = rng.standard_normal((scenario.rounds, scenario.n_sensors))
+    y *= -(scenario.sigma_db / (10.0 * scenario.alpha))
+    y += np.log10(scenario.distances())
     coords = np.tile(scenario.sensors, (scenario.rounds, 1))
-    return MeasurementSet(sensor_coords=coords, y=y.ravel(), raw_db=raw_db.ravel())
+    return MeasurementSet(sensor_coords=coords, y=y.ravel())

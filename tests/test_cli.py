@@ -17,7 +17,7 @@ def clean_measurement_file(tmp_path, scenario_2d):
     ms = generate_measurements(sc, 0)
     payload = {
         "sensors": ms.sensor_coords.tolist(),
-        "raw_db": ms.raw_db.tolist(),
+        "raw_db": (-10.0 * sc.alpha * ms.y).tolist(),
         "alpha": 2.0,
         "p0": 1.0,
         "sigma_db": 0.0,
@@ -414,6 +414,16 @@ class TestExperiment:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "schema" and ("'round'" if inline else "'trial'") in error["message"]
+
+    def test_inline_scenario_with_p0_exits_2_schema(self, capsys, tmp_path, scenario_2d):
+        config = {"scenario": {**scenario_2d.to_dict(), "p0": 1e6}, "sweep": {"rounds": [3]}, "trials": 5}
+        path = tmp_path / "p0.json"
+        path.write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and "'p0'" in error["message"]
 
     @pytest.mark.parametrize("flags", [["--estimators", "ls"], ["--fixed-geometry"]], ids=["estimators", "fixed-geometry"])
     def test_non_object_config_with_an_override_flag_exits_2_schema(self, capsys, tmp_path, flags):

@@ -38,7 +38,6 @@ from rssloc.estimators import (
 from rssloc.geometry import (
     GRAM_CONDITION_LIMIT,
     Localizability,
-    hyperplane_design,
     hypersphere_design,
     localizability,
     normal_equations,
@@ -116,7 +115,7 @@ class TestLsOracles:
         for trial in range(100):
             ms = generate_measurements(sc, trial_rng(42, trial))
             est = ls_known_variance(ms, NOISE.bias_b)
-            design = NOISE.bias_b * hyperplane_design(ms.sensor_coords)
+            design = NOISE.bias_b * hypersphere_design(ms.sensor_coords)[:, :-1]
             rhs = 10.0 ** (2 * ms.y) - NOISE.bias_b * np.sum(ms.sensor_coords**2, axis=1)
             expected = normal_equations_solve(design, rhs)
             np.testing.assert_allclose(est.theta_hat, expected, rtol=1e-8)
@@ -934,7 +933,7 @@ class TestCoordinateMajorKernels:
         _, sensors, y = stack
         q = normalise(sensors)[0]
         plane, sphere = _concatenated_designs(q)
-        assert np.array_equal(hyperplane_design(q), plane)
+        assert np.array_equal(hypersphere_design(q)[..., :-1], plane)
         assert np.array_equal(hypersphere_design(q), sphere)
         z = np.power(10.0, 2.0 * y)
 
@@ -951,7 +950,7 @@ class TestCoordinateMajorKernels:
     def test_check_layouts(self, stack):
         p, sensors, _ = stack
         source = p[0]
-        got = outcome(check_layouts, sensors, source, 2.0, 2.0, 1.0, 3)
+        got = outcome(check_layouts, sensors, source, 2.0, 2.0, 3)
         if np.any(np.linalg.norm(sensors - source, axis=-1) < SENSOR_CLEARANCE):
             assert got is DegenerateGeometryError
         else:

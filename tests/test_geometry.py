@@ -12,8 +12,6 @@ from rssloc.estimators import ls_known_variance, ls_unknown_variance
 from rssloc.geometry import (
     GRAM_CONDITION_LIMIT,
     Localizability,
-    check_hyperplane,
-    check_hypersphere,
     localizability,
 )
 from rssloc.model import MeasurementSet
@@ -21,40 +19,40 @@ from rssloc.model import MeasurementSet
 
 class TestCheckHyperplane:
     def test_collinear_fails(self):
-        assert not check_hyperplane(COLLINEAR_2D)
+        assert not localizability(COLLINEAR_2D).hyperplane_ok
 
     def test_affine_basis_passes(self):
-        assert check_hyperplane([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert localizability([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]).hyperplane_ok
 
     def test_benchmark_layouts_pass(self, scenario_2d, scenario_3d):
-        assert check_hyperplane(scenario_2d.sensors)
-        assert check_hyperplane(scenario_3d.sensors)
+        assert localizability(scenario_2d.sensors).hyperplane_ok
+        assert localizability(scenario_3d.sensors).hyperplane_ok
 
     def test_coplanar_3d_fails(self):
         rng = np.random.default_rng(0)
         xy = rng.uniform(-5, 5, size=(6, 2))
         pts = np.hstack([xy, np.full((6, 1), 3.0)])
-        assert not check_hyperplane(pts)
+        assert not localizability(pts).hyperplane_ok
 
     def test_too_few_sensors(self):
         with pytest.raises(InsufficientSensorsError):
-            check_hyperplane([[0.0, 0.0], [1.0, 1.0]])
+            localizability([[0.0, 0.0], [1.0, 1.0]])
 
 
 class TestCheckHypersphere:
     def test_square_corners_are_concyclic(self):
         # Brute-force oracle: circle centered (1/2, 1/2) passes through all.
         assert points_concyclic(SQUARE_CORNERS)
-        assert not check_hypersphere(SQUARE_CORNERS)
+        assert not localizability(SQUARE_CORNERS).hypersphere_ok
 
     def test_generic_quadrilateral_passes(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
         assert not points_concyclic(pts)
-        assert check_hypersphere(pts)
+        assert localizability(pts).hypersphere_ok
 
     def test_benchmark_layouts_pass(self, scenario_2d, scenario_3d):
-        assert check_hypersphere(scenario_2d.sensors)
-        assert check_hypersphere(scenario_3d.sensors)
+        assert localizability(scenario_2d.sensors).hypersphere_ok
+        assert localizability(scenario_3d.sensors).hypersphere_ok
 
     def test_points_on_random_circles_fail(self):
         rng = np.random.default_rng(1)
@@ -64,7 +62,7 @@ class TestCheckHypersphere:
             k = rng.integers(4, 11)
             angles = rng.uniform(0, 2 * np.pi, size=k)
             pts = center + radius * np.column_stack([np.cos(angles), np.sin(angles)])
-            assert not check_hypersphere(pts)
+            assert not localizability(pts).hypersphere_ok
 
     def test_points_on_random_spheres_fail(self):
         rng = np.random.default_rng(2)
@@ -74,11 +72,7 @@ class TestCheckHypersphere:
             k = rng.integers(5, 12)
             direction = rng.normal(size=(k, 3))
             direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-            assert not check_hypersphere(center + radius * direction)
-
-    def test_too_few_sensors(self):
-        with pytest.raises(InsufficientSensorsError):
-            check_hypersphere([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+            assert not localizability(center + radius * direction).hypersphere_ok
 
 
 class TestLocalizability:
@@ -105,9 +99,8 @@ class TestLocalizability:
     def test_only_two_or_three_dimensions(self, m):
         # The estimators reject these layouts, so no verdict may accept them.
         sensors = np.random.default_rng(m).uniform(-50.0, 50.0, size=(7, m))
-        for check in (localizability, check_hyperplane, check_hypersphere):
-            with pytest.raises(InvalidInputError, match="dimension must be 2 or 3"):
-                check(sensors)
+        with pytest.raises(InvalidInputError, match="dimension must be 2 or 3"):
+            localizability(sensors)
 
     def test_hypersphere_implies_hyperplane(self):
         # On 1000 random geometries (generic, collinear, and concyclic mixes)

@@ -31,6 +31,14 @@ def symmetric_cross():
     )
 
 
+def _normalized_matrix(sc):
+    """M_n = (1/n) sum_i grad f_i grad f_i^T over the n = k*T measurements,
+    f_i = log10 d_i: every round repeats the k sensor terms, so it is their
+    mean over the k sensors."""
+    grad = (sc.source - sc.sensors) / (np.sum((sc.source - sc.sensors) ** 2, axis=1) * LN10)[:, None]
+    return grad.T @ grad / sc.n_sensors
+
+
 class TestFisherInformation:
     def test_closed_form_symmetric_layout(self, symmetric_cross):
         fs = fisher_information(symmetric_cross)
@@ -52,18 +60,19 @@ class TestFisherInformation:
             fs = fisher_information(sc)
             scale = 100 * sc.alpha**2 / sc.sigma_db**2
             np.testing.assert_allclose(
-                fs.F, scale * sc.n_measurements * fs.M_n, rtol=1e-12
+                fs.F, scale * sc.n_measurements * _normalized_matrix(sc), rtol=1e-12
             )
             np.testing.assert_allclose(fs.F, fs.F.T, atol=1e-12)
             assert np.all(np.linalg.eigvalsh(fs.F) > 0)
 
     def test_asymptotic_covariance_identity(self, scenario_2d):
         # (sigma^2/(100 a^2)) M_n^{-1} / n == F^{-1}
-        fs = fisher_information(scenario_2d.with_rounds(5))
-        n = scenario_2d.with_rounds(5).n_measurements
+        sc = scenario_2d.with_rounds(5)
+        fs = fisher_information(sc)
+        n = sc.n_measurements
         scale = scenario_2d.sigma_db**2 / (100 * scenario_2d.alpha**2)
         np.testing.assert_allclose(
-            scale * np.linalg.inv(fs.M_n) / n, np.linalg.inv(fs.F), rtol=1e-12
+            scale * np.linalg.inv(_normalized_matrix(sc)) / n, np.linalg.inv(fs.F), rtol=1e-12
         )
 
     def test_rotation_equivariance(self, scenario_2d):
@@ -91,6 +100,13 @@ class TestFisherInformation:
     def test_eval_point_at_sensor_rejected(self, scenario_2d):
         with pytest.raises(SingularPointError):
             fisher_information(scenario_2d, eval_point=scenario_2d.sensors[0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eval_point_rejected(self, scenario_2d, bad):
+        # It was read as a point and failed the Fisher gate as a singular
+        # matrix, after a numpy invalid-value warning.
+        with pytest.raises(InvalidInputError, match="eval_point must be a finite m-vector"):
+            fisher_information(scenario_2d, eval_point=[bad, 0.0])
 
     def test_nearly_collinear_layout_rejected(self):
         # The x = 0 sensors of the 2-D fixed layout with the source 1e-7 m
@@ -125,6 +141,14 @@ class TestRcrlbCurve:
     def test_bad_param(self, scenario_2d):
         with pytest.raises(InvalidInputError):
             rcrlb_curve(scenario_2d, [1, 2], param="trials")
+
+    @pytest.mark.parametrize("param", ["rounds", "sigma"])
+    @pytest.mark.parametrize("value", [True, "2"])
+    def test_bool_or_string_value_rejected(self, scenario_2d, param, value):
+        # The sigma sweep read True as 1 dB and "2" as 2 dB; the rounds sweep
+        # rejected both.
+        with pytest.raises(InvalidInputError, match="must be a"):
+            rcrlb_curve(scenario_2d, [value], param=param)
 
 
 def _crlb_stack_by_rows(sensors, p, sigma_db, alpha, rounds):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,14 +207,14 @@ class TestScenario:
             Scenario.from_dict(d)
 
     @pytest.mark.parametrize(
-        "field, value", [("sigma_db", True), ("sigma_db", "4"), ("alpha", False), ("alpha", "2"), ("p0", True)]
+        "field, value", [("sigma_db", True), ("sigma_db", "4"), ("alpha", False), ("alpha", "2")]
     )
     def test_number_fields_in_dict_are_numbers(self, scenario_2d, field, value):
         # A bool was read as 1.0 or 0.0, and a numeric string as its number.
         with pytest.raises(InvalidInputError, match=f"{field} must be a finite number"):
             Scenario.from_dict({**scenario_2d.to_dict(), field: value})
 
-    @pytest.mark.parametrize("field", ["sigma_db", "alpha", "p0_const"])
+    @pytest.mark.parametrize("field", ["sigma_db", "alpha"])
     @pytest.mark.parametrize("value", [True, "2", math.nan])
     def test_number_fields_are_finite_numbers(self, field, value):
         # Scenario(..., sigma_db=True, alpha=True) kept True in both fields.
@@ -221,6 +223,12 @@ class TestScenario:
             Scenario(**{**base, field: value})
         sc = Scenario(**{**base, field: 2})
         assert getattr(sc, field) == 2.0 and type(getattr(sc, field)) is float
+
+    def test_p0_in_dict_is_an_unknown_key(self, scenario_2d):
+        # The transmit constant cancels from every equivalent measurement, so
+        # a scenario has no field for it.
+        with pytest.raises(InvalidInputError, match=r"unknown scenario keys \['p0'\]"):
+            Scenario.from_dict({**scenario_2d.to_dict(), "p0": 1.0})
 
     @pytest.mark.parametrize("dimension", ["two", None, 2.5])
     def test_malformed_dimension_in_dict(self, scenario_2d, dimension):
@@ -286,7 +294,6 @@ class TestGenerateMeasurements:
         a = generate_measurements(scenario_2d, 42)
         b = generate_measurements(scenario_2d, 42)
         np.testing.assert_array_equal(a.y, b.y)
-        np.testing.assert_array_equal(a.raw_db, b.raw_db)
 
     def test_counts_and_layout(self, scenario_2d):
         ms = generate_measurements(scenario_2d.with_rounds(3), 0)
@@ -295,12 +302,18 @@ class TestGenerateMeasurements:
             ms.sensor_coords, np.tile(scenario_2d.sensors, (3, 1))
         )
 
-    def test_raw_db_consistent_with_y(self, scenario_2d):
-        ms = generate_measurements(scenario_2d, 5)
-        np.testing.assert_array_equal(
-            equivalent_measurement(ms.raw_db, scenario_2d.p0_const, scenario_2d.alpha),
-            ms.y,
-        )
+    def test_readings_follow_the_engine_formula(self, scenario_2d, scenario_3d):
+        # y = log10(d) - w*eps, w = sigma/(10*alpha), from one standard-normal
+        # draw (rounds, sensors) flattened round-major: the readings whose
+        # per-sensor means model.draw_means gives the engine. No dB readings
+        # are kept.
+        cases = (scenario_2d.with_sigma(6.0).with_rounds(30), replace(scenario_3d, alpha=3.5, rounds=4))
+        for sc, seed in itertools.product(cases, range(20)):
+            ms = generate_measurements(sc, seed)
+            eps = np.random.default_rng(seed).standard_normal((sc.rounds, sc.n_sensors))
+            y = np.log10(sc.distances()) - sc.sigma_db / (10.0 * sc.alpha) * eps
+            assert np.array_equal(ms.y, y.ravel())
+            assert ms.raw_db is None
 
     def test_noise_std_monte_carlo(self, scenario_2d):
         # 10 sensors x 100000 rounds = 1e6 samples; omega std = sigma/(10a) = 0.1
