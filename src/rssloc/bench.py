@@ -23,10 +23,12 @@ means of the point: 2d-random at n = 1000 and 1000 trials peaks at about
 policy, which the per-call API also runs, with one estimator, on a trial's n
 tiled measurements; in exact arithmetic the two give the same estimates.
 
-Per-trial randomness is a counter-based substream keyed by
-(master_seed, sweep_index, trial_index), so every trial can be replayed on
-its own. Wall-clock timing is the one nondeterministic output; configs can
-disable it (``measure_time=False``) when byte-identical reports are required.
+Per-trial randomness is a counter-based stream (``model.trial_streams``):
+one Philox generator per sweep point, keyed once by the master seed, seeks
+the counter (sweep_index, trial_index, stream) of each trial, so every trial
+can be replayed on its own with ``model.trial_rng``. Wall-clock timing is
+the one nondeterministic output; configs can disable it
+(``measure_time=False``) when byte-identical reports are required.
 
 Every table rssloc prints is written by :func:`table` (CSV at %.17g, or JSON),
 every JSON document by :func:`strict_json`, which prints non-finite as null.
@@ -54,7 +56,7 @@ from .model import (
     known_keys,
     number,
     sq_norm,
-    trial_rng,
+    trial_streams,
 )
 
 SWEEP_PARAMS = ("rounds", "sigma", "n_random")
@@ -305,9 +307,11 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
 
     The noise model (its lognormal bias b and w = sigma/(10*alpha)) is built
     first, so a bias that overflows raises NumericError before any draw.
-    Trial t's noise comes from ``trial_rng(seed, sweep_index, t, 1)``; fresh
-    random geometry from ``trial_rng(seed, sweep_index, t, 0)``, pinned
-    geometry from ``trial_rng(seed, sweep_index, 0, 0)``. The layouts are
+    The point's trial streams (``model.trial_streams``) are keyed once; each
+    trial is one counter seek of the one generator. Trial t's noise comes
+    from the path (sweep_index, t, 1); fresh random geometry from
+    (sweep_index, t, 0), pinned geometry from (sweep_index, 0, 0), so
+    ``trial_rng(master_seed, *path)`` replays any of them. The layouts are
     checked and their RCRLB computed in blocks of about BLOCK_DOUBLES doubles
     of the design, k x (m+2) per trial. The trials are drawn in blocks
     (trials, rounds, k) of at most about BLOCK_DOUBLES standard normals (one
@@ -315,7 +319,7 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     ``model.draw_means``.
     """
     value = cfg.sweep_values[sweep_index]
-    seed = cfg.master_seed
+    seek = trial_streams(cfg.master_seed)
     random = cfg.sweep_param == "n_random"
     sc = cfg.scenario
     if not random:
@@ -325,7 +329,7 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
         geometry = (0,) if cfg.fixed_geometry else range(cfg.trials)
         sensors = np.empty((len(geometry), value, sc.dimension))
         for g, trial in enumerate(geometry):
-            sensors[g] = sc.layout(value, trial_rng(seed, sweep_index, trial, 0))
+            sensors[g] = sc.layout(value, seek(sweep_index, trial, 0))
         source, rounds = sc.source, 1
     else:
         sensors, source, rounds = sc.sensors[None], sc.source, sc.rounds
@@ -344,10 +348,10 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     blocks = _blocks(cfg.trials, rounds * k)
     eps = np.empty((blocks[0][1], rounds, k))
     for start, stop in blocks:
-        rngs = (trial_rng(seed, sweep_index, trial, 1) for trial in range(start, stop))
+        paths = ((sweep_index, trial, 1) for trial in range(start, stop))
         layouts = sensors if len(sensors) == 1 else sensors[start:stop]
         ybar[start:stop], zbar[start:stop] = draw_means(
-            rngs, eps[: stop - start], sq_norm(layouts - source), noise.omega_std
+            seek, paths, eps[: stop - start], sq_norm(layouts - source), noise.omega_std
         )
     return SweepPoint(
         sensors=sensors,
@@ -436,12 +440,13 @@ def time_scaling(n_values: Sequence[int], runs: int = 100, master_seed: int = 0)
     master_seed = number(master_seed, "master_seed", True, ConfigError, low=0)
     family = RandomScenarioFamily()
     noise = NoiseModel(sigma_db=family.sigma_db, alpha=family.alpha)
+    seek = trial_streams(master_seed)
     results = []
     for idx, n in enumerate(n_values):
         sets = []
         for run in range(runs):
-            scenario = family.sample(n, trial_rng(master_seed, idx, run, 0))
-            sets.append(generate_measurements(scenario, trial_rng(master_seed, idx, run, 1)))
+            scenario = family.sample(n, seek(idx, run, 0))
+            sets.append(generate_measurements(scenario, seek(idx, run, 1)))
         times = []
         for ms in sets:
             t0 = time.perf_counter()

@@ -316,44 +316,103 @@ class NoiseModel:
         object.__setattr__(self, "omega_std", self.sigma_db / (10.0 * self.alpha))
 
 
-def trial_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """Counter-based substream generator.
+# A trial stream's path has 1 to 3 words; the counter holds them above the
+# position word, in a Philox4x64 counter of four 64-bit words.
+_PATH_WORDS = 3
+_WORD_END = 2**64
 
-    (master_seed, path) fully determines the stream, so parallel trials can
-    draw independently in any order and still reproduce bit-identically.
+
+def trial_streams(master_seed: int):
+    """Counter-based trial streams of one master seed: returns ``seek(*path)``.
+
+    A path's stream is a counter range of a keyed Philox4x64 generator
+    (Salmon et al., SC 2011). The key is ``SeedSequence(master_seed, spawn_key=(len(path),))
+    .generate_state(2, uint64)``, derived once per path length on the first
+    seek of that length; putting the length in the key keeps (5,), (5, 0)
+    and (5, 0, 0) apart. The counter is [position, *path], zero-padded to
+    four words: the low word is the position, so each path owns 2**64
+    blocks. ``seek(*path)`` sets the counter of the generator of that path
+    length to the start of ``path``, drops any buffered output, and returns
+    the generator, so one generator serves every trial of a sweep point: a
+    draw from it depends on the path alone, not on earlier draws or seeks.
+    The generator is repositioned by the next seek of the same path length,
+    so draw from it before seeking again.
+
+    A path is 1 to 3 whole words, each in [0, 2**64) and none a bool;
+    anything else raises InvalidInputError, and so does a master seed that
+    is not a whole number >= 0.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(path))
-    )
+    master_seed = number(master_seed, "master_seed", True, low=0)
+    seekers = {}
+
+    def seek(*path) -> np.random.Generator:
+        if not 1 <= len(path) <= _PATH_WORDS:
+            raise InvalidInputError(f"a trial stream path has 1 to {_PATH_WORDS} words, got {path!r}")
+        for word in path:
+            if not (type(word) is int or isinstance(word, np.integer)) or not 0 <= word < _WORD_END:
+                raise InvalidInputError(f"a trial stream path word is a whole number in [0, 2**64), got {word!r}")
+        seeker = seekers.get(len(path))
+        if seeker is None:
+            key = np.random.SeedSequence(master_seed, spawn_key=(len(path),))
+            bit_generator = np.random.Philox(key)
+            seeker = seekers[len(path)] = (np.random.Generator(bit_generator), bit_generator.state)
+        rng, state = seeker
+        # The state holds an empty buffer (buffer_pos 4, has_uint32 0) and
+        # position 0; only the path words change between seeks.
+        state["state"]["counter"][1 : 1 + len(path)] = path
+        rng.bit_generator.state = state
+        return rng
+
+    return seek
 
 
-def draw_means(rngs, eps: np.ndarray, sq_distances: np.ndarray, omega_std: float):
+def trial_rng(master_seed: int, *path: int) -> np.random.Generator:
+    """A fresh generator positioned at the trial stream ``path`` of
+    ``master_seed``: ``trial_streams(master_seed)(*path)``, the seek the Monte
+    Carlo engine makes for each trial, so a trial replays on its own bit for
+    bit. (master_seed, path) fully determines the stream; see
+    :func:`trial_streams` for the key, the counter layout and the path rules.
+    """
+    return trial_streams(master_seed)(*path)
+
+
+def _sum_rounds(eps: np.ndarray) -> np.ndarray:
+    # ones @ eps sums (trials, rounds, k) over the rounds faster than
+    # eps.sum(axis=1) at T >= 3, but is slow at T = 1, where the sum is
+    # eps[:, 0] bit for bit.
+    rounds = eps.shape[1]
+    return eps[:, 0].copy() if rounds == 1 else np.ones(rounds) @ eps
+
+
+def draw_means(seek, paths, eps: np.ndarray, sq_distances: np.ndarray, omega_std: float):
     """Fill the block ``eps`` (trials, rounds, k) with standard normals, one
-    trial per generator of ``rngs``, and return each trial's per-sensor means
+    trial per path of ``paths``, and return each trial's per-sensor means
     (ybar, zbar) over its rounds, (trials, k) each, of y and of 10**(2*y).
     Row r of a trial's slice holds round r of every sensor; ``sq_distances``
     (g, k), g in {1, trials}, holds the squared distances d**2.
 
-    Trial t's slice comes from the t-th generator alone, so a block of one
-    trial gives the engine's bits. With w = omega_std = sigma/(10*alpha), a
-    reading is y = log10(d) - w*eps, as :func:`generate_measurements` draws
-    it; the means come straight from eps:
+    Trial t's slice is drawn from ``seek(*path)`` for the t-th path alone,
+    right after that seek (``seek`` as from :func:`trial_streams`, which may
+    reposition one generator per call), so a block of one trial gives the
+    engine's bits. With w = omega_std = sigma/(10*alpha), a reading is
+    y = log10(d) - w*eps, as :func:`generate_measurements` draws it; the
+    means come straight from eps:
 
         ybar = log10(d) - (w/T) * sum_r eps_r,
         zbar = d**2 * sum_r exp(-2*ln(10)*w*eps_r) / T,
 
-    one multiply and one exp per reading (``eps`` is overwritten). At
-    sigma = 0 ybar is log10(d) and zbar is d**2 bit for bit.
+    one multiply and one exp per reading (``eps`` is overwritten). At T = 1
+    the sums over the rounds are eps itself, bit for bit. At sigma = 0 ybar
+    is log10(d) and zbar is d**2 bit for bit.
     """
-    for block, rng in zip(eps, rngs):
-        rng.standard_normal(out=block)
+    for block, path in zip(eps, paths):
+        seek(*path).standard_normal(out=block)
     rounds = eps.shape[1]
-    ones = np.ones(rounds)
-    ybar = ones @ eps
+    ybar = _sum_rounds(eps)
     ybar *= -omega_std / rounds
     ybar += np.log10(np.sqrt(sq_distances))
     eps *= -2.0 * LN10 * omega_std
-    zbar = ones @ np.exp(eps, out=eps)
+    zbar = _sum_rounds(np.exp(eps, out=eps))
     zbar /= rounds
     zbar *= sq_distances
     return ybar, zbar

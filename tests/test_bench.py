@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from rssloc.bench import (
 from rssloc.errors import ConfigError, DegenerateGeometryError, InvalidInputError, NumericError
 from rssloc.estimators import estimate_stack, ls_known_variance, two_step
 from rssloc.inference import fisher_information
-from rssloc.model import NoiseModel, Scenario, generate_measurements, sq_norm, trial_rng
+from rssloc.model import NoiseModel, Scenario, draw_means, generate_measurements, sq_norm, trial_rng, trial_streams
 
 
 def _cfg(scenario, **kwargs):
@@ -420,7 +421,12 @@ class TestBlockDraw:
     )
     def test_overflowing_bias_raises_before_any_draw(self, scenario, sweep, monkeypatch):
         calls = []
-        monkeypatch.setattr(bench, "trial_rng", lambda *path: calls.append(path) or trial_rng(*path))
+
+        def recording_streams(master_seed):
+            seek = trial_streams(master_seed)
+            return lambda *path: calls.append(path) or seek(*path)
+
+        monkeypatch.setattr(bench, "trial_streams", recording_streams)
         with pytest.raises(NumericError, match="overflows"):
             sweep_point(_cfg(scenario, **sweep), 0)
         assert calls == []
@@ -435,6 +441,44 @@ class TestBlockDraw:
         for block in (7 * rounds * k, 1):
             monkeypatch.setattr(bench, "BLOCK_DOUBLES", block)
             _assert_same_point(sweep_point(cfg, 1), whole)
+
+    @pytest.mark.parametrize("case", ["2d-fixed-rounds", "2d-random-fresh", "2d-random-pinned"])
+    def test_a_trial_alone_equals_it_inside_any_block(self, case, scenario_2d, scenario_3d):
+        # One trial drawn through trial_rng alone, in a block of its own,
+        # gives the engine's layout and means bit for bit: the engine's one
+        # generator per point seeks each trial after drawing the one before
+        # it, and each noise stream after the point's uniform layout draws.
+        cfg = _cfg(trials=40, master_seed=5, **_block_draw_configs(scenario_2d, scenario_3d)[case])
+        for sweep_index in range(len(cfg.sweep_values)):
+            point = sweep_point(cfg, sweep_index)
+            k, rounds = point.sensors.shape[1], point.n // point.sensors.shape[1]
+            for trial in (0, 1, 17, 39):
+                sc = replay_scenario(cfg, sweep_index, trial)
+                assert np.array_equal(sc.sensors, point.sensors[0 if len(point.sensors) == 1 else trial])
+                ybar, zbar = draw_means(
+                    lambda *path: trial_rng(cfg.master_seed, *path),
+                    [(sweep_index, trial, 1)],
+                    np.empty((1, rounds, k)),
+                    sq_norm(sc.sensors - sc.source)[None],
+                    NoiseModel(sc.sigma_db, sc.alpha).omega_std,
+                )
+                assert np.array_equal(ybar[0], point.ybar[trial]) and np.array_equal(zbar[0], point.zbar[trial])
+
+    def test_the_stream_key_is_derived_once_per_point(self, scenario_2d, monkeypatch):
+        # No per-trial hashing: one SeedSequence per sweep point (all its
+        # paths have three words), and one per time-scaling run.
+        seed_sequences = mock.Mock(wraps=np.random.SeedSequence)
+        monkeypatch.setattr(np.random, "SeedSequence", seed_sequences)
+        random = _cfg(RandomScenarioFamily(sigma_db=4.0), sweep_param="n_random", sweep_values=(5, 30), trials=50)
+        for cfg in (random, _cfg(scenario_2d, sweep_values=(1, 3, 30), trials=50)):
+            seed_sequences.reset_mock()
+            run_experiment(cfg)
+            assert seed_sequences.call_count == len(cfg.sweep_values)
+            assert all(call.args == (cfg.master_seed,) and call.kwargs == {"spawn_key": (3,)}
+                       for call in seed_sequences.call_args_list)
+        seed_sequences.reset_mock()
+        time_scaling([10, 20], runs=5, master_seed=2)
+        assert seed_sequences.call_count == 1
 
     def test_peak_memory_is_capped(self, scenario_2d):
         # The whole point would be 2000 x 400 x 10 doubles, 64 MB per array.

@@ -633,16 +633,16 @@ def _iterate(p, sensors, y):
 class TestGnIterate:
     def test_matches_a_per_problem_guarded_newton_loop(self, monkeypatch):
         monkeypatch.setattr(estimators, "MAX_ITERATIONS", 15)
-        # 2d-fixed at 6 dB, T = 1 (seed 7) from the LS estimates: trial 0
-        # halves a step, 16 halves a Newton step five times and converges,
-        # and 20 needs more than 15 steps.
+        # 2d-fixed at 6 dB, T = 1 (seed 7) from the LS estimates: trial 2
+        # halves a step, 200 halves a Newton step five times and converges,
+        # and 21 needs more than 15 steps.
         point = sweep_point(
             ExperimentConfig.from_dict(
-                {"scenario": "2d-fixed", "sigma_db": 6.0, "sweep": {"rounds": [1]}, "trials": 48}, seed=7
+                {"scenario": "2d-fixed", "sigma_db": 6.0, "sweep": {"rounds": [1]}, "trials": 201}, seed=7
             ),
             0,
         )
-        rows = [0, 16, 20]
+        rows = [2, 200, 21]
         layout = point.sensors[0]
         frame = normalise(point.sensors)
         starts = list(_least_squares(frame, *normal_equations(frame[0], point.zbar), point.bias_b)[0][rows])
@@ -1118,9 +1118,9 @@ class TestPlan:
 
     def test_ml_continues_from_the_two_step_estimate(self, scenario_2d, monkeypatch):
         # Where the full first step lowers the ML objective, ml's first
-        # iterate is the two-step estimate; at T = 1, trial 100 (seed 95) the
+        # iterate is the two-step estimate; at T = 1, trial 330 (seed 95) the
         # full step raises it, and ml's first iterate is the half step.
-        for rounds, trial, lam in [(3, 0, 1.0), (3, 1, 1.0), (3, 2, 1.0), (3, 3, 1.0), (3, 4, 1.0), (1, 100, 0.5)]:
+        for rounds, trial, lam in [(3, 0, 1.0), (3, 1, 1.0), (3, 2, 1.0), (3, 3, 1.0), (3, 4, 1.0), (1, 330, 0.5)]:
             ms = generate_measurements(scenario_2d.with_rounds(rounds), trial_rng(95, trial))
             start = ls_known_variance(ms, NOISE.bias_b).p_hat
             with monkeypatch.context() as one_step:

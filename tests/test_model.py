@@ -14,11 +14,13 @@ from rssloc.model import (
     MeasurementSet,
     NoiseModel,
     Scenario,
+    draw_means,
     equivalent_measurement,
     generate_measurements,
     lognormal_bias,
     lognormal_variance,
     trial_rng,
+    trial_streams,
 )
 
 
@@ -338,3 +340,81 @@ class TestGenerateMeasurements:
         c = trial_rng(123, 4, 6).normal(size=8)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestTrialStreams:
+    def test_a_seek_drops_what_earlier_draws_left_buffered(self):
+        # One generator serves a whole sweep point: a seek after a layout's
+        # uniform draw, after another trial's normals, or after a float32
+        # draw that leaves half a word buffered gives the fresh stream.
+        seek = trial_streams(31)
+        for before in (
+            lambda rng: rng.uniform(0.0, 100.0, size=(7, 2)),
+            lambda rng: rng.standard_normal((3, 5)),
+            lambda rng: rng.random(dtype=np.float32),
+        ):
+            for trial in range(1, 4):
+                before(seek(2, trial - 1, 1))
+                got = seek(2, trial, 1).standard_normal((3, 10))
+                assert np.array_equal(got, trial_rng(31, 2, trial, 1).standard_normal((3, 10)))
+
+    def test_paths_never_share_a_stream(self):
+        # Paths of each length have their own key, so zero padding does not
+        # make (5,) the same counter as (5, 0) or (5, 0, 0); the last word
+        # parts a trial's layout stream from its noise stream.
+        paths = [(5,), (5, 0), (5, 0, 0), (3, 4, 0), (3, 4, 1), (3, 5, 0), (4, 4, 0), (2**64 - 1,)]
+        draws = {path: trial_rng(8, *path).standard_normal(16) for path in paths}
+        assert len({d.tobytes() for d in draws.values()}) == len(paths)
+
+    def test_the_master_seed_keys_every_stream(self):
+        a = trial_rng(3, 0, 0, 1).standard_normal(16)
+        b = trial_rng(4, 0, 0, 1).standard_normal(16)
+        assert not np.array_equal(a, b)
+
+    def test_normals_are_standard(self):
+        # Mean and variance of 10**6 draws within 5 standard errors of (0, 1):
+        # 1/sqrt(N) for the mean, sqrt(2/N) for the variance.
+        n = 10**6
+        eps = trial_rng(17, 0, 0, 1).standard_normal(n)
+        assert abs(eps.mean()) < 5.0 / math.sqrt(n)
+        assert abs(eps.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize(
+        "path",
+        [(-1,), (0, -3, 1), (2**64,), (True,), (0, np.True_, 1), (1.5,), (0, 2.0, 1), ("1",), (), (1, 2, 3, 4)],
+        ids=["negative", "negative-inner", "2**64", "bool", "numpy-bool", "fraction", "float", "string", "empty",
+             "four-words"],
+    )
+    def test_bad_paths_raise_a_typed_error(self, path):
+        with pytest.raises(InvalidInputError, match="trial stream path"):
+            trial_rng(1, *path)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_bad_master_seeds_raise_a_typed_error(self, seed):
+        with pytest.raises(InvalidInputError, match="master_seed"):
+            trial_streams(seed)
+
+    def test_numpy_integer_words_give_the_int_stream(self):
+        a = trial_rng(np.int64(6), np.uint64(2**64 - 1), np.int32(7)).standard_normal(4)
+        assert np.array_equal(a, trial_rng(6, 2**64 - 1, 7).standard_normal(4))
+
+
+class TestDrawMeans:
+    def test_one_round_keeps_the_bits_of_the_general_sums(self):
+        # At T = 1 the sums over the rounds are eps itself: the means equal
+        # the general formula's, ones @ eps with the multiply and divide by T.
+        seek = trial_streams(12)
+        sq = np.array([[4.0e3, 2.5e3, 9.0, 1.0e4]])
+        for w in (0.0, 0.1, 0.3):
+            eps = np.empty((13, 1, 4))
+            ybar, zbar = draw_means(seek, ((0, t, 1) for t in range(13)), eps, sq, w)
+            drawn = np.array([trial_rng(12, 0, t, 1).standard_normal((1, 4)) for t in range(13)])
+            ones = np.ones(1)
+            want_y = ones @ drawn
+            want_y *= -w / 1
+            want_y += np.log10(np.sqrt(sq))
+            drawn *= -2.0 * LN10 * w
+            want_z = ones @ np.exp(drawn)
+            want_z /= 1
+            want_z *= sq
+            assert np.array_equal(ybar, want_y) and np.array_equal(zbar, want_z)
