@@ -10,7 +10,6 @@ from .bench import (
 )
 from .estimators import (
     Estimate,
-    Stage,
     estimate_sigma_from_b,
     gn_step,
     ls_known_variance,
@@ -48,7 +47,6 @@ __all__ = [
     "NoiseModel",
     "RandomScenarioFamily",
     "Scenario",
-    "Stage",
     "TrialReport",
     "equivalent_measurement",
     "estimate_sigma_from_b",

@@ -139,7 +139,8 @@ class ExperimentConfig:
     """One benchmark run: scenario, estimators, sweep, trial count, seed.
 
     ``estimators`` is a list or tuple of distinct estimator ids; counts are
-    whole numbers >= 1 and ``master_seed`` a whole number >= 0.
+    whole numbers >= 1, ``master_seed`` a whole number >= 0, and
+    ``fixed_geometry`` and ``measure_time`` booleans.
     """
 
     scenario: Union[Scenario, RandomScenarioFamily]
@@ -167,6 +168,9 @@ class ExperimentConfig:
         values = tuple(number(v, self.sweep_param, whole, ConfigError) for v in self.sweep_values)
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "trials", number(self.trials, "trials", True, ConfigError))
+        flags = {"fixed_geometry": self.fixed_geometry, "measure_time": self.measure_time}
+        if not all(isinstance(v, bool) for v in flags.values()):
+            raise ConfigError(f"fixed_geometry and measure_time must be true or false, got {flags}")
         random_family = isinstance(self.scenario, RandomScenarioFamily)
         if (self.sweep_param == "n_random") != random_family:
             raise ConfigError(
@@ -199,10 +203,6 @@ class ExperimentConfig:
             master_seed = seed if seed is not None else d.get("master_seed")
             if master_seed is None:
                 raise ConfigError("a master seed is required")
-            flags = {"fixed_geometry": d.get("fixed_geometry", False),
-                     "measure_time": d.get("measure_time", True)}
-            if not all(isinstance(v, bool) for v in flags.values()):
-                raise ConfigError(f"fixed_geometry and measure_time must be true or false, got {flags}")
             return cls(
                 scenario=scenario,
                 estimators=d.get("estimators", ("ls", "ls+gn")),
@@ -210,7 +210,8 @@ class ExperimentConfig:
                 sweep_values=values,
                 trials=d.get("trials", 1000),
                 master_seed=master_seed,
-                **flags,
+                fixed_geometry=d.get("fixed_geometry", False),
+                measure_time=d.get("measure_time", True),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc

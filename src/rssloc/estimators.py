@@ -48,19 +48,19 @@ else a point on its step. A problem's arithmetic depends neither on which
 other ids run with it nor on their order. The single-problem estimators run
 ``estimate_stack`` with one id on one problem of n rows and raise the
 failure it reports (``ml_reference`` runs its ML stages, first step then
-``gn_continue``, from the caller's start point); the Monte Carlo engine runs
-it with every requested id on per-sensor means over the rounds, which give
-the same estimates as the n tiled rows in exact arithmetic: tiling
-multiplies both sides of every normal equation, LS, Gauss-Newton and Newton
-alike, by the number of rounds, and the objective by it plus a constant, the
-spread of the readings about their means.
+``gn_continue``, from the caller's start point) and return an ``Estimate``
+named by that id (``_per_call``); the Monte Carlo engine runs it with every
+requested id on per-sensor means over the rounds, which give the same
+estimates as the n tiled rows in exact arithmetic: tiling multiplies both
+sides of every normal equation, LS, Gauss-Newton and Newton alike, by the
+number of rounds, and the objective by it plus a constant, the spread of the
+readings about their means.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 from time import perf_counter
 from typing import List, NamedTuple, Optional
 
@@ -101,32 +101,30 @@ FAILURES = (
 _NEAR, _DEGENERATE, _STEP_NONFINITE, _SINGULAR_KNOWN, _SINGULAR_UNKNOWN, _LS_NONFINITE = range(1, 7)
 
 
-class Stage(str, Enum):
-    LS_KNOWN_VAR = "LsKnownVar"
-    LS_UNKNOWN_VAR = "LsUnknownVar"
-    TWO_STEP = "TwoStep"
-    ML_REFERENCE = "MlReference"
-
-
 @dataclass(frozen=True)
 class Estimate:
-    """A source-location estimate with stage provenance and diagnostics."""
+    """A source-location estimate from one per-call estimator, with diagnostics.
+
+    ``estimator`` is the id of ESTIMATOR_IDS that made it. ``coef`` holds the
+    LS coefficients the estimate starts from: theta, m+1 entries, for ``ls``
+    and ``ls+gn``; beta, m+2 entries, for ``ls-u`` and ``ls-u+gn``; None for
+    ``ml``, which starts from the caller's point. ``b_hat`` is beta's last
+    entry, the estimated lognormal bias b, else None. The other diagnostics
+    are estimate_stack's (see there).
+    """
 
     p_hat: np.ndarray
-    stage: Stage
+    estimator: str
     residual_norm: float
-    theta_hat: Optional[np.ndarray] = None
-    beta_hat: Optional[np.ndarray] = None
-    b_hat: Optional[float] = None
-    gn_iterations: int = 0
-    converged: bool = True
-    refinement_degraded: bool = False
+    coef: Optional[np.ndarray]
+    b_hat: Optional[float]
+    gn_iterations: int
+    converged: bool
+    refinement_degraded: bool
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
-        for key in ("p_hat", "theta_hat", "beta_hat"):
-            d[key] = None if d[key] is None else np.asarray(d[key]).tolist()
-        return {**d, "stage": self.stage.value}
+        return {**d, "p_hat": self.p_hat.tolist(), "coef": None if self.coef is None else self.coef.tolist()}
 
 
 def _normal_solve(gram: np.ndarray, rhs: np.ndarray, rows: int):
@@ -212,23 +210,23 @@ def _residual(p_hat: np.ndarray, ms: MeasurementSet) -> float:
         return float("nan")
 
 
-def _estimate(est_id: str, ms: MeasurementSet, stage: Stage, b: float = 1.0) -> Estimate:
+def _estimate(est_id: str, ms: MeasurementSet, b: float = 1.0) -> Estimate:
     """estimate_stack on the n rows of ``ms``; raises the failure it reports."""
     # An overflowing 10**(2*y) makes the coefficients non-finite (_LS_NONFINITE).
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.power(10.0, 2.0 * ms.y)[None]
         (out,) = estimate_stack((est_id,), ms.sensor_coords[None], ms.y[None], z, b)
+    return _per_call(est_id, out, ms)
+
+
+def _per_call(est_id: str, out: StackOutcome, ms: MeasurementSet) -> Estimate:
+    """The Estimate of ``est_id`` on the one problem of ``out``, every
+    diagnostic taken from it; raises the failure it reports."""
     _raise(out.failure[0])
-    p_hat, coef = out.p_hat[0], out.coef[0]
-    coefs = {"beta_hat": coef, "b_hat": float(coef[-1])} if est_id.startswith("ls-u") else {"theta_hat": coef}
-    return Estimate(
-        p_hat=p_hat,
-        stage=stage,
-        residual_norm=_residual(p_hat, ms),
-        gn_iterations=int(out.iterations[0]),
-        refinement_degraded=bool(out.degraded[0]),
-        **coefs,
-    )
+    p_hat, coef = out.p_hat[0], None if est_id == "ml" else out.coef[0]
+    b_hat = float(coef[-1]) if est_id.startswith("ls-u") else None
+    iterations, converged, degraded = int(out.iterations[0]), bool(out.converged[0]), bool(out.degraded[0])
+    return Estimate(p_hat, est_id, _residual(p_hat, ms), coef, b_hat, iterations, converged, degraded)
 
 
 def ls_known_variance(ms: MeasurementSet, b: float) -> Estimate:
@@ -244,7 +242,7 @@ def ls_known_variance(ms: MeasurementSet, b: float) -> Estimate:
     b = number(b, "b")
     if not (b >= 1.0):
         raise InvalidInputError("b must be >= 1")
-    return _estimate("ls", ms, Stage.LS_KNOWN_VAR, b)
+    return _estimate("ls", ms, b)
 
 
 def source_from_beta(beta: np.ndarray, m: int) -> np.ndarray:
@@ -268,7 +266,7 @@ def ls_unknown_variance(ms: MeasurementSet) -> Estimate:
     hypersphere test, which fewer than m+2 rows also fail). Raises
     NumericError like ls_known_variance.
     """
-    return _estimate("ls-u", ms, Stage.LS_UNKNOWN_VAR)
+    return _estimate("ls-u", ms)
 
 
 def estimate_sigma_from_b(b_hat: float, alpha: float) -> float:
@@ -517,14 +515,15 @@ def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndar
 def two_step(ms: MeasurementSet, noise: Optional[NoiseModel] = None) -> Estimate:
     """The two-step estimator: closed-form LS, then exactly one GN step.
 
-    ``noise`` present selects the known-variance LS path, absent the
-    unknown-variance path. If the refinement step fails numerically the
-    stage-1 estimate is returned flagged as degraded rather than erroring:
-    small-sample trials can produce iterates arbitrarily close to a sensor.
+    ``noise`` present selects the known-variance LS path (``ls+gn``), absent
+    the unknown-variance path (``ls-u+gn``). If the refinement step fails
+    numerically the LS estimate is returned flagged as degraded rather than
+    erroring: small-sample trials can produce iterates arbitrarily close to
+    a sensor.
     """
     if noise is None:
-        return _estimate("ls-u+gn", ms, Stage.TWO_STEP)
-    return _estimate("ls+gn", ms, Stage.TWO_STEP, noise.bias_b)
+        return _estimate("ls-u+gn", ms)
+    return _estimate("ls+gn", ms, noise.bias_b)
 
 
 def ml_reference(ms: MeasurementSet, init) -> Estimate:
@@ -536,15 +535,11 @@ def ml_reference(ms: MeasurementSet, init) -> Estimate:
     ``converged`` is True where a step direction fell below STEP_TOLERANCE,
     False where the iteration stopped after MAX_ITERATIONS steps or where a
     step halved below STEP_TOLERANCE did not pass; ``gn_iterations`` counts
-    the steps (see gn_continue). A failing step raises its typed error.
+    the steps (see gn_continue). A failing step raises its typed error. The
+    Estimate is ``ml``'s, without LS coefficients.
     """
     p, sensors, y = _start(init, ms), ms.sensor_coords[None], ms.y[None]
-    p, failure, iterations, converged = gn_continue(p, gn_steps(p, sensors, y), sensors, y)
-    _raise(failure[0])
-    return Estimate(
-        p_hat=p[0],
-        stage=Stage.ML_REFERENCE,
-        residual_norm=_residual(p[0], ms),
-        gn_iterations=int(iterations[0]),
-        converged=bool(converged[0]),
-    )
+    since = perf_counter()
+    p_hat, failure, iterations, converged = gn_continue(p, gn_steps(p, sensors, y), sensors, y)
+    out = StackOutcome(p_hat, None, failure, np.zeros(1, dtype=bool), iterations, converged, perf_counter() - since)
+    return _per_call("ml", out, ms)

@@ -38,12 +38,17 @@ SENSOR_CLEARANCE = 1e-9
 
 
 def floats(values, name: str) -> np.ndarray:
-    """``values`` as a float array; InvalidInputError where numpy cannot read
-    it as one (a ragged or non-numeric array)."""
+    """``values`` as a float array; InvalidInputError where numpy reads it as
+    ragged, or as booleans, strings or objects (``True`` and ``"2"`` are not
+    1 and 2). The dtype is checked, not each element: numpy reads a list that
+    mixes booleans with numbers, such as ``[True, 1.5]``, as numbers."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} is not a rectangular array of numbers: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} is not a rectangular array of numbers: numpy reads it as {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 def _as_points(points, name: str) -> np.ndarray:

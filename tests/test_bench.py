@@ -106,12 +106,24 @@ class TestExperimentConfig:
             {"fixed_geometry": "false"},
             {"measure_time": "no"},
             {"measure_time": 0},
+            {"sweep": {"round": [3]}},
+            {"sweep": {"rounds": [3], "sigma": [2.0]}},
+            {"sweep": None},
         ],
     )
     def test_from_dict_rejects_mistyped_fields(self, field):
         d = {"scenario": "2d-fixed", "sweep": {"rounds": [3]}, "trials": 5, **field}
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d, seed=1)
+
+    @pytest.mark.parametrize(
+        "flags", [{"fixed_geometry": "no"}, {"fixed_geometry": 1}, {"measure_time": 0}, {"measure_time": None}]
+    )
+    def test_flags_are_booleans(self, scenario_2d, flags):
+        # A config built in code took any truthy flag: "no" pinned the
+        # geometry, and 0 dropped the timing column.
+        with pytest.raises(ConfigError, match="fixed_geometry and measure_time must be true or false"):
+            _cfg(scenario_2d, **flags)
 
     @pytest.mark.parametrize("field", [{"sigma_db": True}, {"sigma_db": "4"}, {"alpha": False}, {"alpha": "2"}])
     def test_from_dict_rejects_non_numeric_signal_fields(self, field):

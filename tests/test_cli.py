@@ -61,7 +61,7 @@ class TestEstimate:
         assert code == 0
         result = json.loads(out)
         assert result["p_hat"] == pytest.approx([70.0, 30.0], abs=1e-6)
-        assert result["stage"] == "TwoStep"
+        assert result["estimator"] == "ls+gn"
 
     def test_without_sigma_runs_unknown_variance_path(
         self, capsys, tmp_path, clean_measurement_file
@@ -74,7 +74,7 @@ class TestEstimate:
         assert code == 0
         result = json.loads(out)
         assert result["p_hat"] == pytest.approx([70.0, 30.0], abs=1e-6)
-        assert result["beta_hat"] is not None
+        assert result["estimator"] == "ls-u+gn" and len(result["coef"]) == 4
 
     def test_y_input_accepted(self, capsys, tmp_path, scenario_2d):
         sc = scenario_2d.with_sigma(0.0)
@@ -111,6 +111,28 @@ class TestEstimate:
         code, _, err = _run(capsys, ["estimate", "--input", str(path)])
         assert code == 2
         assert json.loads(err)["error"] == "schema"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("y", [True, False, True, True, True]),
+            ("raw_db", ["-40", "-41", "-42", "-43", "-44"]),
+            ("sensors", [[True, False], [False, True], [True, True], [False, False], [True, False]]),
+        ],
+    )
+    def test_boolean_or_string_array_exits_2_schema(self, capsys, tmp_path, field, value):
+        # The booleans were read as 1 and 0 and the strings as their numbers:
+        # the y file ran and exited 1 with singular-gram.
+        payload = {"sensors": [[0, 20], [0, 50], [50, 50], [50, 0], [-50, 0]], "y": [1, 1, 1, 1, 1], field: value}
+        if field == "raw_db":
+            del payload["y"]
+        path = tmp_path / "typed_array.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and "not a rectangular array of numbers" in error["message"]
 
     @pytest.mark.parametrize("command", ["estimate", "check-geometry"])
     def test_ragged_coordinates_exit_2_schema(self, capsys, tmp_path, command):
@@ -208,6 +230,25 @@ class TestEstimate:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "schema" and "dimension must be 2 or 3" in error["message"]
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("estimate", '{"sensors": [[0, 0]', "is not valid JSON"),
+            ("estimate", "[1, 2]", "must be an object with a 'sensors' key"),
+            ("estimate", '{"sensors": [[0, 0], [1, 0], [0, 1]], "sigma_db": 2}', "needs 'raw_db' or 'y'"),
+            ("check-geometry", '{"y": [1, 2, 3]}', "must be an object with a 'sensors' key"),
+        ],
+        ids=["invalid-json", "not-an-object", "no-readings", "geometry-without-sensors"],
+    )
+    def test_malformed_file_exits_2_schema(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        code, out, err = _run(capsys, [command, "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and message in error["message"]
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["estimate", "--input", str(tmp_path / "nope.json")])
@@ -314,6 +355,14 @@ class TestCrlb:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "invalid-input"
+
+    def test_random_scenario_exits_2_schema(self, capsys):
+        # The RCRLB depends on the layout, which the random family draws anew.
+        code, out, err = _run(capsys, ["crlb", "--scenario", "2d-random", "--sweep-values", "3"])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and "not the random family" in error["message"]
 
     def test_unknown_scenario_key_exits_2_invalid_input(self, capsys, tmp_path, scenario_2d):
         path = tmp_path / "scenario.json"

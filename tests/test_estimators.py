@@ -22,7 +22,6 @@ from rssloc.errors import (
 from rssloc.estimators import (
     ESTIMATOR_IDS,
     FAILURES,
-    Stage,
     _least_squares,
     estimate_sigma_from_b,
     estimate_stack,
@@ -89,7 +88,44 @@ class TestZeroNoiseExactness:
         sc = scenario_2d.with_sigma(0.0)
         est = ls_unknown_variance(generate_measurements(sc, 0))
         expected = np.concatenate([sc.source, [sc.source @ sc.source, 1.0]])
-        np.testing.assert_allclose(est.beta_hat, expected, rtol=1e-9)
+        np.testing.assert_allclose(est.coef, expected, rtol=1e-9)
+
+
+class TestEstimateNames:
+    # Entries of coef beyond the m coordinates: theta has one, beta two
+    # (b_hat last), and ml has no coef.
+    COEFS = {"ls": 1, "ls+gn": 1, "ls-u": 2, "ls-u+gn": 2, "ml": None}
+    KEYS = ["p_hat", "estimator", "residual_norm", "coef", "b_hat", "gn_iterations", "converged", "refinement_degraded"]
+
+    @pytest.mark.parametrize("est_id", sorted(PER_CALL))
+    def test_names_its_id_and_takes_the_stacked_outcome(self, est_id, scenario_2d, scenario_3d):
+        # The last set is the near-sensor one of TestTwoStep: there ls-u+gn
+        # degrades and ml fails.
+        layouts = (scenario_2d.with_rounds(3), scenario_3d.with_rounds(3))
+        sets = [generate_measurements(sc, trial_rng(17, t)) for sc in layouts for t in range(5)]
+        d = np.linalg.norm(scenario_2d.sensors - (scenario_2d.sensors[4] + [1e-10, 0.0]), axis=1)
+        sets.append(MeasurementSet(sensor_coords=scenario_2d.sensors, y=np.log10(d)))
+        noise = NoiseModel(6.0, 2.0)
+        for ms in sets:
+            z = 10.0 ** (2.0 * ms.y)[None]
+            (out,) = estimate_stack((est_id,), ms.sensor_coords[None], ms.y[None], z, noise.bias_b)
+            est = outcome(PER_CALL[est_id], ms, noise)
+            if out.failure[0]:
+                assert est is FAILURES[out.failure[0]][0]
+                continue
+            assert est.estimator == est_id
+            extra = self.COEFS[est_id]
+            if extra is None:
+                assert est.coef is None and est.b_hat is None
+            else:
+                np.testing.assert_array_equal(est.coef, out.coef[0])
+                assert est.coef.shape == (ms.dimension + extra,)
+                assert est.b_hat == (est.coef[-1] if extra == 2 else None)
+            assert (est.gn_iterations, est.converged, est.refinement_degraded) == (
+                out.iterations[0], out.converged[0], out.degraded[0]
+            )
+            assert list(est.to_dict()) == self.KEYS
+            assert est.to_dict()["coef"] == (None if extra is None else est.coef.tolist())
 
 
 class TestGeometryGates:
@@ -118,9 +154,9 @@ class TestLsOracles:
             design = NOISE.bias_b * hypersphere_design(ms.sensor_coords)[:, :-1]
             rhs = 10.0 ** (2 * ms.y) - NOISE.bias_b * np.sum(ms.sensor_coords**2, axis=1)
             expected = normal_equations_solve(design, rhs)
-            np.testing.assert_allclose(est.theta_hat, expected, rtol=1e-8)
-            np.testing.assert_array_equal(est.p_hat, est.theta_hat[:2])
-            assert est.stage is Stage.LS_KNOWN_VAR
+            np.testing.assert_allclose(est.coef, expected, rtol=1e-8)
+            np.testing.assert_array_equal(est.p_hat, est.coef[:2])
+            assert est.estimator == "ls"
 
     def test_unknown_variance_matches_normal_equations(self, scenario_2d):
         sc = scenario_2d.with_rounds(3)
@@ -130,7 +166,7 @@ class TestLsOracles:
             expected = normal_equations_solve(
                 hypersphere_design(ms.sensor_coords), 10.0 ** (2 * ms.y)
             )
-            np.testing.assert_allclose(est.beta_hat, expected, rtol=1e-8)
+            np.testing.assert_allclose(est.coef, expected, rtol=1e-8)
             np.testing.assert_allclose(
                 est.p_hat, source_from_beta(expected, 2), rtol=1e-8
             )
@@ -166,6 +202,11 @@ class TestSigmaFromB:
         # b_hat = True returned 0.0.
         with pytest.raises(InvalidInputError, match=f"{field} must be a finite number"):
             estimate_sigma_from_b(**{"b_hat": 1.2, "alpha": 2.0, field: value})
+
+    @pytest.mark.parametrize("alpha", [0.0, -2.0])
+    def test_alpha_must_be_positive(self, alpha):
+        with pytest.raises(InvalidInputError, match="alpha must be positive"):
+            estimate_sigma_from_b(1.2, alpha)
 
     def test_exact_inverse(self):
         assert estimate_sigma_from_b(lognormal_bias(2.0, 2.0), 2.0) == pytest.approx(
@@ -327,7 +368,7 @@ class TestTwoStep:
             gn_step(ls_known_variance(ms, noise.bias_b).p_hat, ms)
         est = two_step(ms, noise)
         assert est.refinement_degraded
-        assert est.stage is Stage.TWO_STEP
+        assert est.estimator == "ls+gn"
         assert est.gn_iterations == 0
         np.testing.assert_array_equal(est.p_hat, ls_known_variance(ms, noise.bias_b).p_hat)
 
@@ -337,7 +378,7 @@ class TestTwoStep:
         manual = gn_step(ls_known_variance(ms, NOISE.bias_b).p_hat, ms)
         assert np.linalg.norm(est.p_hat - manual) == 0.0
         assert est.gn_iterations == 1
-        assert est.stage is Stage.TWO_STEP
+        assert est.estimator == "ls+gn"
 
         est_u = two_step(ms, None)
         manual_u = gn_step(ls_unknown_variance(ms).p_hat, ms)
@@ -798,7 +839,7 @@ class TestResidualNorm:
                 two_step(ms, None),
                 ml_reference(ms, first.p_hat),
             ):
-                assert est.residual_norm == math.sqrt(ml_objective(est.p_hat, ms)), est.stage
+                assert est.residual_norm == math.sqrt(ml_objective(est.p_hat, ms)), est.estimator
 
     def test_nan_when_the_estimate_sits_on_a_sensor(self, scenario_2d):
         # The degraded two-step of TestTwoStep: both stages end within the

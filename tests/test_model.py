@@ -51,9 +51,10 @@ class TestEquivalentMeasurement:
         with pytest.raises(InvalidInputError):
             equivalent_measurement(raw, 1.0, 2.0)
 
-    @pytest.mark.parametrize("raw", [[-40.0, [-20.0]], ["x"], [None, -40.0]])
+    @pytest.mark.parametrize("raw", [[-40.0, [-20.0]], ["x"], [None, -40.0], True, [True, False], ["-40"]])
     def test_ragged_or_non_numeric_rejected(self, raw):
-        # A ragged or non-numeric list escaped as numpy's ValueError.
+        # A ragged or non-numeric list escaped as numpy's ValueError, and a
+        # boolean or numeric string was read as its number.
         with pytest.raises(InvalidInputError, match="raw_db"):
             equivalent_measurement(raw, 1.0, 2.0)
 
@@ -181,6 +182,11 @@ class TestScenario:
             Scenario(sensors=[[0.0, 1.0]], source=[5.0, 5.0], sigma_db=-1.0)
         with pytest.raises(InvalidInputError):
             Scenario(sensors=[[0.0, 1.0]], source=[5.0, 5.0], sigma_db=1.0, rounds=0)
+        with pytest.raises(InvalidInputError, match="sensors must be a 2-D array"):
+            Scenario(sensors=[0.0, 1.0], source=[5.0, 5.0], sigma_db=1.0)
+        for alpha in (0.0, -2.0):
+            with pytest.raises(InvalidInputError, match="alpha must be positive"):
+                Scenario(sensors=[[0.0, 1.0]], source=[5.0, 5.0], sigma_db=1.0, alpha=alpha)
 
     def test_rounds_is_a_whole_number(self):
         # An integral float is accepted and stored as an int; a fractional,
@@ -206,6 +212,9 @@ class TestScenario:
         d = scenario_2d.to_dict()
         d["dimension"] = 3
         with pytest.raises(InvalidInputError):
+            Scenario.from_dict(d)
+        del d["source"]
+        with pytest.raises(InvalidInputError, match="bad scenario dict"):
             Scenario.from_dict(d)
 
     @pytest.mark.parametrize(
@@ -241,18 +250,22 @@ class TestScenario:
         assert Scenario.from_dict({**d, "dimension": 2.0}).dimension == 2
 
 
-# Arrays that numpy cannot read as one rectangular array of numbers, as
-# (points, vector); None reads as NaN.
+# Arrays that are not one rectangular array of finite numbers, as (points,
+# vector): ragged, of strings, objects or booleans, or holding a NaN. Booleans
+# and numeric strings were read as the numbers 1, 0 and 2.
 RAGGED_OR_NON_NUMERIC = {
     "ragged": ([[0.0, 0.0], [1.0], [2.0, 2.0]], [1.0, [1.0], 1.0]),
     "string": ([[0.0, 0.0], ["x", 1.0], [2.0, 2.0]], [1.0, "x", 1.0]),
     "none": ([[0.0, 0.0], [None, 1.0], [2.0, 2.0]], [1.0, None, 1.0]),
+    "bool": ([[True, False], [False, True], [True, True]], [True, False, True]),
+    "numeric-string": ([["0", "0"], ["1", "0"], ["2", "2"]], [True, False, "2"]),
+    "nan": ([[0.0, 0.0], [math.nan, 1.0], [2.0, 2.0]], [1.0, math.nan, 1.0]),
 }
 
 
 class TestRaggedOrNonNumericArrays:
-    """Every array the library takes is read in one place (model.floats):
-    InvalidInputError, not numpy's ValueError."""
+    """Every array the library takes is read in one place (model.floats) and
+    checked finite: InvalidInputError, not numpy's ValueError."""
 
     @pytest.mark.parametrize("points, vector", RAGGED_OR_NON_NUMERIC.values(), ids=RAGGED_OR_NON_NUMERIC.keys())
     def test_measurement_set(self, points, vector):
@@ -279,8 +292,11 @@ class TestRaggedOrNonNumericArrays:
 
 class TestMeasurementSet:
     def test_length_mismatch(self):
+        sensors = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         with pytest.raises(InvalidInputError):
-            MeasurementSet(sensor_coords=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], y=[1.0, 2.0])
+            MeasurementSet(sensor_coords=sensors, y=[1.0, 2.0])
+        with pytest.raises(InvalidInputError, match="raw_db must match y"):
+            MeasurementSet(sensor_coords=sensors, y=[1.0, 2.0, 3.0], raw_db=[-40.0, -41.0])
 
     def test_too_few_measurements(self):
         with pytest.raises(InvalidInputError):
