@@ -55,7 +55,6 @@ from .model import (
     generate_measurements,
     known_keys,
     number,
-    sq_norm,
     trial_streams,
 )
 
@@ -314,10 +313,11 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     (sweep_index, t, 0), pinned geometry from (sweep_index, 0, 0), so
     ``trial_rng(master_seed, *path)`` replays any of them. The layouts are
     checked and their RCRLB computed in blocks of about BLOCK_DOUBLES doubles
-    of the design, k x (m+2) per trial. The trials are drawn in blocks
-    (trials, rounds, k) of at most about BLOCK_DOUBLES standard normals (one
-    trial at least), each reduced at once to its means by
-    ``model.draw_means``.
+    of the design, k x (m+2) per trial; the squared source distances that
+    ``model.check_layouts`` checks are kept for the point, (g, k). The trials
+    are drawn in blocks (trials, rounds, k) of at most about BLOCK_DOUBLES
+    standard normals (one trial at least), each reduced at once to its means
+    by ``model.draw_means`` from its rows of those distances.
     """
     value = cfg.sweep_values[sweep_index]
     seek = trial_streams(cfg.master_seed)
@@ -337,8 +337,9 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     sigma, alpha = noise.sigma_db, noise.alpha
     _, k, m = sensors.shape
     layout_blocks = _blocks(len(sensors), k * (m + 2))
+    sq_distances = np.empty(sensors.shape[:2])
     for a, b in layout_blocks:
-        source, rounds = check_layouts(sensors[a:b], source, sigma, alpha, rounds)
+        source, rounds, sq_distances[a:b] = check_layouts(sensors[a:b], source, sigma, alpha, rounds)
     if k * rounds < m + 1:
         raise InvalidInputError(f"need at least m+1 = {m + 1} measurements")
     rcrlb = 0.0
@@ -350,10 +351,8 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     eps = np.empty((blocks[0][1], rounds, k))
     for start, stop in blocks:
         paths = ((sweep_index, trial, 1) for trial in range(start, stop))
-        layouts = sensors if len(sensors) == 1 else sensors[start:stop]
-        ybar[start:stop], zbar[start:stop] = draw_means(
-            seek, paths, eps[: stop - start], sq_norm(layouts - source), noise.omega_std
-        )
+        rows = sq_distances if len(sensors) == 1 else sq_distances[start:stop]
+        ybar[start:stop], zbar[start:stop] = draw_means(seek, paths, eps[: stop - start], rows, noise.omega_std)
     return SweepPoint(
         sensors=sensors,
         source=source,

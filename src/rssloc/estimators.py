@@ -30,11 +30,13 @@ test oracles.
 No stacked kernel reduces or broadcasts over the 2-3 coordinates of a
 (..., k, m) stack of rows. A squared distance is ``model.sq_norm``, a sum
 over the coordinates in their order, which has the bits of the row-major
-sum. The Gauss-Newton Jacobian, the LS designs and the Fisher gradient are
-built coordinate-major: J is the transposed view of a contiguous (..., c, k)
-array J^T with one row per column. Every operation then runs along the k
-rows, the normal matrices, the Hessian, the right-hand sides and the
-objective included.
+sum. A reduction over the k rows of a row-major layout, the centroid of
+``geometry.normalise``, goes through ``einsum``, which runs it contiguously.
+The Gauss-Newton Jacobian, the LS designs and the Fisher gradient are built
+coordinate-major: J is the transposed view of a contiguous (..., c, k) array
+J^T with one row per column. Every operation then runs along the k rows, the
+normal matrices, the Hessian, the right-hand sides and the objective
+included.
 
 The estimator policy lives in one function, ``estimate_stack``, which runs a
 tuple of estimator ids in their order on a stack of problems; each stage
@@ -317,7 +319,9 @@ def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray, newton: bool = F
         # sum_i r_i (1/(d_i^2 ln10) I - 2 ln10 J_i J_i^T) is the residual-
         # weighted sum of the Hessians of f_i.
         hessian = (jt * (1.0 + 2.0 * LN10 * r)[:, None, :]) @ jt.swapaxes(1, 2)
-        hessian[:, range(m), range(m)] -= (r[:, None, :] @ (1.0 / scale)[:, :, None])[:, 0]
+        # matmul returns a fresh C-contiguous hessian, so the reshape is a
+        # view and every (m+1)-th entry of a row is on the diagonal.
+        hessian.reshape(t, m * m)[:, :: m + 1] -= (r[:, None, :] @ (1.0 / scale)[:, :, None])[:, 0]
         step, degenerate = _normal_solve(hessian, rhs, k)
         if degenerate.any():
             jt_bad = jt[degenerate]

@@ -72,9 +72,11 @@ def normalise(sensors: np.ndarray):
     it to unit RMS radius s.
 
     Returns (q, c, s) with sensors = c + s * q; q is (..., n, m), c (..., m)
-    and s (...). A layout whose sensors all coincide keeps s = 1.
+    and s (...). A layout whose sensors all coincide keeps s = 1. c is the
+    einsum sum over the n rows divided by n: mean(axis=-2) bit for bit, in
+    one contiguous pass rather than a reduction strided by m.
     """
-    c = sensors.mean(axis=-2)
+    c = np.einsum("...km->...m", sensors) / sensors.shape[-2]
     q = sensors - c[..., None, :]
     s = np.sqrt(np.einsum("...km,...km->...", q, q) / q.shape[-2])
     s = np.where(s > 0, s, 1.0)

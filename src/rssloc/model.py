@@ -103,7 +103,8 @@ def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, rounds):
     (..., k, m) that share one source and signal: at least one sensor, m in
     {2, 3}, a finite source m-vector, alpha > 0, sigma_db >= 0,
     whole rounds >= 1 and every sensor at least SENSOR_CLEARANCE from the
-    source. Returns (source, rounds).
+    source. Returns (source, rounds, sq_distances), the last
+    sq_norm(sensors - source) (..., k), the squared distances it checks.
     """
     if sensors.shape[-2] == 0:
         raise InvalidInputError("sensors list is empty")
@@ -116,12 +117,13 @@ def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, rounds):
     if not (sigma_db >= 0):
         raise InvalidInputError("sigma_db must be nonnegative")
     rounds = number(rounds, "rounds", whole=True)
-    if np.any(np.sqrt(sq_norm(sensors - source)) < SENSOR_CLEARANCE):
+    sq_distances = sq_norm(sensors - source)
+    if np.any(np.sqrt(sq_distances) < SENSOR_CLEARANCE):
         raise DegenerateGeometryError(
             "a sensor coincides with the source (distance < "
             f"{SENSOR_CLEARANCE})"
         )
-    return source, rounds
+    return source, rounds, sq_distances
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ class Scenario:
         sensors = _as_points(self.sensors, "sensors")
         for name in ("sigma_db", "alpha"):
             object.__setattr__(self, name, number(getattr(self, name), name))
-        source, rounds = check_layouts(sensors, self.source, self.sigma_db, self.alpha, self.rounds)
+        source, rounds, _ = check_layouts(sensors, self.source, self.sigma_db, self.alpha, self.rounds)
         object.__setattr__(self, "sensors", sensors)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "rounds", rounds)
@@ -256,8 +258,10 @@ def equivalent_measurement(raw_db, p0: float, alpha: float):
 
     Returns y = -(raw_db/10 - log10(p0)) / alpha, which equals log10(distance)
     plus noise under the measurement model, for a field reading taken with
-    transmit constant p0 > 0. Accepts scalars or arrays.
+    transmit constant p0 > 0. Accepts scalars or arrays. p0 and alpha are
+    read by :func:`number`: a bool or a string raises InvalidInputError.
     """
+    p0, alpha = number(p0, "p0"), number(alpha, "alpha")
     if not (p0 > 0):
         raise InvalidInputError("p0 must be positive")
     if not (alpha > 0):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import COLLINEAR_2D, SQUARE_CORNERS, replay_against_engine, replay_scenario
-from rssloc import bench
+from rssloc import bench, estimators, model
 from rssloc.bench import (
     ESTIMATOR_IDS,
     ExperimentConfig,
@@ -577,6 +577,63 @@ class TestEstimatorBlocks:
             tracemalloc.stop()
         assert [row.trials_ok + row.trials_failed for row in report.rows] == [1000, 1000]
         assert peak <= 48e6
+
+
+def _mean_normalise(sensors):
+    # geometry.normalise with its centroid taken as sensors.mean(axis=-2).
+    c = sensors.mean(axis=-2)
+    q = sensors - c[..., None, :]
+    s = np.sqrt(np.einsum("...km,...km->...", q, q) / q.shape[-2])
+    s = np.where(s > 0, s, 1.0)
+    return q / s[..., None, None], c, s
+
+
+def _recompute_distances(monkeypatch):
+    """Make sweep_point hand draw_means sq_norm(layouts - source), computed
+    anew for each draw block from the layouts check_layouts saw, in place of
+    the distances check_layouts returns (replaced by NaN)."""
+    point = {"sensors": [], "drawn": False}
+
+    def check_layouts(sensors, *args):
+        if point["drawn"]:
+            point.update(sensors=[], drawn=False)
+        point["sensors"].append(sensors)
+        point["source"], rounds, sq_distances = model.check_layouts(sensors, *args)
+        return point["source"], rounds, np.full_like(sq_distances, np.nan)
+
+    def recomputing_draw_means(seek, paths, eps, sq_distances, omega_std):
+        point["drawn"], paths = True, list(paths)
+        sensors = np.concatenate(point["sensors"])
+        layouts = sensors if len(sensors) == 1 else sensors[paths[0][1] : paths[-1][1] + 1]
+        return draw_means(seek, paths, eps, sq_norm(layouts - point["source"]), omega_std)
+
+    monkeypatch.setattr(bench, "check_layouts", check_layouts)
+    monkeypatch.setattr(bench, "draw_means", recomputing_draw_means)
+
+
+class TestReportBits:
+    """Reports are the same bits whether normalise takes the centroid by
+    einsum or by mean(axis=-2), and whether draw_means gets the squared
+    distances check_layouts formed or ones recomputed per draw block."""
+
+    RANDOM = dict(scenario=RandomScenarioFamily(sigma_db=4.0), sweep_param="n_random", sweep_values=(10, 1000))
+    CASES = {
+        "2d-random-fresh": dict(RANDOM),
+        "2d-random-pinned": dict(RANDOM, fixed_geometry=True),
+        "2d-fixed": dict(scenario=scenario_registry(sigma_db=6.0)["2d-fixed"], sweep_values=(1, 30)),
+        "3d-fixed": dict(scenario=scenario_registry(sigma_db=6.0)["3d-fixed"], sweep_values=(1, 30)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_csv_equals_the_mean_centroid_and_recomputed_distances(self, case, monkeypatch):
+        # 140 trials: at n = 1000 two draw blocks (131 and 9 trials) and five
+        # layout blocks (32 x 4 and 12), so the two block grids disagree.
+        cfg = _cfg(estimators=ESTIMATOR_IDS, trials=140, master_seed=5, **self.CASES[case])
+        report = run_experiment(cfg).to_csv()
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators, "normalise", _mean_normalise)
+            _recompute_distances(patch)
+            assert run_experiment(cfg).to_csv() == report
 
 
 class TestSharedStagePlan:

@@ -44,6 +44,10 @@ def experiment_config_file(tmp_path):
     return path
 
 
+# A sensors file encoded as UTF-16 little-endian, with its byte-order mark.
+UTF16_FILE = b"\xff\xfe" + '{"sensors": [[0, 0], [1, 0], [0, 1]]}'.encode("utf-16-le")
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -234,17 +238,29 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "command, text, message",
         [
-            ("estimate", '{"sensors": [[0, 0]', "is not valid JSON"),
-            ("estimate", "[1, 2]", "must be an object with a 'sensors' key"),
-            ("estimate", '{"sensors": [[0, 0], [1, 0], [0, 1]], "sigma_db": 2}', "needs 'raw_db' or 'y'"),
-            ("check-geometry", '{"y": [1, 2, 3]}', "must be an object with a 'sensors' key"),
+            ("estimate --input", '{"sensors": [[0, 0]', "is not valid JSON"),
+            ("estimate --input", "[1, 2]", "must be an object with a 'sensors' key"),
+            ("estimate --input", '{"sensors": [[0, 0], [1, 0], [0, 1]], "sigma_db": 2}', "needs 'raw_db' or 'y'"),
+            ("check-geometry --input", '{"y": [1, 2, 3]}', "must be an object with a 'sensors' key"),
+            # A UTF-16 file (byte-order mark ff fe) is not UTF-8: each command
+            # that reads a file reports it as invalid JSON, not as a traceback.
+            ("estimate --input", UTF16_FILE, "is not valid JSON"),
+            ("check-geometry --input", UTF16_FILE, "is not valid JSON"),
+            ("crlb --sweep-values 3 --config", UTF16_FILE, "is not valid JSON"),
+            ("experiment --seed 1 --config", UTF16_FILE, "is not valid JSON"),
         ],
-        ids=["invalid-json", "not-an-object", "no-readings", "geometry-without-sensors"],
+        ids=[
+            "invalid-json", "not-an-object", "no-readings", "geometry-without-sensors",
+            "utf16-estimate", "utf16-check-geometry", "utf16-crlb", "utf16-experiment",
+        ],
     )
     def test_malformed_file_exits_2_schema(self, capsys, tmp_path, command, text, message):
         path = tmp_path / "malformed.json"
-        path.write_text(text)
-        code, out, err = _run(capsys, [command, "--input", str(path)])
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        code, out, err = _run(capsys, command.split() + [str(path)])
         assert code == 2
         assert out == ""
         error = json.loads(err)

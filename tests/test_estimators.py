@@ -996,6 +996,8 @@ class TestCoordinateMajorKernels:
             assert got is DegenerateGeometryError
         else:
             assert np.array_equal(got[0], source) and got[1] == 3
+            # The squared distances it checks, returned for draw_means.
+            assert np.array_equal(got[2], sq_norm(sensors - source))
             sc = Scenario(sensors=sensors[0], source=source, sigma_db=2.0)
             assert np.array_equal(sc.distances(), np.linalg.norm(sensors[0] - source, axis=-1))
 

@@ -13,6 +13,7 @@ from rssloc.geometry import (
     GRAM_CONDITION_LIMIT,
     Localizability,
     localizability,
+    normalise,
 )
 from rssloc.model import MeasurementSet
 
@@ -235,3 +236,32 @@ class TestVerdictIsTheEstimatorGate:
         ms = MeasurementSet(sensor_coords=sensors, y=y)
         assert report.hyperplane_ok is not _raises_singular_gram(ls_known_variance, ms, 1.0)
         assert report.hypersphere_ok is not _raises_singular_gram(ls_unknown_variance, ms)
+
+
+class TestCentroid:
+    """normalise takes each layout's centroid as a contiguous einsum sum over
+    its rows divided by their count: mean(axis=-2) bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.sampled_from([2, 3]),
+        g=st.integers(1, 5),
+        k=st.integers(3, 1200),
+        # UTM-scale offsets (about 5e5 m east, 4.5e6 m north) and local frames.
+        offset=st.sampled_from([0.0, 5e5, 4.5e6, -1e6]),
+        log_scale=st.floats(-3.0, 4.0),
+        view=st.sampled_from(["contiguous", "gathered", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_mean_bit_for_bit(self, m, g, k, offset, log_scale, view, seed):
+        rng = np.random.default_rng(seed)
+        base = offset + 10.0**log_scale * rng.uniform(-50.0, 50.0, size=(2 * g, 2 * k, m))
+        if view == "contiguous":
+            sensors = np.ascontiguousarray(base[:g, :k])
+        elif view == "gathered":
+            # The estimators' subset of problems: a fancy-indexed copy.
+            sensors = base[rng.choice(2 * g, size=g, replace=False)][:, :k]
+        else:
+            sensors = base[::2, ::2]
+        assert np.array_equal(normalise(sensors)[1], sensors.mean(axis=-2))
+        assert np.array_equal(normalise(sensors[0])[1], sensors[0].mean(axis=0))

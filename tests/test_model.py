@@ -64,6 +64,17 @@ class TestEquivalentMeasurement:
         with pytest.raises(InvalidInputError):
             equivalent_measurement(-40.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "p0, alpha, name",
+        [(1.0, True, "alpha"), (True, 2.0, "p0"), ("1", 2.0, "p0"), (1.0, "2", "alpha"), (None, 2.0, "p0"),
+         (math.inf, 2.0, "p0")],
+    )
+    def test_constants_must_be_numbers(self, p0, alpha, name):
+        # A bool was read as 1 (alpha True gave 4.0 for -40 dB) and a string
+        # or None escaped as a bare TypeError.
+        with pytest.raises(InvalidInputError, match=name):
+            equivalent_measurement(-40.0, p0, alpha)
+
     def test_round_trip_1000_random_draws(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
