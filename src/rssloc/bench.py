@@ -9,7 +9,8 @@ The engine handles a sweep point in blocks of whole trials of about
 standard normals eps as blocks (trials, rounds, sensors) and reduces each
 block at once to per-sensor means of y and of 10**(2*y) over the rounds,
 in closed form from eps (``model.draw_means``: y = log10(d) - w*eps with
-w = sigma/(10*alpha), as ``model.generate_measurements`` draws a reading).
+w = sigma/(10*alpha), as ``model.generate_measurements`` draws a reading)
+in the point's arrays, which fresh layouts are drawn into as well.
 The layouts are checked, their RCRLB computed and the estimators run in
 blocks sized by the largest design, k x (m+2) doubles per trial: 32 trials
 at k = 1000, a whole fixed-layout point at k = 10. Each block runs one
@@ -19,7 +20,7 @@ first Gauss-Newton step) once. A problem's arithmetic does not depend on its
 stack-mates or on the other estimators of the call, so neither the blocks
 nor the sharing change reports, and memory grows only with the layouts and
 means of the point: 2d-random at n = 1000 and 1000 trials peaks at about
-39 MB traced. ``estimate_stack`` is the one implementation of the estimator
+44 MB traced. ``estimate_stack`` is the one implementation of the estimator
 policy, which the per-call API also runs, with one estimator, on a trial's n
 tiled measurements; in exact arithmetic the two give the same estimates.
 
@@ -52,6 +53,7 @@ from .model import (
     Scenario,
     check_layouts,
     draw_means,
+    floats,
     generate_measurements,
     known_keys,
     number,
@@ -71,7 +73,7 @@ BLOCK_DOUBLES = 2**17
 
 @dataclass(frozen=True)
 class RandomScenarioFamily:
-    """Uniformly deployed sensors in a box; geometry is sampled per use."""
+    """Uniformly deployed sensors in a finite box; geometry is sampled per use."""
 
     source: Tuple[float, ...] = (120.0, 20.0)
     low: float = 0.0
@@ -79,17 +81,32 @@ class RandomScenarioFamily:
     sigma_db: float = 2.0
     alpha: float = 2.0
 
+    def __post_init__(self):
+        for name in ("low", "high", "sigma_db", "alpha"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
+        if not (self.low <= self.high and math.isfinite(self.high - self.low)):
+            raise InvalidInputError(f"need low <= high with a finite range, got {self.low}, {self.high}")
+        source = floats(self.source, "source")
+        if source.shape not in ((2,), (3,)) or not np.all(np.isfinite(source)):
+            raise InvalidInputError("source must be a finite 2- or 3-vector")
+        object.__setattr__(self, "source", tuple(source.tolist()))
+
     @property
     def dimension(self) -> int:
         return len(self.source)
 
-    def layout(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n sensors drawn uniformly in the box, shape (n, m)."""
-        return rng.uniform(self.low, self.high, size=(n, self.dimension))
+    def layouts(self, rngs, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (g, n, m) with layout i as rng.uniform(low, high, (n, m))
+        draws it from the i-th generator of ``rngs``, taken just before; return out."""
+        for rows, rng in zip(out, rngs):
+            rng.random(out=rows)
+        out *= self.high - self.low
+        out += self.low
+        return out
 
     def sample(self, n: int, rng: np.random.Generator) -> Scenario:
         return Scenario(
-            sensors=self.layout(n, rng),
+            sensors=self.layouts([rng], np.empty((1, n, self.dimension)))[0],
             source=np.asarray(self.source, dtype=float),
             sigma_db=self.sigma_db,
             alpha=self.alpha,
@@ -311,13 +328,13 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     trial is one counter seek of the one generator. Trial t's noise comes
     from the path (sweep_index, t, 1); fresh random geometry from
     (sweep_index, t, 0), pinned geometry from (sweep_index, 0, 0), so
-    ``trial_rng(master_seed, *path)`` replays any of them. The layouts are
-    checked and their RCRLB computed in blocks of about BLOCK_DOUBLES doubles
-    of the design, k x (m+2) per trial; the squared source distances that
-    ``model.check_layouts`` checks are kept for the point, (g, k). The trials
-    are drawn in blocks (trials, rounds, k) of at most about BLOCK_DOUBLES
-    standard normals (one trial at least), each reduced at once to its means
-    by ``model.draw_means`` from its rows of those distances.
+    ``trial_rng(master_seed, *path)`` replays any of them. The layouts, drawn
+    into the point's array, are checked and their RCRLB computed in blocks of
+    about BLOCK_DOUBLES doubles of the design, k x (m+2) per trial, both from
+    the squared source distances that ``model.check_layouts`` checks, kept for
+    the point, (g, k). The trials are drawn in blocks (trials, rounds, k) of
+    at most about BLOCK_DOUBLES standard normals (one trial at least), each
+    reduced at once by ``model.draw_means`` into its rows of the point's means.
     """
     value = cfg.sweep_values[sweep_index]
     seek = trial_streams(cfg.master_seed)
@@ -328,9 +345,8 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     noise = NoiseModel(sigma_db=sc.sigma_db, alpha=sc.alpha)
     if random:
         geometry = (0,) if cfg.fixed_geometry else range(cfg.trials)
-        sensors = np.empty((len(geometry), value, sc.dimension))
-        for g, trial in enumerate(geometry):
-            sensors[g] = sc.layout(value, seek(sweep_index, trial, 0))
+        rngs = (seek(sweep_index, trial, 0) for trial in geometry)
+        sensors = sc.layouts(rngs, np.empty((len(geometry), value, sc.dimension)))
         source, rounds = sc.source, 1
     else:
         sensors, source, rounds = sc.sensors[None], sc.source, sc.rounds
@@ -344,7 +360,7 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
         raise InvalidInputError(f"need at least m+1 = {m + 1} measurements")
     rcrlb = 0.0
     if sigma > 0:
-        crlb = [crlb_stack(sensors[a:b], source, sigma, alpha, rounds)[1] for a, b in layout_blocks]
+        crlb = [crlb_stack(sensors[a:b], source, sq_distances[a:b], sigma, alpha, rounds)[1] for a, b in layout_blocks]
         rcrlb = float(np.mean(np.sqrt(np.concatenate(crlb))))
     ybar, zbar = np.empty((cfg.trials, k)), np.empty((cfg.trials, k))
     blocks = _blocks(cfg.trials, rounds * k)
@@ -352,7 +368,7 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     for start, stop in blocks:
         paths = ((sweep_index, trial, 1) for trial in range(start, stop))
         rows = sq_distances if len(sensors) == 1 else sq_distances[start:stop]
-        ybar[start:stop], zbar[start:stop] = draw_means(seek, paths, eps[: stop - start], rows, noise.omega_std)
+        draw_means(seek, paths, eps[: stop - start], rows, noise.omega_std, ybar[start:stop], zbar[start:stop])
     return SweepPoint(
         sensors=sensors,
         source=source,

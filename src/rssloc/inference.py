@@ -39,25 +39,22 @@ class FisherSummary:
     eval_point: np.ndarray
 
 
-def crlb_stack(sensors: np.ndarray, p: np.ndarray, sigma_db: float, alpha: float, rounds: int):
+def crlb_stack(sensors: np.ndarray, p: np.ndarray, sq_distances, sigma_db: float, alpha: float, rounds: int):
     """The one CRLB kernel: tr(F^-1) at ``p`` for each layout of a stack
     (g, k, m), each sensor observed ``rounds`` times with noise ``sigma_db``.
+    ``sq_distances`` (g, k) is sq_norm(sensors - p), checked by the caller.
 
     The rows of grad (g, k, m) are the gradients of log10 d_i at p, which
     every round repeats. F = scale * rounds * G with G = grad^T grad and
     scale = 100 alpha^2 / sigma^2, so the CRLB is a sum over the eigenvalues
     of G, which the library's one gate checks: it rejects e.g. collinear
     sensors with p on or next to their line (DegenerateGeometryError).
-    SingularPointError where p is within SENSOR_CLEARANCE of a sensor.
     Returns (G (g, m, m), crlb (g,)); grad is built coordinate-major, as the
     Gauss-Newton Jacobian is.
     """
     g, k, m = sensors.shape
     gt = np.subtract(p[:, None], sensors.swapaxes(1, 2), out=np.empty((g, m, k)))
-    d2 = sq_norm(gt.swapaxes(1, 2))
-    if np.any(np.sqrt(d2) < SENSOR_CLEARANCE):
-        raise SingularPointError("eval_point coincides with a sensor")
-    gt /= (d2 * LN10)[:, None, :]
+    gt /= (sq_distances * LN10)[:, None, :]
     gram = gt @ gt.swapaxes(1, 2)
     lam = np.linalg.eigvalsh(gram)
     if np.any(singular(lam, k)):
@@ -80,7 +77,10 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
     p = scenario.source if eval_point is None else floats(eval_point, "eval_point")
     if p.shape != (scenario.dimension,) or not np.all(np.isfinite(p)):
         raise InvalidInputError("eval_point must be a finite m-vector")
-    gram, crlb = crlb_stack(scenario.sensors[None], p, scenario.sigma_db, scenario.alpha, scenario.rounds)
+    sq_distances = sq_norm(scenario.sensors - p)[None]
+    if np.any(np.sqrt(sq_distances) < SENSOR_CLEARANCE):
+        raise SingularPointError("eval_point coincides with a sensor")
+    gram, crlb = crlb_stack(scenario.sensors[None], p, sq_distances, scenario.sigma_db, scenario.alpha, scenario.rounds)
     m_n = gram[0] / scenario.n_sensors
     fisher = 100.0 * scenario.alpha**2 / scenario.sigma_db**2 * scenario.n_measurements * m_n
     return FisherSummary(

@@ -64,9 +64,12 @@ def number(value, name: str, whole: bool = False, error=InvalidInputError, low: 
     """``value`` as a float if it is a finite real number (not a bool), or with
     ``whole`` as an int if it is a whole number >= ``low``, else ``error``.
     30.0 is whole, because command-line sweep values are parsed as floats."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        if not whole or (value >= low and value == int(value)):
-            return int(value) if whole else float(value)
+    try:
+        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a double
+        finite = False
+    if finite and (not whole or (value >= low and value == int(value))):
+        return int(value) if whole else float(value)
     raise error(f"{name} must be a {f'whole number >= {low}' if whole else 'finite number'}, got {value!r}")
 
 
@@ -385,19 +388,21 @@ def trial_rng(master_seed: int, *path: int) -> np.random.Generator:
     return trial_streams(master_seed)(*path)
 
 
-def _sum_rounds(eps: np.ndarray) -> np.ndarray:
-    # ones @ eps sums (trials, rounds, k) over the rounds faster than
-    # eps.sum(axis=1) at T >= 3, but is slow at T = 1, where the sum is
+def _sum_rounds(eps: np.ndarray, out: np.ndarray) -> None:
+    # ones @ eps sums (trials, rounds, k) over the rounds into out faster
+    # than eps.sum(axis=1) at T >= 3, but is slow at T = 1, where the sum is
     # eps[:, 0] bit for bit.
-    rounds = eps.shape[1]
-    return eps[:, 0].copy() if rounds == 1 else np.ones(rounds) @ eps
+    if eps.shape[1] == 1:
+        np.copyto(out, eps[:, 0])
+    else:
+        np.matmul(np.ones(eps.shape[1]), eps, out=out)
 
 
-def draw_means(seek, paths, eps: np.ndarray, sq_distances: np.ndarray, omega_std: float):
+def draw_means(seek, paths, eps: np.ndarray, sq_distances: np.ndarray, omega_std: float, ybar, zbar) -> None:
     """Fill the block ``eps`` (trials, rounds, k) with standard normals, one
-    trial per path of ``paths``, and return each trial's per-sensor means
-    (ybar, zbar) over its rounds, (trials, k) each, of y and of 10**(2*y).
-    Row r of a trial's slice holds round r of every sensor; ``sq_distances``
+    trial per path of ``paths``, and write each trial's per-sensor means over
+    its rounds of y and of 10**(2*y) into its rows of ``ybar``, ``zbar`` (trials,
+    k). Row r of a trial's slice holds round r of every sensor; ``sq_distances``
     (g, k), g in {1, trials}, holds the squared distances d**2.
 
     Trial t's slice is drawn from ``seek(*path)`` for the t-th path alone,
@@ -417,14 +422,13 @@ def draw_means(seek, paths, eps: np.ndarray, sq_distances: np.ndarray, omega_std
     for block, path in zip(eps, paths):
         seek(*path).standard_normal(out=block)
     rounds = eps.shape[1]
-    ybar = _sum_rounds(eps)
+    _sum_rounds(eps, ybar)
     ybar *= -omega_std / rounds
     ybar += np.log10(np.sqrt(sq_distances))
     eps *= -2.0 * LN10 * omega_std
-    zbar = _sum_rounds(np.exp(eps, out=eps))
+    _sum_rounds(np.exp(eps, out=eps), zbar)
     zbar /= rounds
     zbar *= sq_distances
-    return ybar, zbar
 
 
 def generate_measurements(scenario: Scenario, seed) -> MeasurementSet:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import COLLINEAR_2D, SQUARE_CORNERS, replay_against_engine, replay_scenario
-from rssloc import bench, estimators, model
+from rssloc import bench, estimators, inference, model
 from rssloc.bench import (
     ESTIMATOR_IDS,
     ExperimentConfig,
@@ -22,7 +22,16 @@ from rssloc.bench import (
 from rssloc.errors import ConfigError, DegenerateGeometryError, InvalidInputError, NumericError
 from rssloc.estimators import estimate_stack, ls_known_variance, two_step
 from rssloc.inference import fisher_information
-from rssloc.model import NoiseModel, Scenario, draw_means, generate_measurements, sq_norm, trial_rng, trial_streams
+from rssloc.model import (
+    LN10,
+    NoiseModel,
+    Scenario,
+    draw_means,
+    generate_measurements,
+    sq_norm,
+    trial_rng,
+    trial_streams,
+)
 
 
 def _cfg(scenario, **kwargs):
@@ -55,6 +64,33 @@ class TestScenarioRegistry:
         assert sc.n_sensors == 100
         assert np.all(sc.sensors >= 0.0) and np.all(sc.sensors <= 100.0)
         np.testing.assert_array_equal(sc.source, [120.0, 20.0])
+
+    @pytest.mark.parametrize(
+        "source, low, high",
+        [((120.0, 20.0), 0.0, 100.0), ((120.0, 20.0), -250.5, 37.25), ((5.0, 5.0, 5.0), -3.0, -3.0),
+         ((120.0, 20.0), 10.0, 10.0)],
+    )
+    def test_stacked_layouts_equal_per_trial_uniform_draws(self, source, low, high):
+        # One random(out=rows) per seek and one scale and shift of the whole
+        # stack give each layout the bits of Generator.uniform(low, high).
+        family = RandomScenarioFamily(source=source, low=low, high=high)
+        seek = trial_streams(4)
+        stack = family.layouts((seek(2, t, 0) for t in range(7)), np.empty((7, 50, len(source))))
+        for t in range(7):
+            want = trial_rng(4, 2, t, 0).uniform(low, high, (50, len(source)))
+            assert np.array_equal(stack[t], want)
+        assert np.array_equal(family.sample(50, trial_rng(4, 2, 3, 0)).sensors, stack[3])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(low=5.0, high=1.0), dict(low=math.nan), dict(high=math.inf), dict(low=-1e308, high=1e308),
+         dict(low=True), dict(high="100"), dict(high=10**400), dict(source=(1.0,)),
+         dict(source=(1.0, 2.0, 3.0, 4.0)), dict(source=(math.nan, 0.0)), dict(source=("1", "2")),
+         dict(source=[[1.0, 2.0]]), dict(source=[[1.0], [2.0, 3.0]])],
+    )
+    def test_bad_box_or_source_raises_when_built(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            RandomScenarioFamily(**kwargs)
 
     def test_unknown_id(self):
         with pytest.raises(ConfigError):
@@ -467,12 +503,15 @@ class TestBlockDraw:
             for trial in (0, 1, 17, 39):
                 sc = replay_scenario(cfg, sweep_index, trial)
                 assert np.array_equal(sc.sensors, point.sensors[0 if len(point.sensors) == 1 else trial])
-                ybar, zbar = draw_means(
+                ybar, zbar = np.empty((1, k)), np.empty((1, k))
+                draw_means(
                     lambda *path: trial_rng(cfg.master_seed, *path),
                     [(sweep_index, trial, 1)],
                     np.empty((1, rounds, k)),
                     sq_norm(sc.sensors - sc.source)[None],
                     NoiseModel(sc.sigma_db, sc.alpha).omega_std,
+                    ybar,
+                    zbar,
                 )
                 assert np.array_equal(ybar[0], point.ybar[trial]) and np.array_equal(zbar[0], point.zbar[trial])
 
@@ -590,7 +629,8 @@ def _mean_normalise(sensors):
 
 def _recompute_distances(monkeypatch):
     """Make sweep_point hand draw_means sq_norm(layouts - source), computed
-    anew for each draw block from the layouts check_layouts saw, in place of
+    anew for each draw block from the layouts check_layouts saw, and
+    crlb_stack sq_norm(sensors - source) of its layout block, in place of
     the distances check_layouts returns (replaced by NaN)."""
     point = {"sensors": [], "drawn": False}
 
@@ -601,14 +641,55 @@ def _recompute_distances(monkeypatch):
         point["source"], rounds, sq_distances = model.check_layouts(sensors, *args)
         return point["source"], rounds, np.full_like(sq_distances, np.nan)
 
-    def recomputing_draw_means(seek, paths, eps, sq_distances, omega_std):
+    def recomputing_draw_means(seek, paths, eps, sq_distances, omega_std, ybar, zbar):
         point["drawn"], paths = True, list(paths)
         sensors = np.concatenate(point["sensors"])
         layouts = sensors if len(sensors) == 1 else sensors[paths[0][1] : paths[-1][1] + 1]
-        return draw_means(seek, paths, eps, sq_norm(layouts - point["source"]), omega_std)
+        draw_means(seek, paths, eps, sq_norm(layouts - point["source"]), omega_std, ybar, zbar)
+
+    def recomputing_crlb_stack(sensors, p, sq_distances, *args):
+        return inference.crlb_stack(sensors, p, sq_norm(sensors - p), *args)
 
     monkeypatch.setattr(bench, "check_layouts", check_layouts)
     monkeypatch.setattr(bench, "draw_means", recomputing_draw_means)
+    monkeypatch.setattr(bench, "crlb_stack", recomputing_crlb_stack)
+
+
+def _parent_draw_path(monkeypatch):
+    """Make sweep_point draw through throwaway arrays: each layout by
+    rng.uniform and copied into the point, each block's means formed in
+    fresh arrays and copied into its rows, and crlb_stack squaring the
+    differences p - sensors it forms itself."""
+
+    def layouts(self, rngs, out):
+        for rows, rng in zip(out, rngs):
+            rows[...] = rng.uniform(self.low, self.high, size=rows.shape)
+        return out
+
+    def copied_means(seek, paths, eps, sq_distances, omega_std, ybar, zbar):
+        for block, path in zip(eps, paths):
+            seek(*path).standard_normal(out=block)
+        rounds = eps.shape[1]
+
+        def sums(a):
+            return a[:, 0].copy() if rounds == 1 else np.ones(rounds) @ a
+
+        y = sums(eps)
+        y *= -omega_std / rounds
+        y += np.log10(np.sqrt(sq_distances))
+        eps *= -2.0 * LN10 * omega_std
+        z = sums(np.exp(eps, out=eps))
+        z /= rounds
+        z *= sq_distances
+        ybar[...], zbar[...] = y, z
+
+    def differencing_crlb_stack(sensors, p, sq_distances, *args):
+        gt = p[:, None] - sensors.swapaxes(1, 2)
+        return inference.crlb_stack(sensors, p, sq_norm(gt.swapaxes(1, 2)), *args)
+
+    monkeypatch.setattr(RandomScenarioFamily, "layouts", layouts)
+    monkeypatch.setattr(bench, "draw_means", copied_means)
+    monkeypatch.setattr(bench, "crlb_stack", differencing_crlb_stack)
 
 
 class TestReportBits:
@@ -633,6 +714,17 @@ class TestReportBits:
         with monkeypatch.context() as patch:
             patch.setattr(estimators, "normalise", _mean_normalise)
             _recompute_distances(patch)
+            assert run_experiment(cfg).to_csv() == report
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_csv_equals_the_draw_through_throwaway_arrays(self, case, monkeypatch):
+        # The layouts, means and RCRLB distances land in the point's arrays
+        # with the bits they had when drawn into temporaries and copied; the
+        # fixed cases' 30 rounds sum the means by a product into those rows.
+        cfg = _cfg(estimators=ESTIMATOR_IDS, trials=140, master_seed=5, **self.CASES[case])
+        report = run_experiment(cfg).to_csv()
+        with monkeypatch.context() as patch:
+            _parent_draw_path(patch)
             assert run_experiment(cfg).to_csv() == report
 
 

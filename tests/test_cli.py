@@ -48,6 +48,11 @@ def experiment_config_file(tmp_path):
 UTF16_FILE = b"\xff\xfe" + '{"sensors": [[0, 0], [1, 0], [0, 1]]}'.encode("utf-16-le")
 
 
+# A 401-digit whole number: JSON and argparse read it as a Python int, too
+# large for a double, on which math.isfinite raises OverflowError.
+HUGE = 10**400
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -203,6 +208,17 @@ class TestEstimate:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "schema" and f"{field} must be a finite number" in error["message"]
+
+    def test_huge_integer_alpha_exits_2_schema(self, capsys, tmp_path, clean_measurement_file):
+        # It exited 1 with an OverflowError traceback.
+        _, payload = clean_measurement_file
+        path = tmp_path / "huge_alpha.json"
+        path.write_text(json.dumps({**payload, "alpha": HUGE}))
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and "alpha must be a finite number" in error["message"]
 
     def test_zero_alpha_with_sigma_exits_2_invalid_input(self, capsys, tmp_path, scenario_2d):
         # A y file never converts with alpha, but sigma_db makes a NoiseModel
@@ -372,6 +388,16 @@ class TestCrlb:
         assert out == ""
         assert json.loads(err)["error"] == "invalid-input"
 
+    def test_huge_integer_rounds_exits_2_invalid_input(self, capsys, tmp_path, scenario_2d):
+        # It exited 1 with an OverflowError traceback.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**scenario_2d.to_dict(), "rounds": HUGE}))
+        code, out, err = _run(capsys, ["crlb", "--config", str(path), "--sweep-values", "3"])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "invalid-input" and "rounds must be a whole number" in error["message"]
+
     def test_random_scenario_exits_2_schema(self, capsys):
         # The RCRLB depends on the layout, which the random family draws anew.
         code, out, err = _run(capsys, ["crlb", "--scenario", "2d-random", "--sweep-values", "3"])
@@ -530,6 +556,21 @@ class TestExperiment:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "schema"
+
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    def test_huge_integer_count_exits_2_schema(self, capsys, tmp_path, field):
+        # A 401-digit trials in the config, or --seed, exited 1 with an
+        # OverflowError traceback.
+        config = {"scenario": "2d-fixed", "sweep": {"rounds": [3]}, "trials": HUGE if field == "trials" else 5}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        seed = str(HUGE) if field == "seed" else "1"
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", seed])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        name = "master_seed" if field == "seed" else field
+        assert error["error"] == "schema" and f"{name} must be a whole number" in error["message"]
 
     def test_seed_flag_is_mandatory(self, capsys, experiment_config_file):
         with pytest.raises(SystemExit) as exc:

@@ -67,11 +67,12 @@ class TestEquivalentMeasurement:
     @pytest.mark.parametrize(
         "p0, alpha, name",
         [(1.0, True, "alpha"), (True, 2.0, "p0"), ("1", 2.0, "p0"), (1.0, "2", "alpha"), (None, 2.0, "p0"),
-         (math.inf, 2.0, "p0")],
+         (math.inf, 2.0, "p0"), (10**400, 2.0, "p0"), (1.0, -(10**400), "alpha")],
     )
     def test_constants_must_be_numbers(self, p0, alpha, name):
-        # A bool was read as 1 (alpha True gave 4.0 for -40 dB) and a string
-        # or None escaped as a bare TypeError.
+        # A bool was read as 1 (alpha True gave 4.0 for -40 dB), a string or
+        # None escaped as a bare TypeError, and an integer too large for a
+        # double as a bare OverflowError.
         with pytest.raises(InvalidInputError, match=name):
             equivalent_measurement(-40.0, p0, alpha)
 
@@ -237,7 +238,7 @@ class TestScenario:
             Scenario.from_dict({**scenario_2d.to_dict(), field: value})
 
     @pytest.mark.parametrize("field", ["sigma_db", "alpha"])
-    @pytest.mark.parametrize("value", [True, "2", math.nan])
+    @pytest.mark.parametrize("value", [True, "2", math.nan, 10**400])
     def test_number_fields_are_finite_numbers(self, field, value):
         # Scenario(..., sigma_db=True, alpha=True) kept True in both fields.
         base = dict(sensors=[[0.0, 1.0]], source=[5.0, 5.0], sigma_db=1.0)
@@ -433,8 +434,8 @@ class TestDrawMeans:
         seek = trial_streams(12)
         sq = np.array([[4.0e3, 2.5e3, 9.0, 1.0e4]])
         for w in (0.0, 0.1, 0.3):
-            eps = np.empty((13, 1, 4))
-            ybar, zbar = draw_means(seek, ((0, t, 1) for t in range(13)), eps, sq, w)
+            eps, ybar, zbar = np.empty((13, 1, 4)), np.empty((13, 4)), np.empty((13, 4))
+            draw_means(seek, ((0, t, 1) for t in range(13)), eps, sq, w, ybar, zbar)
             drawn = np.array([trial_rng(12, 0, t, 1).standard_normal((1, 4)) for t in range(13)])
             ones = np.ones(1)
             want_y = ones @ drawn
