@@ -334,7 +334,8 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     the squared source distances that ``model.check_layouts`` checks, kept for
     the point, (g, k). The trials are drawn in blocks (trials, rounds, k) of
     at most about BLOCK_DOUBLES standard normals (one trial at least), each
-    reduced at once by ``model.draw_means`` into its rows of the point's means.
+    reduced at once by ``model.draw_means`` into its rows of the point's means;
+    at T = 1 a block is those rows of ``zbar`` themselves, (trials, 1, k).
     """
     value = cfg.sweep_values[sweep_index]
     seek = trial_streams(cfg.master_seed)
@@ -364,11 +365,12 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
         rcrlb = float(np.mean(np.sqrt(np.concatenate(crlb))))
     ybar, zbar = np.empty((cfg.trials, k)), np.empty((cfg.trials, k))
     blocks = _blocks(cfg.trials, rounds * k)
-    eps = np.empty((blocks[0][1], rounds, k))
+    eps = None if rounds == 1 else np.empty((blocks[0][1], rounds, k))
     for start, stop in blocks:
         paths = ((sweep_index, trial, 1) for trial in range(start, stop))
         rows = sq_distances if len(sensors) == 1 else sq_distances[start:stop]
-        draw_means(seek, paths, eps[: stop - start], rows, noise.omega_std, ybar[start:stop], zbar[start:stop])
+        block = zbar[start:stop, None] if eps is None else eps[: stop - start]
+        draw_means(seek, paths, block, rows, noise.omega_std, ybar[start:stop], zbar[start:stop])
     return SweepPoint(
         sensors=sensors,
         source=source,

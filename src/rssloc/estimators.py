@@ -8,8 +8,9 @@ monotone Newton iteration to convergence serves as the ML reference
 Newton's where the Hessian of the objective is positive definite and
 Gauss-Newton's elsewhere, each halved until the objective does not rise
 beyond its rounding, with one fixed stopping rule, MAX_ITERATIONS steps and
-STEP_TOLERANCE metres (Nocedal & Wright, Numerical Optimization, 2nd ed.,
-sections 3.1 and 3.4).
+a step tolerance of STEP_TOLERANCE times the layout's RMS radius, which is
+as equivariant as the estimates (Nocedal & Wright, Numerical Optimization,
+2nd ed., sections 3.1 and 3.4).
 
 Every least-squares solve, both LS designs and the Gauss-Newton and Newton
 steps, runs through one kernel, ``_normal_solve``: one eigh of the normal
@@ -82,10 +83,11 @@ ESTIMATOR_IDS = ("ls", "ls+gn", "ls-u", "ls-u+gn", "ml")
 _IDS = frozenset(ESTIMATOR_IDS)
 
 # The ML iteration's stopping rule (gn_continue): a problem has converged when
-# a step direction is shorter than STEP_TOLERANCE metres, and stops unconverged
-# after MAX_ITERATIONS steps, backtracking halvings not counted.
+# a step direction is shorter than STEP_TOLERANCE times its layout's RMS radius
+# s (geometry.normalise), and stops unconverged after MAX_ITERATIONS steps,
+# backtracking halvings not counted. STEP_TOLERANCE is dimensionless.
 MAX_ITERATIONS = 100
-STEP_TOLERANCE = 1e-10
+STEP_TOLERANCE = 1e-7
 
 # The typed error behind each failure code of gn_steps and estimate_stack (0 is
 # success): one Gauss-Newton step, in the order gn_steps checks, then LS.
@@ -344,16 +346,18 @@ def gn_step(p, ms: MeasurementSet) -> np.ndarray:
 
 
 def _layouts(sensors: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The layouts of the selected problems; a shared layout stays shared."""
+    """The layouts (or per-layout values, g first) of the selected problems;
+    a shared layout stays shared."""
     return sensors if len(sensors) == 1 else sensors[rows]
 
 
-def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray):
+def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray, scale: np.ndarray):
     """Minimise the ML objective from p (t, m) by a monotone iteration, once
     its first step, ``first`` = gn_steps(p, sensors, y), has been computed:
     that Gauss-Newton step, then Newton steps, each halved until it passes.
-    Returns (p_hat, failure, iterations, converged), one row per problem; p
-    is left unchanged.
+    ``scale`` (g,) holds the RMS radius s of each layout of ``sensors``
+    (geometry.normalise). Returns (p_hat, failure, iterations, converged),
+    one row per problem; p is left unchanged.
 
     Every step follows one rule. A step from point x towards x_next, the end
     of its full step, tries x + lam (x_next - x) for lam = lam0, lam0/2, ...
@@ -373,20 +377,24 @@ def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray):
     is a descent direction, so halving alone ends: a short enough trial
     passes.
 
-    A full step shorter than STEP_TOLERANCE is taken untested and ends the
-    iteration: the problem has converged. A problem stops unconverged after
-    MAX_ITERATIONS steps, or where a step is halved below STEP_TOLERANCE
-    without passing. It fails where a step fails (failure indexes FAILURES):
-    the first step, or a Newton step where both gates fail. A stopped problem
-    stays at its last accepted point. ``iterations`` counts the steps, each
-    from its own point, a failing or wholly rejected one included; the
-    halvings are part of their step. The layouts and y of the problems still
+    A problem's one step tolerance is STEP_TOLERANCE * s, in its layout's
+    units, so the iteration takes the same steps wherever the layout is
+    moved, turned or scaled to (Dennis & Schnabel, Numerical Methods for
+    Unconstrained Optimization, section 7.2). A full step shorter than it is
+    taken untested and ends the iteration: the problem has converged. A
+    problem stops unconverged after MAX_ITERATIONS steps, or where a step is
+    halved below its tolerance without passing. It fails where a step fails
+    (failure indexes FAILURES): the first step, or a Newton step where both
+    gates fail. A stopped problem stays at its last accepted point. ``iterations`` counts the steps, each from its own
+    point, a failing or wholly rejected one included; the halvings are part
+    of their step. The layouts, tolerances and y of the problems still
     iterating are gathered anew only when that set shrinks.
     """
     p_next, failure, objective = first
     t, k = y.shape
     eps = np.finfo(float).eps
     y_norm = np.sqrt((y * y).sum(axis=-1))
+    tol = STEP_TOLERANCE * scale
     p_hat, failure = p.copy(), failure.copy()
     iterations = np.ones(t, dtype=int)
     converged = np.zeros(t, dtype=bool)
@@ -395,7 +403,7 @@ def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray):
     active, current, f, full, lam = np.arange(t), p, objective, p_next, np.ones(t)
     trial, stop = full, failure != 0
     while True:
-        short = ~stop & (np.sqrt(sq_norm(full - current)) < STEP_TOLERANCE)
+        short = ~stop & (np.sqrt(sq_norm(full - current)) < tol)
         p_hat[active[short]] = full[short]
         converged[active[short]] = True
         stop |= short
@@ -404,7 +412,7 @@ def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray):
             active, current, f, full, trial, lam, y, y_norm = (
                 a[keep] for a in (active, current, f, full, trial, lam, y, y_norm)
             )
-            sensors = _layouts(sensors, keep)
+            sensors, tol = _layouts(sensors, keep), _layouts(tol, keep)
         if not active.size:
             break
         nxt, step_failure, f_trial = gn_steps(trial, sensors, y, True)
@@ -422,7 +430,7 @@ def gn_continue(p: np.ndarray, first, sensors: np.ndarray, y: np.ndarray):
         lam = np.where(accepted, np.minimum(1.0, 2.0 * lam), 0.5 * lam)
         trial = np.where((lam == 1.0)[:, None], full, current + lam[:, None] * (full - current))
         # A step halved below the tolerance without passing.
-        stop |= ~accepted & (np.sqrt(sq_norm(trial - current)) < STEP_TOLERANCE)
+        stop |= ~accepted & (np.sqrt(sq_norm(trial - current)) < tol)
     return p_hat, failure, iterations, converged
 
 
@@ -453,8 +461,9 @@ def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndar
     and iterates on (gn_continue), never raising the objective from the LS
     start beyond rounding; it fails the problem where a step fails (a Newton
     step only where both its gates fail), and ``converged`` and
-    ``iterations`` are gn_continue's. ``coef`` holds the LS coefficients,
-    theta or beta. Outcomes may share the arrays that an id does not write.
+    ``iterations`` are gn_continue's, on the normalised layouts' RMS radii.
+    ``coef`` holds the LS coefficients, theta or beta. Outcomes may share
+    the arrays that an id does not write.
 
     The ids run in their order, and each stage runs once, when the first id
     that uses it asks for it: normalising the layouts and forming the one
@@ -503,7 +512,9 @@ def estimate_stack(est_ids, sensors: np.ndarray, ybar: np.ndarray, zbar: np.ndar
             seconds += stepped_once
             if est_id == "ml":
                 failure = failure.copy()
-                p_hat[rows], failure[rows], iterations[rows], converged[rows] = gn_continue(p_ls[rows], first, layouts, y)
+                p_hat[rows], failure[rows], iterations[rows], converged[rows] = gn_continue(
+                    p_ls[rows], first, layouts, y, _layouts(frame[2], rows)
+                )
             else:
                 refined, step_failure, _ = first
                 stepped = step_failure == 0
@@ -536,14 +547,16 @@ def ml_reference(ms: MeasurementSet, init) -> Estimate:
     Runs the ML stages of estimate_stack: a first Gauss-Newton step, then
     backtracked Newton steps (gn_continue). The objective never rises above
     its value at ``init`` beyond rounding, and ``init`` is left unchanged.
-    ``converged`` is True where a step direction fell below STEP_TOLERANCE,
-    False where the iteration stopped after MAX_ITERATIONS steps or where a
-    step halved below STEP_TOLERANCE did not pass; ``gn_iterations`` counts
-    the steps (see gn_continue). A failing step raises its typed error. The
-    Estimate is ``ml``'s, without LS coefficients.
+    ``converged`` is True where a step direction fell below STEP_TOLERANCE
+    times the layout's RMS radius (geometry.normalise), False where the
+    iteration stopped after MAX_ITERATIONS steps or where a step halved
+    below that tolerance did not pass; ``gn_iterations`` counts the steps
+    (see gn_continue). A failing step raises its typed error. The Estimate
+    is ``ml``'s, without LS coefficients.
     """
     p, sensors, y = _start(init, ms), ms.sensor_coords[None], ms.y[None]
     since = perf_counter()
-    p_hat, failure, iterations, converged = gn_continue(p, gn_steps(p, sensors, y), sensors, y)
+    first, scale = gn_steps(p, sensors, y), normalise(sensors)[2]
+    p_hat, failure, iterations, converged = gn_continue(p, first, sensors, y, scale)
     out = StackOutcome(p_hat, None, failure, np.zeros(1, dtype=bool), iterations, converged, perf_counter() - since)
     return _per_call("ml", out, ms)

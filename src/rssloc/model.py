@@ -416,8 +416,9 @@ def draw_means(seek, paths, eps: np.ndarray, sq_distances: np.ndarray, omega_std
         zbar = d**2 * sum_r exp(-2*ln(10)*w*eps_r) / T,
 
     one multiply and one exp per reading (``eps`` is overwritten). At T = 1
-    the sums over the rounds are eps itself, bit for bit. At sigma = 0 ybar
-    is log10(d) and zbar is d**2 bit for bit.
+    the sums over the rounds are eps itself, bit for bit, and ``eps`` may be
+    ``zbar[:, None]``, the rows it is reduced into. At sigma = 0 ybar is
+    log10(d) and zbar is d**2 bit for bit.
     """
     for block, path in zip(eps, paths):
         seek(*path).standard_normal(out=block)

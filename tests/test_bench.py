@@ -657,9 +657,9 @@ def _recompute_distances(monkeypatch):
 
 def _parent_draw_path(monkeypatch):
     """Make sweep_point draw through throwaway arrays: each layout by
-    rng.uniform and copied into the point, each block's means formed in
-    fresh arrays and copied into its rows, and crlb_stack squaring the
-    differences p - sensors it forms itself."""
+    rng.uniform and copied into the point, each block of normals into a fresh
+    array and its means formed in fresh arrays and copied into its rows, and
+    crlb_stack squaring the differences p - sensors it forms itself."""
 
     def layouts(self, rngs, out):
         for rows, rng in zip(out, rngs):
@@ -667,6 +667,7 @@ def _parent_draw_path(monkeypatch):
         return out
 
     def copied_means(seek, paths, eps, sq_distances, omega_std, ybar, zbar):
+        eps = np.empty(eps.shape)
         for block, path in zip(eps, paths):
             seek(*path).standard_normal(out=block)
         rounds = eps.shape[1]
@@ -726,6 +727,31 @@ class TestReportBits:
         with monkeypatch.context() as patch:
             _parent_draw_path(patch)
             assert run_experiment(cfg).to_csv() == report
+
+    @pytest.mark.parametrize("case", ["2d-random-fresh", "2d-random-pinned", "2d-fixed"])
+    def test_t1_means_equal_a_draw_through_a_separate_block(self, case, monkeypatch):
+        # At T = 1 sweep_point draws each block of normals into its rows of
+        # zbar, which draw_means then reduces in place: one block at n = 10,
+        # two (131 and 9 trials) at n = 1000, the 2d-fixed point at T = 1.
+        cfg = _cfg(estimators=ESTIMATOR_IDS, trials=140, master_seed=5, **self.CASES[case])
+        t1 = [0] if case == "2d-fixed" else [0, 1]
+        in_place = []
+
+        def spying_draw_means(seek, paths, eps, sq_distances, omega_std, ybar, zbar):
+            in_place.append(np.shares_memory(eps, zbar))
+            draw_means(seek, paths, eps, sq_distances, omega_std, ybar, zbar)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bench, "draw_means", spying_draw_means)
+            points = [sweep_point(cfg, sweep_index) for sweep_index in t1]
+        assert all(point.n == point.sensors.shape[1] for point in points)
+        assert len(in_place) == len(t1) + (case != "2d-fixed") and all(in_place)
+        with monkeypatch.context() as patch:
+            _parent_draw_path(patch)
+            for sweep_index, point in zip(t1, points):
+                separate = sweep_point(cfg, sweep_index)
+                assert np.array_equal(point.ybar, separate.ybar)
+                assert np.array_equal(point.zbar, separate.zbar)
 
 
 class TestSharedStagePlan:

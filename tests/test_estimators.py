@@ -486,6 +486,36 @@ class TestEquivariance:
                 back = moved[est] @ rot / lam
                 assert np.linalg.norm(back - local) <= 1e-9 * (1.0 + np.linalg.norm(local)), est
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trial=registry_trials(),
+        log_scale=st.floats(-3.0, 3.0),
+        rotation_seed=st.integers(0, 2**32 - 1),
+        offset=st.one_of(
+            st.just([5e5, 4.5e6, 0.0]), st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)
+        ),
+    )
+    def test_ml_stops_alike_in_any_frame(self, trial, log_scale, rotation_seed, offset):
+        # The step tolerance is relative to the layout's RMS radius, so ml
+        # and ml_reference take as many steps, converge alike and stop at the
+        # moved iterate wherever the layout is scaled, turned and moved to,
+        # UTM offsets included.
+        ms, noise = trial
+        rng = np.random.default_rng(rotation_seed)
+        rot, _ = np.linalg.qr(rng.normal(size=(ms.dimension, ms.dimension)))
+        lam, shift = 10.0**log_scale, np.array(offset[: ms.dimension])
+        moved = MeasurementSet(lam * ms.sensor_coords @ rot.T + shift, ms.y + log_scale)
+        ml = {
+            "ml": lambda ms: estimators._estimate("ml", ms, noise.bias_b),
+            "ml_reference": lambda ms: PER_CALL["ml"](ms, noise),
+        }
+        for name, run in ml.items():
+            local, there = run(ms), run(moved)
+            assert (there.gn_iterations, there.converged) == (local.gn_iterations, local.converged), name
+            back = (there.p_hat - shift) @ rot / lam
+            size = np.linalg.norm(local.p_hat) + np.linalg.norm(shift) / lam
+            assert np.linalg.norm(back - local.p_hat) <= 1e-12 * size, name
+
 
 UTM_OFFSET = np.array([5e5, 4.5e6, 0.0])
 
@@ -533,7 +563,7 @@ class TestMlReference:
         est = ml_reference(ms, ls_known_variance(ms, NOISE.bias_b).p_hat)
         assert est.converged
         moved = gn_step(est.p_hat, ms)
-        assert np.linalg.norm(moved - est.p_hat) < estimators.STEP_TOLERANCE
+        assert np.linalg.norm(moved - est.p_hat) < 1e-12 * _rms_radius(ms.sensor_coords)
 
     def test_objective_decreases_along_iterates(self, scenario_2d):
         ms = generate_measurements(scenario_2d.with_rounds(100), 77)
@@ -541,7 +571,7 @@ class TestMlReference:
         objectives = [ml_objective(p, ms)]
         for _ in range(estimators.MAX_ITERATIONS):
             p_next = gn_step(p, ms)
-            done = np.linalg.norm(p_next - p) < estimators.STEP_TOLERANCE
+            done = np.linalg.norm(p_next - p) < 1e-12 * _rms_radius(ms.sensor_coords)
             p = p_next
             objectives.append(ml_objective(p, ms))
             if done:
@@ -550,7 +580,6 @@ class TestMlReference:
 
     def test_non_convergence_flag(self, scenario_2d, monkeypatch):
         monkeypatch.setattr(estimators, "MAX_ITERATIONS", 1)
-        monkeypatch.setattr(estimators, "STEP_TOLERANCE", 1e-14)
         ms = generate_measurements(scenario_2d.with_rounds(10), 2)
         est = ml_reference(ms, np.array([500.0, -300.0]))
         assert not est.converged
@@ -622,17 +651,25 @@ class TestStartPoints:
         assert np.array_equal(ml_reference(ms, start).p_hat, ml_reference(ms, np.array(start)).p_hat)
 
 
+def _rms_radius(sensors):
+    """The RMS distance of a layout's sensors from their centroid."""
+    centred = sensors - sensors.mean(axis=0)
+    return math.sqrt((centred * centred).sum() / len(sensors))
+
+
 def _guarded_newton_loop(p, sensors, y):
     """Reference ML iteration on one problem, one evaluation at a time:
     gn_continue's one halving rule written as a plain loop over gn_steps on
     that problem alone, with the stopping rule of estimators.MAX_ITERATIONS
-    and estimators.STEP_TOLERANCE.
+    and the step tolerance estimators.STEP_TOLERANCE times the layout's RMS
+    radius.
 
     Returns (p, error type or None, iterations, converged, events), events
     the set of "halved" (a step taken at lam < 1) and "halved out" (a step
     halved below the tolerance without passing).
     """
     eps, k, events = np.finfo(float).eps, len(y), set()
+    tol = estimators.STEP_TOLERANCE * _rms_radius(sensors)
 
     def evaluate(x, newton):
         nxt, failure, f = gn_steps(x[None], sensors[None], y[None], newton)
@@ -642,7 +679,7 @@ def _guarded_newton_loop(p, sensors, y):
     if failure:
         return p, FAILURES[failure][0], 1, False, events
     iterations, lam, trial = 1, 1.0, full
-    while np.linalg.norm(full - p) >= estimators.STEP_TOLERANCE:
+    while np.linalg.norm(full - p) >= tol:
         nxt, failure, f_trial = evaluate(trial, True)
         if f_trial <= f + eps * (k * f + 4.0 * math.sqrt(f) * np.linalg.norm(y)):
             if lam < 1.0:
@@ -659,16 +696,17 @@ def _guarded_newton_loop(p, sensors, y):
         else:
             lam /= 2.0
             trial = p + lam * (full - p)
-            if np.linalg.norm(trial - p) < estimators.STEP_TOLERANCE:
+            if np.linalg.norm(trial - p) < tol:
                 events.add("halved out")
                 return p, None, iterations, False, events
     return full, None, iterations, True, events
 
 
 def _iterate(p, sensors, y):
-    """The ML iteration from p: its first step, then gn_continue. The step
-    is looked up in estimators at the call, so a patch of gn_steps sees it."""
-    return estimators.gn_continue(p, estimators.gn_steps(p, sensors, y), sensors, y)
+    """The ML iteration from p: its first step, then gn_continue on the
+    layouts' RMS radii. The step is looked up in estimators at the call, so a
+    patch of gn_steps sees it."""
+    return estimators.gn_continue(p, estimators.gn_steps(p, sensors, y), sensors, y, normalise(sensors)[2])
 
 
 class TestGnIterate:
@@ -752,9 +790,37 @@ class TestGnIterate:
         assert (failure[0], iterations[0], converged[0]) == (0, 1, False)
         assert np.array_equal(p_hat, p0)
         step = np.linalg.norm(gn_steps(p0, sensors, y)[0] - p0)
-        assert len(trials) == math.floor(math.log2(step / estimators.STEP_TOLERANCE)) + 1 > 30
+        tol = estimators.STEP_TOLERANCE * _rms_radius(ms.sensor_coords)
+        assert len(trials) == math.floor(math.log2(step / tol)) + 1 > 20
         halved = step * 0.5 ** np.arange(len(trials))
         np.testing.assert_allclose(np.linalg.norm(trials - p0, axis=1), halved, rtol=1e-12, atol=1e-13)
+
+
+class TestMlStepTolerance:
+    """ml's step tolerance is STEP_TOLERANCE times its layout's RMS radius."""
+
+    def test_a_layout_scaled_by_1e3_takes_the_same_steps(self):
+        # 2d-fixed at 6 dB, T = 1 (seed 7): with a tolerance of 1e-10 m the
+        # layout at x1e3 took 9.79 mean steps against 9.28 at x1 and stopped
+        # 3 of the 2000 trials unconverged.
+        cfg = {"scenario": "2d-fixed", "sigma_db": 6.0, "sweep": {"rounds": [1]}, "trials": 2000}
+        point = sweep_point(ExperimentConfig.from_dict(cfg, seed=7), 0)
+        (metres,) = estimate_stack(("ml",), point.sensors, point.ybar, point.zbar, point.bias_b)
+        (km,) = estimate_stack(("ml",), 1e3 * point.sensors, point.ybar + 3.0, 1e6 * point.zbar, point.bias_b)
+        assert not metres.failure.any() and not km.failure.any()
+        assert metres.converged.all() and km.converged.all()
+        assert km.iterations.mean() == metres.iterations.mean()
+
+    def test_fewer_steps_than_with_a_tolerance_in_metres(self):
+        # 2d-random at 4 dB (seed 7, 200 trials): with a tolerance of 1e-10 m
+        # ml took 7.775 mean steps at n = 10 and 4.885 at n = 1000.
+        cfg = {"scenario": "2d-random", "sigma_db": 4.0, "sweep": {"n_random": [10, 1000]}, "trials": 200}
+        cfg = ExperimentConfig.from_dict(cfg, seed=7)
+        for sweep_index, before in enumerate((7.775, 4.885)):
+            point = sweep_point(cfg, sweep_index)
+            (ml,) = estimate_stack(("ml",), point.sensors, point.ybar, point.zbar, point.bias_b)
+            assert not ml.failure.any() and ml.converged.all()
+            assert ml.iterations.mean() <= before - 0.5, cfg.sweep_values[sweep_index]
 
 
 class TestNewtonStep:
