@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, InvalidInputError, RssLocError
 from .estimators import ESTIMATOR_IDS, estimate_stack, two_step
 from .inference import crlb_stack
 from .model import (
@@ -319,6 +319,17 @@ def _blocks(trials: int, doubles: int) -> List[Tuple[int, int]]:
     return [(start, min(start + step, trials)) for start in range(0, trials, step)]
 
 
+def _point_array(shape: Tuple[int, ...], point: str) -> np.ndarray:
+    """np.empty(shape) for the sweep point that ``point`` describes, or
+    RssLocError naming it. numpy refuses a shape past its size limit
+    (ValueError), or one that malloc cannot grant (MemoryError), before it
+    touches any memory."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError) as exc:
+        raise RssLocError(f"{point} does not fit in memory") from exc
+
+
 def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     """Draw every trial of one sweep point and reduce it to its means.
 
@@ -328,14 +339,18 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     trial is one counter seek of the one generator. Trial t's noise comes
     from the path (sweep_index, t, 1); fresh random geometry from
     (sweep_index, t, 0), pinned geometry from (sweep_index, 0, 0), so
-    ``trial_rng(master_seed, *path)`` replays any of them. The layouts, drawn
-    into the point's array, are checked and their RCRLB computed in blocks of
-    about BLOCK_DOUBLES doubles of the design, k x (m+2) per trial, both from
-    the squared source distances that ``model.check_layouts`` checks, kept for
+    ``trial_rng(master_seed, *path)`` replays any of them. Where the point's
+    layouts, means or draw block do not fit in memory, RssLocError (exit 1)
+    names its trials x rounds x sensors. The layouts, drawn into the point's
+    array, are checked and their RCRLB computed in blocks of about
+    BLOCK_DOUBLES doubles of the design, k x (m+2) per trial, both from the
+    squared source distances that ``model.check_layouts`` checks, kept for
     the point, (g, k). The trials are drawn in blocks (trials, rounds, k) of
     at most about BLOCK_DOUBLES standard normals (one trial at least), each
     reduced at once by ``model.draw_means`` into its rows of the point's means;
     at T = 1 a block is those rows of ``zbar`` themselves, (trials, 1, k).
+    The point's RCRLB is sqrt(mean tr CRLB) over its layouts, the bound on
+    an RMSE taken over trials that each draw their own layout.
     """
     value = cfg.sweep_values[sweep_index]
     seek = trial_streams(cfg.master_seed)
@@ -344,13 +359,15 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     if not random:
         sc = sc.with_rounds(value) if cfg.sweep_param == "rounds" else sc.with_sigma(value)
     noise = NoiseModel(sigma_db=sc.sigma_db, alpha=sc.alpha)
+    rounds = 1 if random else sc.rounds
+    point = f"a sweep point of {cfg.trials} trials x {rounds} rounds x {value if random else sc.n_sensors} sensors"
     if random:
-        geometry = (0,) if cfg.fixed_geometry else range(cfg.trials)
-        rngs = (seek(sweep_index, trial, 0) for trial in geometry)
-        sensors = sc.layouts(rngs, np.empty((len(geometry), value, sc.dimension)))
-        source, rounds = sc.source, 1
+        layouts = 1 if cfg.fixed_geometry else cfg.trials
+        rngs = (seek(sweep_index, trial, 0) for trial in range(layouts))
+        sensors = sc.layouts(rngs, _point_array((layouts, value, sc.dimension), point))
     else:
-        sensors, source, rounds = sc.sensors[None], sc.source, sc.rounds
+        sensors = sc.sensors[None]
+    source = sc.source
     sigma, alpha = noise.sigma_db, noise.alpha
     _, k, m = sensors.shape
     layout_blocks = _blocks(len(sensors), k * (m + 2))
@@ -362,10 +379,10 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     rcrlb = 0.0
     if sigma > 0:
         crlb = [crlb_stack(sensors[a:b], source, sq_distances[a:b], sigma, alpha, rounds)[1] for a, b in layout_blocks]
-        rcrlb = float(np.mean(np.sqrt(np.concatenate(crlb))))
-    ybar, zbar = np.empty((cfg.trials, k)), np.empty((cfg.trials, k))
+        rcrlb = float(np.sqrt(np.mean(np.concatenate(crlb))))
+    ybar, zbar = _point_array((cfg.trials, k), point), _point_array((cfg.trials, k), point)
     blocks = _blocks(cfg.trials, rounds * k)
-    eps = None if rounds == 1 else np.empty((blocks[0][1], rounds, k))
+    eps = None if rounds == 1 else _point_array((blocks[0][1], rounds, k), point)
     for start, stop in blocks:
         paths = ((sweep_index, trial, 1) for trial in range(start, stop))
         rows = sq_distances if len(sensors) == 1 else sq_distances[start:stop]

@@ -218,7 +218,8 @@ class TestExperimentConfig:
 
 class TestRunExperiment:
     def test_zero_noise_zero_error(self, scenario_2d):
-        cfg = _cfg(scenario_2d.with_sigma(0.0), estimators=("ls", "ls+gn", "ls-u"), trials=5)
+        cfg = _cfg(scenario_2d.with_sigma(0.0), estimators=("ls", "ls+gn", "ls-u", "ls-u+gn"), sweep_values=(3, 30),
+                   trials=5)
         for row in run_experiment(cfg).rows:
             assert row.bias_m < 1e-9
             assert row.rmse_m < 1e-9
@@ -242,6 +243,33 @@ class TestRunExperiment:
                 scenario_2d.with_rounds(int(row.sweep_value))
             ).rcrlb
             assert row.rcrlb_m == pytest.approx(expected, rel=1e-12)
+
+    def test_random_geometry_rcrlb_is_the_root_of_the_mean_crlb(self):
+        # The RMSE pools trials of different layouts, so its bound is
+        # sqrt(mean tr CRLB) over them, which mean sqrt(tr CRLB) understates.
+        cfg = _cfg(RandomScenarioFamily(sigma_db=4.0), sweep_param="n_random", sweep_values=(10,), trials=200)
+        row = run_experiment(cfg).rows[0]
+        crlbs = [fisher_information(replay_scenario(cfg, 0, trial)).crlb for trial in range(cfg.trials)]
+        assert row.rcrlb_m == pytest.approx(math.sqrt(np.mean(crlbs)), rel=1e-12)
+        assert row.rcrlb_m > 1.01 * np.mean(np.sqrt(crlbs))
+
+    def test_report_scales_with_the_layout(self, scenario_2d):
+        # The ring and its source at x1 and x1000 with the same seed: every
+        # estimator's RMSE, bias and RCRLB scale by 1000, and as many trials fail.
+        metres, km = [
+            run_experiment(
+                _cfg(
+                    Scenario(sensors=scale * scenario_2d.sensors, source=scale * scenario_2d.source, sigma_db=6.0),
+                    estimators=ESTIMATOR_IDS, sweep_values=(1, 3), trials=200, master_seed=5,
+                )
+            ).rows
+            for scale in (1.0, 1000.0)
+        ]
+        assert len(metres) == len(km) == 10
+        for a, b in zip(metres, km):
+            assert (a.estimator, a.sweep_value, a.trials_failed) == (b.estimator, b.sweep_value, b.trials_failed)
+            for key in ("rmse_m", "bias_m", "rcrlb_m"):
+                assert abs(getattr(b, key) - 1000 * getattr(a, key)) <= 1e-9 * 1000 * getattr(a, key), key
 
     def test_failed_trials_are_counted(self):
         sc = Scenario(sensors=COLLINEAR_2D, source=[5.0, 0.0], sigma_db=2.0)
@@ -321,9 +349,39 @@ class TestRunExperiment:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_runs(self, scenario_2d):
-        cfg = _cfg(scenario_2d, sweep_values=(3, 10), trials=30)
-        assert run_experiment(cfg).to_csv() == run_experiment(cfg).to_csv()
+    RANDOM = dict(scenario=RandomScenarioFamily(sigma_db=4.0), sweep_param="n_random")
+    CASES = {
+        "2d-fixed-rounds": dict(scenario=scenario_registry()["2d-fixed"], sweep_values=(3, 10), trials=30),
+        "2d-random-n10-n100": dict(RANDOM, sweep_values=(10, 100), estimators=("ls+gn", "ls-u+gn", "ml"), trials=50,
+                                   master_seed=3),
+        # The 3-D Gauss-Newton path: 3 x 3 normal matrices.
+        "3d-fixed-rounds": dict(scenario=scenario_registry()["3d-fixed"], sweep_values=(1, 3, 30),
+                                estimators=("ls+gn", "ml"), trials=50, master_seed=5),
+        # ml's Newton steps halved by its one rule.
+        "2d-fixed-sigma6": dict(scenario=scenario_registry(sigma_db=6.0)["2d-fixed"], sweep_values=(1, 10),
+                                estimators=("ls+gn", "ml"), trials=200, master_seed=7),
+        # 70 trials at n = 1000: estimator blocks of 32, 32 and a ragged 6.
+        "2d-random-n1000-ragged": dict(RANDOM, sweep_values=(1000,), estimators=ESTIMATOR_IDS, trials=70,
+                                       master_seed=3),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_byte_identical_across_runs(self, case):
+        # Rows run value-major in the config's estimator order, each accounts
+        # for all of its trials, and no ml trial fails. Another master seed
+        # keys other trial streams: every row's RMSE moves.
+        cfg = _cfg(**self.CASES[case])
+        report = run_experiment(cfg)
+        assert report.to_csv() == run_experiment(cfg).to_csv()
+        assert report.to_json() == run_experiment(cfg).to_json()
+        assert [(row.estimator, row.sweep_value) for row in report.rows] == [
+            (est_id, value) for value in cfg.sweep_values for est_id in cfg.estimators
+        ]
+        for row in report.rows:
+            assert row.trials_ok + row.trials_failed == cfg.trials
+            assert row.estimator != "ml" or row.trials_failed == 0
+        other = run_experiment(replace(cfg, master_seed=cfg.master_seed + 1)).rows
+        assert all(a.rmse_m != b.rmse_m for a, b in zip(report.rows, other))
 
     @pytest.mark.parametrize(
         "case",
@@ -397,7 +455,7 @@ def _per_trial_point(cfg, sweep_index):
     trial's readings checked bit for bit against log10(d) - w*eps, with
     w = sigma/(10*alpha) and eps a plain standard-normal draw of the same
     generator."""
-    layouts, rcrlbs, ybar, zbar = [], [], [], []
+    layouts, crlbs, ybar, zbar = [], [], [], []
     for trial in range(cfg.trials):
         sc = replay_scenario(cfg, sweep_index, trial)
         ms = generate_measurements(sc, trial_rng(cfg.master_seed, sweep_index, trial, 1))
@@ -408,7 +466,7 @@ def _per_trial_point(cfg, sweep_index):
         zbar.append(np.power(10.0, 2.0 * y).mean(axis=0))
         layouts.append(sc.sensors)
         if sc.sigma_db > 0:
-            rcrlbs.append(fisher_information(sc).rcrlb)
+            crlbs.append(fisher_information(sc).crlb)
     shared = cfg.sweep_param != "n_random" or cfg.fixed_geometry
     return SweepPoint(
         sensors=np.array(layouts[:1] if shared else layouts),
@@ -416,7 +474,7 @@ def _per_trial_point(cfg, sweep_index):
         ybar=np.array(ybar),
         zbar=np.array(zbar),
         bias_b=NoiseModel(sc.sigma_db, sc.alpha).bias_b,
-        rcrlb=(rcrlbs[0] if shared else float(np.mean(rcrlbs))) if rcrlbs else 0.0,
+        rcrlb=float(np.sqrt(np.mean(crlbs[:1] if shared else crlbs))) if crlbs else 0.0,
         n=sc.n_measurements,
     )
 
@@ -771,11 +829,13 @@ class TestSharedStagePlan:
         cfg = _cfg(estimators=ESTIMATOR_IDS, trials=70, master_seed=37, **self.CASES[case])
         if case != "2d-fixed":
             assert [stop - start for start, stop in bench._blocks(cfg.trials, 1000 * 4)] == [32, 32, 6]
-        together = run_experiment(cfg)
-        alone = [run_experiment(replace(cfg, estimators=(est_id,))).rows for est_id in ESTIMATOR_IDS]
-        merged = bench.TrialReport(rows=tuple(row for point in zip(*alone) for row in point))
-        assert together.to_csv() == merged.to_csv()
-        assert together.to_json() == merged.to_json()
+        alone = {est_id: run_experiment(replace(cfg, estimators=(est_id,))).rows for est_id in ESTIMATOR_IDS}
+        # The ids in reversed order give the same rows, in that order.
+        for ids in (ESTIMATOR_IDS, ESTIMATOR_IDS[::-1]):
+            together = run_experiment(replace(cfg, estimators=ids))
+            merged = bench.TrialReport(rows=tuple(row for point in zip(*(alone[i] for i in ids)) for row in point))
+            assert together.to_csv() == merged.to_csv()
+            assert together.to_json() == merged.to_json()
 
     def test_every_estimator_is_timed(self, scenario_2d):
         cfg = _cfg(scenario_2d, estimators=ESTIMATOR_IDS, trials=3, measure_time=True)

@@ -572,6 +572,29 @@ class TestExperiment:
         name = "master_seed" if field == "seed" else field
         assert error["error"] == "schema" and f"{name} must be a whole number" in error["message"]
 
+    @pytest.mark.parametrize(
+        "scenario, sweep, trials, size",
+        [
+            ("2d-fixed", {"rounds": [3]}, 10**15, f"{10**15} trials x 3 rounds x 10 sensors"),
+            ("2d-random", {"n_random": [10]}, 10**15, f"{10**15} trials x 1 rounds x 10 sensors"),
+            # Past numpy's size limit: refused before malloc is asked.
+            ("2d-random", {"n_random": [10]}, 10**19, f"{10**19} trials x 1 rounds x 10 sensors"),
+            # One trial whose draw block alone is too large.
+            ("2d-fixed", {"rounds": [10**14]}, 1, f"1 trials x {10**14} rounds x 10 sensors"),
+        ],
+        ids=["fixed", "random", "random-past-the-size-limit", "rounds"],
+    )
+    def test_point_too_large_to_allocate_exits_1_runtime(self, capsys, tmp_path, scenario, sweep, trials, size):
+        # numpy's allocation error escaped as a traceback. Only sizes that
+        # numpy refuses up front are tried here.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"scenario": scenario, "sweep": sweep, "trials": trials}))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)
+        assert error == {"error": "runtime", "message": f"a sweep point of {size} does not fit in memory"}
+
     def test_seed_flag_is_mandatory(self, capsys, experiment_config_file):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--config", str(experiment_config_file)])
@@ -672,6 +695,7 @@ class TestStrictJson:
         assert code == 0
         result = json.loads(out, parse_constant=_reject)
         if command == "estimate":
+            assert result["estimator"] == "ls+gn"
             assert result["refinement_degraded"] and result["residual_norm"] is None
         elif command == "experiment":
             assert len(result) == 4

@@ -1,10 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rssloc
 from conftest import COLLINEAR_2D, SQUARE_CORNERS, points_concyclic
 from rssloc.bench import scenario_registry
 from rssloc.errors import InsufficientSensorsError, InvalidInputError, SingularGramError
@@ -265,3 +268,15 @@ class TestCentroid:
             sensors = base[::2, ::2]
         assert np.array_equal(normalise(sensors)[1], sensors.mean(axis=-2))
         assert np.array_equal(normalise(sensors[0])[1], sensors[0].mean(axis=0))
+
+
+def test_no_svd_inverse_or_general_solver_in_the_package():
+    # Every solve and gate in rssloc is an eigh of a normal matrix.
+    call = re.compile(r"linalg\.(svd|inv|solve|lstsq)\b|\b(svd|inv|solve|lstsq)\(")
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(rssloc.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if call.search(line)
+    ]
+    assert found == []
