@@ -105,8 +105,10 @@ class RandomScenarioFamily:
         return out
 
     def sample(self, n: int, rng: np.random.Generator) -> Scenario:
+        """One layout of ``n`` sensors drawn from ``rng``; RssLocError where it
+        does not fit in memory."""
         return Scenario(
-            sensors=self.layouts([rng], np.empty((1, n, self.dimension)))[0],
+            sensors=self.layouts([rng], _point_array((1, n, self.dimension), f"a layout of {n} sensors"))[0],
             source=np.asarray(self.source, dtype=float),
             sigma_db=self.sigma_db,
             alpha=self.alpha,
@@ -320,10 +322,10 @@ def _blocks(trials: int, doubles: int) -> List[Tuple[int, int]]:
 
 
 def _point_array(shape: Tuple[int, ...], point: str) -> np.ndarray:
-    """np.empty(shape) for the sweep point that ``point`` describes, or
-    RssLocError naming it. numpy refuses a shape past its size limit
-    (ValueError), or one that malloc cannot grant (MemoryError), before it
-    touches any memory."""
+    """np.empty(shape) for the sweep point or layout that ``point``
+    describes, or RssLocError naming it. numpy refuses a shape past its size
+    limit (ValueError), or one that malloc cannot grant (MemoryError),
+    before it touches any memory."""
     try:
         return np.empty(shape)
     except (MemoryError, ValueError) as exc:

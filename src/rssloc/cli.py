@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import sys
 from typing import Optional
@@ -38,6 +39,28 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _read(path: str, parse):
+    """``parse`` applied to the JSON document in ``path``, with the cyclic
+    garbage collector paused.
+
+    Every input file is read here. A decoded document is a tree of lists and
+    dicts, which holds no cycle. It is passed on as a temporary, so
+    reference counting frees it as soon as ``parse`` returns; until then the
+    collector would walk it on every young pass its allocations set off,
+    several per T = 400 file. Each freed container takes one off the
+    young-generation count, so turning the collector back on afterwards
+    sets off no delayed pass. A collector that the caller had turned off
+    stays off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse(_load_json(path))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -75,28 +98,31 @@ def _measurements_from_file(payload: dict):
     return ms, None if sigma_db is None else NoiseModel(sigma_db=sigma_db, alpha=alpha)
 
 
+def _geometry_from_file(payload: dict):
+    """The localizability report of a {sensors} file; any other key raises ConfigError."""
+    if not isinstance(payload, dict) or "sensors" not in payload:
+        raise ConfigError("geometry file must be an object with a 'sensors' key")
+    known_keys(payload, {"sensors"}, "geometry file", ConfigError)
+    try:
+        return localizability(payload["sensors"])
+    except (TypeError, ValueError, InvalidInputError) as exc:
+        raise ConfigError(f"malformed sensors: {exc}") from exc
+
+
 def _cmd_estimate(args) -> int:
-    ms, noise = _measurements_from_file(_load_json(args.input))
+    ms, noise = _read(args.input, _measurements_from_file)
     _emit(bench.strict_json(two_step(ms, noise).to_dict()), args.out)
     return 0
 
 
 def _cmd_check_geometry(args) -> int:
-    payload = _load_json(args.input)
-    if not isinstance(payload, dict) or "sensors" not in payload:
-        raise ConfigError("geometry file must be an object with a 'sensors' key")
-    known_keys(payload, {"sensors"}, "geometry file", ConfigError)
-    try:
-        report = localizability(payload["sensors"])
-    except (TypeError, ValueError, InvalidInputError) as exc:
-        raise ConfigError(f"malformed sensors: {exc}") from exc
-    _emit(bench.strict_json(report.to_dict()), args.out)
+    _emit(bench.strict_json(_read(args.input, _geometry_from_file).to_dict()), args.out)
     return 0
 
 
 def _cmd_crlb(args) -> int:
     if args.config:
-        scenario = Scenario.from_dict(_load_json(args.config))
+        scenario = _read(args.config, Scenario.from_dict)
     else:
         scenario = bench.get_scenario(args.scenario, sigma_db=args.sigma)
         if isinstance(scenario, bench.RandomScenarioFamily):
@@ -111,7 +137,7 @@ def _cmd_crlb(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = bench.ExperimentConfig.from_dict(_load_json(args.config), seed=args.seed)
+    cfg = _read(args.config, functools.partial(bench.ExperimentConfig.from_dict, seed=args.seed))
     if args.estimators:
         cfg = dataclasses.replace(cfg, estimators=args.estimators.split(","))
     if args.fixed_geometry:

@@ -14,6 +14,7 @@ never at estimates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
@@ -23,6 +24,7 @@ from .errors import (
     DegenerateGeometryError,
     InfiniteInformationError,
     InvalidInputError,
+    NumericError,
     SingularPointError,
 )
 from .geometry import singular
@@ -39,6 +41,21 @@ class FisherSummary:
     eval_point: np.ndarray
 
 
+def _information_scale(sigma_db: float, alpha: float) -> float:
+    """100 alpha^2 / sigma_db^2, the Fisher information a reading carries per
+    unit of grad log10 d grad log10 d^T. NumericError where that is not a
+    finite positive double: sigma_db so small that its square underflows or
+    the quotient overflows, or alpha or sigma_db so large that a square
+    overflows."""
+    try:
+        scale = 100.0 * alpha**2 / sigma_db**2
+    except (OverflowError, ZeroDivisionError):
+        scale = math.inf
+    if not (0.0 < scale < math.inf):
+        raise NumericError(f"Fisher information is not a finite positive double at sigma_db={sigma_db}, alpha={alpha}")
+    return scale
+
+
 def crlb_stack(sensors: np.ndarray, p: np.ndarray, sq_distances, sigma_db: float, alpha: float, rounds: int):
     """The one CRLB kernel: tr(F^-1) at ``p`` for each layout of a stack
     (g, k, m), each sensor observed ``rounds`` times with noise ``sigma_db``.
@@ -50,7 +67,8 @@ def crlb_stack(sensors: np.ndarray, p: np.ndarray, sq_distances, sigma_db: float
     of G, which the library's one gate checks: it rejects e.g. collinear
     sensors with p on or next to their line (DegenerateGeometryError).
     Returns (G (g, m, m), crlb (g,)); grad is built coordinate-major, as the
-    Gauss-Newton Jacobian is.
+    Gauss-Newton Jacobian is. NumericError where the scale is not a finite
+    positive double (``_information_scale``).
     """
     g, k, m = sensors.shape
     gt = np.subtract(p[:, None], sensors.swapaxes(1, 2), out=np.empty((g, m, k)))
@@ -59,8 +77,7 @@ def crlb_stack(sensors: np.ndarray, p: np.ndarray, sq_distances, sigma_db: float
     lam = np.linalg.eigvalsh(gram)
     if np.any(singular(lam, k)):
         raise DegenerateGeometryError("Fisher information matrix is singular")
-    scale = 100.0 * alpha**2 / sigma_db**2
-    return gram, np.sum(1.0 / (scale * rounds * lam), axis=-1)
+    return gram, np.sum(1.0 / (_information_scale(sigma_db, alpha) * rounds * lam), axis=-1)
 
 
 def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
@@ -82,7 +99,7 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
         raise SingularPointError("eval_point coincides with a sensor")
     gram, crlb = crlb_stack(scenario.sensors[None], p, sq_distances, scenario.sigma_db, scenario.alpha, scenario.rounds)
     m_n = gram[0] / scenario.n_sensors
-    fisher = 100.0 * scenario.alpha**2 / scenario.sigma_db**2 * scenario.n_measurements * m_n
+    fisher = _information_scale(scenario.sigma_db, scenario.alpha) * scenario.n_measurements * m_n
     return FisherSummary(
         F=fisher,
         crlb=float(crlb[0]),

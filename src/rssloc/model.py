@@ -284,8 +284,9 @@ def lognormal_bias(sigma_db: float, alpha: float) -> float:
 
     b = exp((ln 10)^2 * sigma^2 / (50 * alpha^2)) >= 1, with equality iff
     sigma == 0. The matching variance is b^2 * (b^2 - 1); see
-    :func:`lognormal_variance`. NumericError where b overflows a double, and
-    InvalidInputError where sigma_db or alpha is not a finite number.
+    :func:`lognormal_variance`. NumericError where b overflows a double or
+    alpha^2 underflows to 0, and InvalidInputError where sigma_db or alpha
+    is not a finite number.
     """
     sigma_db, alpha = number(sigma_db, "sigma_db"), number(alpha, "alpha")
     if not (sigma_db >= 0):
@@ -294,7 +295,7 @@ def lognormal_bias(sigma_db: float, alpha: float) -> float:
         raise InvalidInputError("alpha must be positive")
     try:
         return math.exp(LN10**2 * sigma_db**2 / (50.0 * alpha**2))
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise NumericError(f"lognormal bias overflows at sigma_db={sigma_db}, alpha={alpha}") from None
 
 

@@ -19,7 +19,7 @@ from rssloc.bench import (
     sweep_point,
     time_scaling,
 )
-from rssloc.errors import ConfigError, DegenerateGeometryError, InvalidInputError, NumericError
+from rssloc.errors import ConfigError, DegenerateGeometryError, InvalidInputError, NumericError, RssLocError
 from rssloc.estimators import estimate_stack, ls_known_variance, two_step
 from rssloc.inference import fisher_information
 from rssloc.model import (
@@ -243,6 +243,12 @@ class TestRunExperiment:
                 scenario_2d.with_rounds(int(row.sweep_value))
             ).rcrlb
             assert row.rcrlb_m == pytest.approx(expected, rel=1e-12)
+
+    def test_vanishing_sigma_raises_numeric(self, scenario_2d):
+        # The point's RCRLB raised ZeroDivisionError: 1e-200 squared is 0.
+        cfg = ExperimentConfig.from_dict({"scenario": "2d-fixed", "sigma_db": 1e-200, "sweep": {"rounds": [3]}}, seed=1)
+        with pytest.raises(NumericError, match="sigma_db=1e-200, alpha=2.0"):
+            run_experiment(cfg)
 
     def test_random_geometry_rcrlb_is_the_root_of_the_mean_crlb(self):
         # The RMSE pools trials of different layouts, so its bound is
@@ -884,6 +890,13 @@ class TestTimeScaling:
     def test_runs_is_a_whole_number_from_one(self, runs):
         with pytest.raises(InvalidInputError, match="runs must be a whole number"):
             time_scaling([10], runs=runs)
+
+    @pytest.mark.parametrize("n", [10**15, 10**19], ids=["malloc", "past-the-size-limit"])
+    def test_layout_too_large_to_allocate_raises_runtime(self, n):
+        # numpy refuses both sizes before it touches memory.
+        with pytest.raises(RssLocError, match=f"a layout of {n} sensors does not fit in memory") as exc:
+            time_scaling([n], runs=1)
+        assert exc.value.kind == "runtime"
 
     def test_whole_floats_are_read_as_ints(self):
         assert [n for n, _ in time_scaling([20.0], runs=2.0)] == [20]

@@ -1,14 +1,16 @@
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import COLLINEAR_2D
-from rssloc.bench import ExperimentConfig, run_experiment
+from conftest import COLLINEAR_2D, SQUARE_CORNERS
+from rssloc.bench import ExperimentConfig, run_experiment, strict_json
 from rssloc.cli import main
+from rssloc.estimators import two_step
 from rssloc.inference import rcrlb_curve
-from rssloc.model import generate_measurements
+from rssloc.model import MeasurementSet, NoiseModel, generate_measurements
 
 
 @pytest.fixture
@@ -398,6 +400,16 @@ class TestCrlb:
         error = json.loads(err)
         assert error["error"] == "invalid-input" and "rounds must be a whole number" in error["message"]
 
+    @pytest.mark.parametrize("values", ["1e-200", "2,1e200"])
+    def test_extreme_sigma_exits_1_numeric(self, capsys, values):
+        # 100 alpha^2 / sigma^2 raised ZeroDivisionError (sigma^2 underflows
+        # to 0) or OverflowError (sigma^2 overflows) as a traceback.
+        code, out, err = _run(capsys, ["crlb", "--sweep-param", "sigma", "--sweep-values", values])
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "numeric" and "sigma_db=" in error["message"] and "alpha=2.0" in error["message"]
+
     def test_random_scenario_exits_2_schema(self, capsys):
         # The RCRLB depends on the layout, which the random family draws anew.
         code, out, err = _run(capsys, ["crlb", "--scenario", "2d-random", "--sweep-values", "3"])
@@ -595,6 +607,20 @@ class TestExperiment:
         error = json.loads(err)
         assert error == {"error": "runtime", "message": f"a sweep point of {size} does not fit in memory"}
 
+    @pytest.mark.parametrize("field", ["sigma_db", "alpha"])
+    def test_vanishing_noise_parameter_exits_1_numeric(self, capsys, tmp_path, field):
+        # 1e-200 squared is 0: the point's RCRLB (sigma_db) or lognormal bias
+        # (alpha) raised ZeroDivisionError.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"scenario": "2d-fixed", field: 1e-200, "sweep": {"rounds": [3]}, "trials": 5}))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)
+        values = {"sigma_db": 2.0, "alpha": 2.0, field: 1e-200}
+        assert error["error"] == "numeric"
+        assert f"sigma_db={values['sigma_db']}, alpha={values['alpha']}" in error["message"]
+
     def test_seed_flag_is_mandatory(self, capsys, experiment_config_file):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--config", str(experiment_config_file)])
@@ -661,6 +687,111 @@ class TestTimeScaling:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "invalid-input"
+
+
+    @pytest.mark.parametrize("n", [10**15, 10**19], ids=["malloc", "past-the-size-limit"])
+    def test_layout_too_large_to_allocate_exits_1_runtime(self, capsys, n):
+        # numpy's allocation error escaped as a traceback. numpy refuses both
+        # sizes before it touches memory.
+        code, out, err = _run(capsys, ["time-scaling", "--n", str(n), "--runs", "1"])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "runtime", "message": f"a layout of {n} sensors does not fit in memory"}
+
+
+def _large_file(tmp_path, scenario, sigma_db):
+    """A T = 400 measurement file, 400 rows per sensor of ``scenario``, known
+    variance with ``sigma_db`` or unknown with None; and the output that
+    ``rssloc estimate`` must print for it."""
+    ms = generate_measurements(scenario.with_rounds(400), 3)
+    payload = {"sensors": ms.sensor_coords.tolist(), "y": ms.y.tolist()}
+    noise = None
+    if sigma_db is not None:
+        payload["sigma_db"] = sigma_db
+        noise = NoiseModel(sigma_db=sigma_db)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(payload))
+    return path, strict_json(two_step(MeasurementSet(payload["sensors"], payload["y"]), noise).to_dict()) + "\n"
+
+
+def _reader_case(case, tmp_path, scenario_2d):
+    """(argv, exit code) of one call through the file reader."""
+    path = tmp_path / f"{case}.json"
+    if case == "estimate":
+        ms = generate_measurements(scenario_2d, 0)
+        path.write_text(json.dumps({"sensors": ms.sensor_coords.tolist(), "y": ms.y.tolist(), "sigma_db": 2.0}))
+        return ["estimate", "--input", str(path)], 0
+    if case == "check-geometry":
+        path.write_text(json.dumps({"sensors": SQUARE_CORNERS.tolist()}))
+        return ["check-geometry", "--input", str(path)], 0
+    if case == "crlb":
+        path.write_text(json.dumps(scenario_2d.to_dict()))
+        return ["crlb", "--config", str(path), "--sweep-values", "3"], 0
+    if case == "experiment":
+        path.write_text(json.dumps({"scenario": "2d-fixed", "sweep": {"rounds": [3]}, "trials": 5}))
+        return ["experiment", "--config", str(path), "--seed", "1"], 0
+    if case == "invalid-json":
+        path.write_text('{"sensors": [[0, 0], [1, 0]')
+        return ["estimate", "--input", str(path)], 2
+    if case == "unknown-key":
+        path.write_text(json.dumps({"sensors": SQUARE_CORNERS.tolist(), "y": [1.0] * 4, "sigmadb": 2.0}))
+        return ["estimate", "--input", str(path)], 2
+    # Collinear sensors: the known-variance design is singular.
+    path.write_text(json.dumps({"sensors": COLLINEAR_2D.tolist(), "y": [1.0, 1.2, 1.4, 1.6], "sigma_db": 2.0}))
+    return ["estimate", "--input", str(path)], 1
+
+
+class TestReader:
+    def test_a_large_file_is_read_without_a_collection(self, capsys, tmp_path, scenario_2d):
+        # Decoding 4000 [x, y] rows allocates a list per row, and the
+        # collector walked that tree on several young passes per call before
+        # reference counting freed it.
+        assert gc.isenabled()
+        path, _ = _large_file(tmp_path, scenario_2d, 2.0)
+        argv = ["estimate", "--input", str(path)]
+        # A first call may build the parser, which the process keeps.
+        assert _run(capsys, argv)[0] == 0
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            code = main(argv)
+        finally:
+            gc.callbacks.remove(count)
+        capsys.readouterr()
+        assert code == 0
+        assert passes == []
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "case", ["estimate", "check-geometry", "crlb", "experiment", "invalid-json", "unknown-key", "singular-gram"]
+    )
+    def test_collector_is_left_as_the_caller_set_it(self, capsys, tmp_path, scenario_2d, case, enabled):
+        argv, expected = _reader_case(case, tmp_path, scenario_2d)
+        try:
+            if not enabled:
+                gc.disable()
+            code, _, err = _run(capsys, argv)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert code == expected
+        if case == "singular-gram":
+            assert json.loads(err)["error"] == "singular-gram"
+
+    @pytest.mark.parametrize("sigma_db", [2.0, None], ids=["known", "unknown"])
+    @pytest.mark.parametrize("dimension", ["2d", "3d"])
+    def test_large_file_output_equals_library(self, capsys, tmp_path, scenario_2d, scenario_3d, dimension, sigma_db):
+        scenario = scenario_2d if dimension == "2d" else scenario_3d
+        path, expected = _large_file(tmp_path, scenario, sigma_db)
+        code, out, _ = _run(capsys, ["estimate", "--input", str(path)])
+        assert code == 0
+        assert out == expected
 
 
 class TestStrictJson:

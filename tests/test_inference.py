@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from rssloc.errors import (
     DegenerateGeometryError,
     InfiniteInformationError,
     InvalidInputError,
+    NumericError,
     SingularPointError,
 )
 from rssloc.geometry import singular
@@ -120,6 +123,22 @@ class TestFisherInformation:
         with pytest.raises(DegenerateGeometryError):
             fisher_information(sc)
 
+    @pytest.mark.parametrize(
+        "sigma_db, alpha",
+        # sigma^2 underflows to 0 (ZeroDivisionError); 100 alpha^2 / sigma^2
+        # overflows to inf (an RCRLB of 0); sigma^2 or alpha^2 overflows
+        # (OverflowError).
+        [(1e-200, 2.0), (1e-160, 2.0), (1e200, 2.0), (2.0, 1e200)],
+        ids=["sigma-squared-underflows", "scale-overflows", "sigma-squared-overflows", "alpha-squared-overflows"],
+    )
+    def test_scale_outside_doubles_raises_numeric(self, scenario_2d, sigma_db, alpha):
+        sc = replace(scenario_2d, sigma_db=sigma_db, alpha=alpha)
+        with pytest.raises(NumericError, match=re.escape(f"sigma_db={sigma_db}, alpha={alpha}")):
+            fisher_information(sc)
+        sq = sq_norm(sc.sensors - sc.source)[None]
+        with pytest.raises(NumericError, match=re.escape(f"sigma_db={sigma_db}, alpha={alpha}")):
+            crlb_stack(sc.sensors[None], sc.source, sq, sigma_db, alpha, 1)
+
     def test_three_dimensional_inverse(self, scenario_3d):
         fs = fisher_information(scenario_3d)
         assert fs.crlb == pytest.approx(np.trace(np.linalg.inv(fs.F)), rel=1e-10)
@@ -137,6 +156,11 @@ class TestRcrlbCurve:
     def test_full_sweep_monotone(self, scenario_2d):
         values = [r for _, r in rcrlb_curve(scenario_2d, [3, 10, 30, 100, 200, 400])]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("sigma_db", [1e-200, 1e200])
+    def test_extreme_sigma_raises_numeric(self, scenario_2d, sigma_db):
+        with pytest.raises(NumericError, match=re.escape(f"sigma_db={sigma_db}, alpha=2.0")):
+            rcrlb_curve(scenario_2d, [2.0, sigma_db], param="sigma")
 
     def test_bad_param(self, scenario_2d):
         with pytest.raises(InvalidInputError):

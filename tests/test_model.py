@@ -147,6 +147,9 @@ class TestLognormalBias:
         assert math.isfinite(lognormal_variance(81.0, 2.0))
         with pytest.raises(NumericError):
             lognormal_variance(120.0, 2.0)
+        # alpha^2 underflows to 0: it raised ZeroDivisionError.
+        with pytest.raises(NumericError, match="sigma_db=2.0, alpha=1e-200"):
+            lognormal_bias(2.0, 1e-200)
 
 
 class TestNoiseModel:
