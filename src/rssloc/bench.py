@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import astuple, dataclass, fields
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, RssLocError
-from .estimators import ESTIMATOR_IDS, estimate_stack, two_step
+from .estimators import ESTIMATOR_IDS, estimate_stack
 from .inference import crlb_stack
 from .model import (
     NoiseModel,
@@ -54,7 +53,6 @@ from .model import (
     check_layouts,
     draw_means,
     floats,
-    generate_measurements,
     known_keys,
     number,
     trial_streams,
@@ -401,15 +399,6 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     )
 
 
-def _median_of_means(times: List[float]) -> float:
-    # Median over the means of 10 batches resists scheduler noise outliers.
-    chunks = np.array_split(np.asarray(times), min(10, len(times)))
-    value = float(np.median([chunk.mean() for chunk in chunks]))
-    if value <= 0.0:
-        value = time.get_clock_info("perf_counter").resolution
-    return value
-
-
 def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     """Run all trials at every sweep point and aggregate bias/RMSE/RCRLB.
 
@@ -462,32 +451,19 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     return TrialReport(rows=tuple(rows))
 
 
-def time_scaling(n_values: Sequence[int], runs: int = 100, master_seed: int = 0) -> List[Tuple[int, float]]:
+def time_scaling(n_values: Sequence[int], runs: int = 100, master_seed: int = 0) -> List[Tuple[int, Optional[float]]]:
     """Mean two-step wall time at each measurement count n.
 
-    Each run times a single two-step (known-variance) estimate on a fresh
-    deployment of the random family at its 2 dB and alpha = 2; measurement
-    generation is excluded from the timed section. Returns (n, mean_seconds)
-    pairs; a clock resolution floor guarantees nonzero entries. ``runs`` and
+    A view of run_experiment: an n_random sweep of ``ls+gn`` (two-step,
+    known variance) over ``n_values`` with ``runs`` trials, each a fresh
+    deployment of the random family at its 2 dB and alpha = 2. Returns
+    (n, mean_time_s) pairs of its rows, the engine's charge per trial for
+    the estimator's stages (None where every trial failed); drawing the
+    measurements and the per-call overhead are not included. ``runs`` and
     each n must be whole numbers >= 1 (InvalidInputError otherwise),
     ``master_seed`` a whole number >= 0 (ConfigError otherwise).
     """
     runs = number(runs, "runs", True)
     n_values = [number(n, "n", True) for n in n_values]
-    master_seed = number(master_seed, "master_seed", True, ConfigError, low=0)
-    family = RandomScenarioFamily()
-    noise = NoiseModel(sigma_db=family.sigma_db, alpha=family.alpha)
-    seek = trial_streams(master_seed)
-    results = []
-    for idx, n in enumerate(n_values):
-        sets = []
-        for run in range(runs):
-            scenario = family.sample(n, seek(idx, run, 0))
-            sets.append(generate_measurements(scenario, seek(idx, run, 1)))
-        times = []
-        for ms in sets:
-            t0 = time.perf_counter()
-            two_step(ms, noise)
-            times.append(time.perf_counter() - t0)
-        results.append((n, _median_of_means(times)))
-    return results
+    cfg = ExperimentConfig(RandomScenarioFamily(), ("ls+gn",), "n_random", n_values, runs, master_seed)
+    return [(row.n, row.mean_time_s) for row in run_experiment(cfg).rows]

@@ -24,7 +24,7 @@ import sys
 from typing import Optional
 
 from . import bench
-from .errors import ConfigError, InvalidInputError, RssLocError
+from .errors import ConfigError, InsufficientSensorsError, InvalidInputError, RssLocError
 from .estimators import two_step
 from .geometry import localizability
 from .inference import rcrlb_curve
@@ -99,13 +99,14 @@ def _measurements_from_file(payload: dict):
 
 
 def _geometry_from_file(payload: dict):
-    """The localizability report of a {sensors} file; any other key raises ConfigError."""
+    """The localizability report of a {sensors} file; any other key, or too
+    few sensors for the hyperplane test, raises ConfigError."""
     if not isinstance(payload, dict) or "sensors" not in payload:
         raise ConfigError("geometry file must be an object with a 'sensors' key")
     known_keys(payload, {"sensors"}, "geometry file", ConfigError)
     try:
         return localizability(payload["sensors"])
-    except (TypeError, ValueError, InvalidInputError) as exc:
+    except (TypeError, ValueError, InvalidInputError, InsufficientSensorsError) as exc:
         raise ConfigError(f"malformed sensors: {exc}") from exc
 
 
@@ -122,9 +123,11 @@ def _cmd_check_geometry(args) -> int:
 
 def _cmd_crlb(args) -> int:
     if args.config:
+        if args.sigma is not None:
+            raise ConfigError("--sigma parameterises a registry scenario id; an inline scenario sets its own sigma_db")
         scenario = _read(args.config, Scenario.from_dict)
     else:
-        scenario = bench.get_scenario(args.scenario, sigma_db=args.sigma)
+        scenario = bench.get_scenario(args.scenario, sigma_db=2.0 if args.sigma is None else args.sigma)
         if isinstance(scenario, bench.RandomScenarioFamily):
             raise ConfigError("crlb needs a fixed scenario, not the random family")
     try:
@@ -176,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_crlb = sub.add_parser("crlb", help="RCRLB curve for a scenario")
     p_crlb.add_argument("--scenario", default="2d-fixed", help="registry scenario id")
     p_crlb.add_argument("--config", help="inline scenario JSON file (overrides --scenario)")
-    p_crlb.add_argument("--sigma", type=float, default=2.0, help="noise std in dB")
+    p_crlb.add_argument("--sigma", type=float, help="noise std in dB of a --scenario (default 2.0)")
     p_crlb.add_argument("--sweep-param", choices=("rounds", "sigma"), default="rounds")
     p_crlb.add_argument("--sweep-values", required=True, help="comma-separated values")
     p_crlb.add_argument("--format", choices=("csv", "json"), default="csv")

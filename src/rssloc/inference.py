@@ -67,8 +67,10 @@ def crlb_stack(sensors: np.ndarray, p: np.ndarray, sq_distances, sigma_db: float
     of G, which the library's one gate checks: it rejects e.g. collinear
     sensors with p on or next to their line (DegenerateGeometryError).
     Returns (G (g, m, m), crlb (g,)); grad is built coordinate-major, as the
-    Gauss-Newton Jacobian is. NumericError where the scale is not a finite
-    positive double (``_information_scale``).
+    Gauss-Newton Jacobian is. NumericError where the scale
+    (``_information_scale``) or a CRLB is not a finite positive double: the
+    information scale * rounds * eigenvalue can overflow, or underflow to 0,
+    at finite arguments.
     """
     g, k, m = sensors.shape
     gt = np.subtract(p[:, None], sensors.swapaxes(1, 2), out=np.empty((g, m, k)))
@@ -77,7 +79,11 @@ def crlb_stack(sensors: np.ndarray, p: np.ndarray, sq_distances, sigma_db: float
     lam = np.linalg.eigvalsh(gram)
     if np.any(singular(lam, k)):
         raise DegenerateGeometryError("Fisher information matrix is singular")
-    return gram, np.sum(1.0 / (_information_scale(sigma_db, alpha) * rounds * lam), axis=-1)
+    with np.errstate(over="ignore", divide="ignore"):
+        crlb = np.sum(1.0 / (_information_scale(sigma_db, alpha) * rounds * lam), axis=-1)
+    if not np.all((crlb > 0.0) & (crlb < math.inf)):
+        raise NumericError(f"CRLB is not a finite positive double at sigma_db={sigma_db}, alpha={alpha}")
+    return gram, crlb
 
 
 def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:

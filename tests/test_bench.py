@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -581,7 +582,7 @@ class TestBlockDraw:
 
     def test_the_stream_key_is_derived_once_per_point(self, scenario_2d, monkeypatch):
         # No per-trial hashing: one SeedSequence per sweep point (all its
-        # paths have three words), and one per time-scaling run.
+        # paths have three words), time-scaling's n values included.
         seed_sequences = mock.Mock(wraps=np.random.SeedSequence)
         monkeypatch.setattr(np.random, "SeedSequence", seed_sequences)
         random = _cfg(RandomScenarioFamily(sigma_db=4.0), sweep_param="n_random", sweep_values=(5, 30), trials=50)
@@ -593,7 +594,7 @@ class TestBlockDraw:
                        for call in seed_sequences.call_args_list)
         seed_sequences.reset_mock()
         time_scaling([10, 20], runs=5, master_seed=2)
-        assert seed_sequences.call_count == 1
+        assert seed_sequences.call_count == 2
 
     def test_peak_memory_is_capped(self, scenario_2d):
         # The whole point would be 2000 x 400 x 10 doubles, 64 MB per array.
@@ -894,9 +895,29 @@ class TestTimeScaling:
     @pytest.mark.parametrize("n", [10**15, 10**19], ids=["malloc", "past-the-size-limit"])
     def test_layout_too_large_to_allocate_raises_runtime(self, n):
         # numpy refuses both sizes before it touches memory.
-        with pytest.raises(RssLocError, match=f"a layout of {n} sensors does not fit in memory") as exc:
+        message = f"a sweep point of 1 trials x 1 rounds x {n} sensors does not fit in memory"
+        with pytest.raises(RssLocError, match=message) as exc:
             time_scaling([n], runs=1)
         assert exc.value.kind == "runtime"
+        with pytest.raises(RssLocError, match=f"a layout of {n} sensors does not fit in memory") as exc:
+            RandomScenarioFamily().sample(n, np.random.default_rng(0))
+        assert exc.value.kind == "runtime"
+
+    def test_too_many_runs_to_allocate_raises_runtime(self):
+        # The sweep point's layouts are allocated before any is drawn.
+        with pytest.raises(RssLocError, match="a sweep point of 10{15} trials") as exc:
+            time_scaling([10], runs=10**15)
+        assert exc.value.kind == "runtime"
+
+    def test_reads_the_engines_clock(self, monkeypatch):
+        # The clock of test_each_estimator_is_charged_the_stages_it_uses, one
+        # second per reading: time_scaling reports run_experiment's ls+gn rows,
+        # four stages over one block of the 30 trials at each n.
+        monkeypatch.setattr(estimators, "perf_counter", itertools.count().__next__)
+        results = time_scaling([10, 40.0], runs=30, master_seed=5)
+        cfg = ExperimentConfig(RandomScenarioFamily(), ("ls+gn",), "n_random", (10, 40), 30, 5)
+        assert results == [(row.n, row.mean_time_s) for row in run_experiment(cfg).rows]
+        assert results == [(10, 4 / 30), (40, 4 / 30)]
 
     def test_whole_floats_are_read_as_ints(self):
         assert [n for n, _ in time_scaling([20.0], runs=2.0)] == [20]

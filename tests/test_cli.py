@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import COLLINEAR_2D, SQUARE_CORNERS
+from rssloc import estimators
 from rssloc.bench import ExperimentConfig, run_experiment, strict_json
 from rssloc.cli import main
 from rssloc.estimators import two_step
@@ -328,6 +330,19 @@ class TestCheckGeometry:
         error = json.loads(err)
         assert error["error"] == "schema" and "dimension must be 2 or 3" in error["message"]
 
+    def test_too_few_sensors_exits_2_schema(self, capsys, tmp_path):
+        # It exited 1 (insufficient-sensors), where `estimate` on the same
+        # sensors exits 2: too few sensors is bad input.
+        sensors = [[0, 0], [1, 0]]
+        for command, payload in (("check-geometry", {"sensors": sensors}), ("estimate", {"sensors": sensors, "y": [1, 2]})):
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(payload))
+            code, out, err = _run(capsys, [command, "--input", str(path)])
+            assert code == 2
+            assert out == ""
+            error = json.loads(err)
+            assert error["error"] == "schema" and "at least m+1 = 3" in error["message"]
+
     def test_unknown_key_exits_2_schema(self, capsys, tmp_path):
         # A misspelt "sensors" beside a stale one would otherwise go unnoticed.
         path = tmp_path / "geo.json"
@@ -426,6 +441,39 @@ class TestCrlb:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "invalid-input" and "'round'" in error["message"]
+
+    @pytest.mark.parametrize("config", [False, True], ids=["scenario", "config"])
+    def test_crlb_that_overflows_to_zero_exits_1_numeric(self, capsys, tmp_path, scenario_2d, config):
+        # scale * T * lambda overflowed to inf and 1/inf printed a bound of 0.
+        argv = ["crlb", "--sweep-values", "3,10000000000"]
+        if config:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({**scenario_2d.to_dict(), "sigma_db": 1e-150}))
+            argv += ["--config", str(path)]
+        else:
+            argv += ["--sigma", "1e-150"]
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "numeric" and "sigma_db=1e-150, alpha=2.0" in error["message"]
+
+    def test_sigma_beside_config_exits_2_schema(self, capsys, tmp_path, scenario_2d):
+        # --sigma was ignored: the inline scenario sets its own sigma_db.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_2d.to_dict()))
+        code, out, err = _run(capsys, ["crlb", "--config", str(path), "--sigma", "8", "--sweep-values", "3"])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and "--sigma" in error["message"]
+        code, out, _ = _run(capsys, ["crlb", "--config", str(path), "--sweep-values", "3"])
+        assert code == 0 and float(out.split()[1].split(",")[1]) == rcrlb_curve(scenario_2d, [3])[0][1]
+
+    def test_sigma_parameterises_the_registry_scenario(self, capsys, scenario_2d):
+        code, out, _ = _run(capsys, ["crlb", "--sigma", "8", "--sweep-values", "3"])
+        assert code == 0
+        assert float(out.split()[1].split(",")[1]) == rcrlb_curve(scenario_2d.with_sigma(8.0), [3])[0][1]
 
 
 class TestExperiment:
@@ -696,7 +744,31 @@ class TestTimeScaling:
         code, out, err = _run(capsys, ["time-scaling", "--n", str(n), "--runs", "1"])
         assert code == 1
         assert out == ""
-        assert json.loads(err) == {"error": "runtime", "message": f"a layout of {n} sensors does not fit in memory"}
+        message = f"a sweep point of 1 trials x 1 rounds x {n} sensors does not fit in memory"
+        assert json.loads(err) == {"error": "runtime", "message": message}
+
+    def test_too_many_runs_to_allocate_exits_1_runtime(self, capsys):
+        # All the runs' measurement sets were built first, with no size check:
+        # memory grew until the machine ran out. numpy refuses this size
+        # before it touches memory.
+        code, out, err = _run(capsys, ["time-scaling", "--n", "10", "--runs", str(10**15)])
+        assert code == 1
+        assert out == ""
+        message = f"a sweep point of {10**15} trials x 1 rounds x 10 sensors does not fit in memory"
+        assert json.loads(err) == {"error": "runtime", "message": message}
+
+    def test_prints_the_experiments_charge(self, capsys, tmp_path, monkeypatch):
+        # The same number `rssloc experiment` prints for ls+gn on those trials,
+        # under a clock that advances one second per reading.
+        config = {"scenario": "2d-random", "estimators": ["ls+gn"], "sweep": {"n_random": [20]}, "trials": 8}
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setattr(estimators, "perf_counter", itertools.count().__next__)
+        _, timed, _ = _run(capsys, ["time-scaling", "--n", "20", "--runs", "8", "--seed", "4"])
+        _, report, _ = _run(capsys, ["experiment", "--config", str(path), "--seed", "4"])
+        rows = report.strip().split("\n")
+        mean_time = rows[1].split(",")[rows[0].split(",").index("mean_time_s")]
+        assert timed == f"n,mean_time_s\n20,{mean_time}\n" == "n,mean_time_s\n20,0.5\n"
 
 
 def _large_file(tmp_path, scenario, sigma_db):

@@ -280,3 +280,17 @@ def test_no_svd_inverse_or_general_solver_in_the_package():
         if call.search(line)
     ]
     assert found == []
+
+
+def test_only_the_estimators_read_a_clock():
+    # estimate_stack's stage clock is the one timing in rssloc: time-scaling
+    # and the experiment's mean_time_s both read it.
+    clock = re.compile(r"perf_counter|\btime\.time(_ns)?\b|monotonic|process_time")
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(rssloc.__file__).parent.glob("*.py"))
+        if path.name != "estimators.py"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if clock.search(line)
+    ]
+    assert found == []

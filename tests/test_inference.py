@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import kernel_stacks, outcome
+from rssloc.bench import ExperimentConfig, sweep_point
 from rssloc.errors import (
     DegenerateGeometryError,
     InfiniteInformationError,
@@ -138,6 +139,25 @@ class TestFisherInformation:
         sq = sq_norm(sc.sensors - sc.source)[None]
         with pytest.raises(NumericError, match=re.escape(f"sigma_db={sigma_db}, alpha={alpha}")):
             crlb_stack(sc.sensors[None], sc.source, sq, sigma_db, alpha, 1)
+
+    @pytest.mark.parametrize(
+        "sigma_db, alpha, scale, rounds",
+        # scale * T * lambda overflows to inf (a CRLB of 0), or underflows to
+        # 0 on a layout 1e100 m across (an infinite CRLB).
+        [(1e-150, 2.0, 1.0, 10**10), (1e150, 1.0, 1e100, 1)],
+        ids=["overflows", "underflows"],
+    )
+    def test_crlb_outside_doubles_raises_numeric(self, scenario_2d, sigma_db, alpha, scale, rounds):
+        sc = Scenario(scenario_2d.sensors * scale, scenario_2d.source * scale, sigma_db, alpha, rounds)
+        message = re.escape(f"CRLB is not a finite positive double at sigma_db={sigma_db}, alpha={alpha}")
+        with pytest.raises(NumericError, match=message):
+            fisher_information(sc)
+
+    def test_sweep_point_whose_crlb_overflows_raises_numeric(self, scenario_2d):
+        # It reported an RCRLB of 0. The bound is checked before any draw.
+        cfg = ExperimentConfig(replace(scenario_2d, sigma_db=1e-150), ("ls",), "rounds", (10**10,), 1, 0)
+        with pytest.raises(NumericError, match=re.escape("CRLB is not a finite positive double at sigma_db=1e-150")):
+            sweep_point(cfg, 0)
 
     def test_three_dimensional_inverse(self, scenario_3d):
         fs = fisher_information(scenario_3d)
