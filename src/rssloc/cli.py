@@ -39,6 +39,8 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path} is not valid JSON: nested too deeply") from None
 
 
 def _read(path: str, parse):
@@ -65,8 +67,11 @@ def _read(path: str, parse):
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

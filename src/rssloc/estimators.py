@@ -37,7 +37,10 @@ The Gauss-Newton Jacobian, the LS designs and the Fisher gradient are built
 coordinate-major: J is the transposed view of a contiguous (..., c, k) array
 J^T with one row per column. Every operation then runs along the k rows, the
 normal matrices, the Hessian, the right-hand sides and the objective
-included.
+included. The Gauss-Newton and Newton evaluations and the ML objective work
+from the squared distances d^2: the near-sensor test compares d^2 with
+SENSOR_CLEARANCE**2, the residual is y - log10(d^2) / 2 and the Jacobian's
+row scale d^2 ln 10, so no square root of a distance is taken.
 
 The estimator policy lives in one function, ``estimate_stack``, which runs a
 tuple of estimator ids in their order on a stack of problems; each stage
@@ -193,10 +196,10 @@ def ml_objective(p, ms: MeasurementSet) -> float:
 
 def _objective(p: np.ndarray, ms: MeasurementSet) -> float:
     """ml_objective at a checked point p (m,)."""
-    d = np.sqrt(sq_norm(ms.sensor_coords - p))
-    if (d < SENSOR_CLEARANCE).any():
+    d2 = sq_norm(ms.sensor_coords - p)
+    if (d2 < SENSOR_CLEARANCE**2).any():
         _raise(_NEAR)
-    r = ms.y - np.log10(d)
+    r = ms.y - 0.5 * np.log10(d2)
     return float((r * r).mean())
 
 
@@ -304,16 +307,22 @@ def gn_steps(p: np.ndarray, sensors: np.ndarray, y: np.ndarray, newton: bool = F
 
     J^T is built coordinate-major, one contiguous (t, m, k) array with one
     row per coordinate, so J^T J, H, J^T r and F are sums along the k rows.
+    Everything is formed from one (t, k) array of squared distances d^2:
+    p is near a sensor where d^2 < SENSOR_CLEARANCE**2, d^2 is raised to
+    SENSOR_CLEARANCE**2 in place, r = y - log10(d^2) / 2, and d^2 ln 10,
+    formed in the same array, scales the rows.
     """
     (t, m), k = p.shape, sensors.shape[1]
     jt = np.subtract(p[:, :, None], sensors.swapaxes(1, 2), out=np.empty((t, m, k)))
-    d = np.sqrt(sq_norm(jt.swapaxes(1, 2)))
-    near = d.min(axis=-1) < SENSOR_CLEARANCE
-    d = np.maximum(d, SENSOR_CLEARANCE)
+    d2 = sq_norm(jt.swapaxes(1, 2))
+    near = d2.min(axis=-1) < SENSOR_CLEARANCE**2
+    np.maximum(d2, SENSOR_CLEARANCE**2, out=d2)
+    r = np.log10(d2)
+    r *= -0.5
+    r += y
     # Rows (p - p_i)^T / (d_i^2 ln 10): gradient of log10||p_i - p||.
-    scale = d**2 * LN10
+    scale = np.multiply(d2, LN10, out=d2)
     jt /= scale[:, None, :]
-    r = y - np.log10(d)
     objective = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
     objective[near] = np.inf
     rhs = (jt @ r[:, :, None])[..., 0]

@@ -80,7 +80,8 @@ def normalise(sensors: np.ndarray):
     q = sensors - c[..., None, :]
     s = np.sqrt(np.einsum("...km,...km->...", q, q) / q.shape[-2])
     s = np.where(s > 0, s, 1.0)
-    return q / s[..., None, None], c, s
+    q /= s[..., None, None]
+    return q, c, s
 
 
 def normal_equations(q: np.ndarray, z: np.ndarray = None):

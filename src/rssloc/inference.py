@@ -101,7 +101,7 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
     if p.shape != (scenario.dimension,) or not np.all(np.isfinite(p)):
         raise InvalidInputError("eval_point must be a finite m-vector")
     sq_distances = sq_norm(scenario.sensors - p)[None]
-    if np.any(np.sqrt(sq_distances) < SENSOR_CLEARANCE):
+    if np.any(sq_distances < SENSOR_CLEARANCE**2):
         raise SingularPointError("eval_point coincides with a sensor")
     gram, crlb = crlb_stack(scenario.sensors[None], p, sq_distances, scenario.sigma_db, scenario.alpha, scenario.rounds)
     m_n = gram[0] / scenario.n_sensors

@@ -121,7 +121,7 @@ def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, rounds):
         raise InvalidInputError("sigma_db must be nonnegative")
     rounds = number(rounds, "rounds", whole=True)
     sq_distances = sq_norm(sensors - source)
-    if np.any(np.sqrt(sq_distances) < SENSOR_CLEARANCE):
+    if np.any(sq_distances < SENSOR_CLEARANCE**2):
         raise DegenerateGeometryError(
             "a sensor coincides with the source (distance < "
             f"{SENSOR_CLEARANCE})"
@@ -351,6 +351,13 @@ def trial_streams(master_seed: int):
     The generator is repositioned by the next seek of the same path length,
     so draw from it before seeking again.
 
+    A seek is one write of the generator's state, held as Python ints: the
+    counter as a list of four words, the key and an empty buffer
+    (buffer_pos 4, has_uint32 0) as lists. The first seek of a path length
+    takes it from the fresh generator, at position 0; a seek writes the path
+    words into the counter list and assigns the state, which then reads no
+    numpy array element by element.
+
     A path is 1 to 3 whole words, each in [0, 2**64) and none a bool;
     anything else raises InvalidInputError, and so does a master seed that
     is not a whole number >= 0.
@@ -368,10 +375,12 @@ def trial_streams(master_seed: int):
         if seeker is None:
             key = np.random.SeedSequence(master_seed, spawn_key=(len(path),))
             bit_generator = np.random.Philox(key)
-            seeker = seekers[len(path)] = (np.random.Generator(bit_generator), bit_generator.state)
+            state = bit_generator.state
+            words = state["state"]
+            state["state"] = {"counter": words["counter"].tolist(), "key": words["key"].tolist()}
+            state["buffer"] = state["buffer"].tolist()
+            seeker = seekers[len(path)] = (np.random.Generator(bit_generator), state)
         rng, state = seeker
-        # The state holds an empty buffer (buffer_pos 4, has_uint32 0) and
-        # position 0; only the path words change between seeks.
         state["state"]["counter"][1 : 1 + len(path)] = path
         rng.bit_generator.state = state
         return rng

@@ -52,6 +52,10 @@ def experiment_config_file(tmp_path):
 UTF16_FILE = b"\xff\xfe" + '{"sensors": [[0, 0], [1, 0], [0, 1]]}'.encode("utf-16-le")
 
 
+# JSON nested 100000 deep: the decoder runs out of recursion depth on it.
+DEEP_FILE = "[" * 100000 + "]" * 100000
+
+
 # A 401-digit whole number: JSON and argparse read it as a Python int, too
 # large for a double, on which math.isfinite raises OverflowError.
 HUGE = 10**400
@@ -268,10 +272,16 @@ class TestEstimate:
             ("check-geometry --input", UTF16_FILE, "is not valid JSON"),
             ("crlb --sweep-values 3 --config", UTF16_FILE, "is not valid JSON"),
             ("experiment --seed 1 --config", UTF16_FILE, "is not valid JSON"),
+            # Nesting too deep to decode is invalid JSON too, not a RecursionError.
+            ("estimate --input", DEEP_FILE, "is not valid JSON: nested too deeply"),
+            ("check-geometry --input", DEEP_FILE, "is not valid JSON: nested too deeply"),
+            ("crlb --sweep-values 3 --config", DEEP_FILE, "is not valid JSON: nested too deeply"),
+            ("experiment --seed 1 --config", DEEP_FILE, "is not valid JSON: nested too deeply"),
         ],
         ids=[
             "invalid-json", "not-an-object", "no-readings", "geometry-without-sensors",
             "utf16-estimate", "utf16-check-geometry", "utf16-crlb", "utf16-experiment",
+            "deep-estimate", "deep-check-geometry", "deep-crlb", "deep-experiment",
         ],
     )
     def test_malformed_file_exits_2_schema(self, capsys, tmp_path, command, text, message):
@@ -290,6 +300,31 @@ class TestEstimate:
         code, _, err = _run(capsys, ["estimate", "--input", str(tmp_path / "nope.json")])
         assert code == 2
         assert json.loads(err)["error"] == "schema"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--input", "{measurements}"],
+            ["check-geometry", "--input", "{sensors}"],
+            ["crlb", "--sweep-values", "3"],
+            ["experiment", "--seed", "1", "--config", "{config}"],
+            ["time-scaling", "--n", "10", "--runs", "2"],
+        ],
+        ids=["estimate", "check-geometry", "crlb", "experiment", "time-scaling"],
+    )
+    def test_unwritable_out_exits_2_schema(self, capsys, tmp_path, argv, clean_measurement_file, experiment_config_file):
+        # An --out in a directory that does not exist is reported as the
+        # input files are, with nothing on stdout.
+        sensors = tmp_path / "sensors.json"
+        sensors.write_text(json.dumps({"sensors": SQUARE_CORNERS.tolist()}))
+        files = {"measurements": clean_measurement_file[0], "sensors": sensors, "config": experiment_config_file}
+        out = tmp_path / "missing" / "out.txt"
+        argv = [a.format(**files) for a in argv]
+        code, stdout, err = _run(capsys, argv + ["--out", str(out)])
+        assert code == 2
+        assert stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "schema" and error["message"].startswith(f"cannot write {out}: ")
 
 
 class TestCheckGeometry:

@@ -345,6 +345,9 @@ class TestNearSensorThreshold:
         with pytest.raises(DegenerateGeometryError):
             Scenario(sensors=scenario_2d.sensors, source=inside, sigma_db=2.0)
         Scenario(sensors=scenario_2d.sensors, source=outside, sigma_db=2.0)
+        with pytest.raises(DegenerateGeometryError):
+            check_layouts(scenario_2d.sensors[None], inside, 2.0, 2.0, 1)
+        check_layouts(scenario_2d.sensors[None], outside, 2.0, 2.0, 1)
         ms = generate_measurements(scenario_2d, 0)
         with pytest.raises(SingularPointError):
             gn_step(inside, ms)
@@ -352,6 +355,11 @@ class TestNearSensorThreshold:
         # trips the conditioning gate instead.
         with pytest.raises(DegenerateJacobianError):
             gn_step(outside, ms)
+        failures = gn_steps(np.array([inside, outside]), ms.sensor_coords[None], np.array([ms.y, ms.y]))[1]
+        assert failures[0] == estimators._NEAR and failures[1] != estimators._NEAR
+        with pytest.raises(SingularPointError):
+            ml_objective(inside, ms)
+        assert math.isfinite(ml_objective(outside, ms))
         with pytest.raises(SingularPointError):
             fisher_information(scenario_2d, eval_point=inside)
 
@@ -939,17 +947,18 @@ class TestConsistencyRates:
 
 
 def _jacobian_by_rows(p, sensors, y):
-    """The Gauss-Newton Jacobian as it was written row-major: the (t, k, m)
-    differences, np.linalg.norm over the coordinate axis and a broadcast
-    division, copied into the contiguous (t, m, k) J^T that gn_steps builds:
-    the sums over the k rows then run in the same order. Returns (J^T, the
-    residual r (t, k), near (t,))."""
+    """The Gauss-Newton Jacobian written row-major on squared distances: the
+    (t, k, m) differences, d^2 summed over the coordinate axis, the near
+    test and clamp on d^2, r = y - log10(d^2) / 2 and a broadcast division
+    by d^2 ln 10, copied into the contiguous (t, m, k) J^T that gn_steps
+    builds: the sums over the k rows then run in the same order. Returns
+    (J^T, the residual r (t, k), near (t,))."""
     diff = p[:, None, :] - sensors
-    d = np.linalg.norm(diff, axis=-1)
-    near = d.min(axis=-1) < SENSOR_CLEARANCE
-    d = np.maximum(d, SENSOR_CLEARANCE)
-    jacobian = diff / (d[..., None] ** 2 * LN10)
-    return np.ascontiguousarray(jacobian.swapaxes(1, 2)), y - np.log10(d), near
+    d2 = (diff * diff).sum(axis=-1)
+    near = d2.min(axis=-1) < SENSOR_CLEARANCE**2
+    d2 = np.maximum(d2, SENSOR_CLEARANCE**2)
+    jacobian = diff / (d2[..., None] * LN10)
+    return np.ascontiguousarray(jacobian.swapaxes(1, 2)), y - 0.5 * np.log10(d2), near
 
 
 def _normal_step(jt, r):
@@ -975,10 +984,11 @@ def _newton_step(p, sensors, jt, r):
     """gn_steps's Newton step from the Hessian written row by row, sum_i
     (1 + 2 ln10 r_i) J_i J_i^T - r_i / (d_i^2 ln10) I, in the same order of
     operations; the Gauss-Newton step where it fails the gate."""
-    d = np.maximum(np.linalg.norm(p[:, None, :] - sensors, axis=-1), SENSOR_CLEARANCE)
+    diff = p[:, None, :] - sensors
+    d2 = np.maximum((diff * diff).sum(axis=-1), SENSOR_CLEARANCE**2)
     weighted = np.ascontiguousarray((jt.swapaxes(1, 2) * (1.0 + 2.0 * LN10 * r)[..., None]).swapaxes(1, 2))
     hessian = weighted @ jt.swapaxes(1, 2)
-    shift = (r[:, None, :] @ (1.0 / (d**2 * LN10))[:, :, None])[:, 0, 0]
+    shift = (r[:, None, :] @ (1.0 / (d2 * LN10))[:, :, None])[:, 0, 0]
     hessian -= shift[:, None, None] * np.eye(p.shape[1])
     step, degenerate = estimators._normal_solve(hessian, (jt @ r[:, :, None])[..., 0], jt.shape[-1])
     fallback, still = _normal_step(jt[degenerate], r[degenerate])

@@ -282,6 +282,20 @@ def test_no_svd_inverse_or_general_solver_in_the_package():
     assert found == []
 
 
+def test_every_near_sensor_test_is_on_squared_distances():
+    # SENSOR_CLEARANCE is the one near-sensor threshold, in one form: every
+    # test or clamp against it is on a squared distance d^2, against its
+    # square, so no module takes a root of the distances to compare them.
+    unsquared = re.compile(r"(<=?|>=?|maximum\(.*,)\s*SENSOR_CLEARANCE\b(?!\s*\*\*\s*2)|\bSENSOR_CLEARANCE\s*[<>]")
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(rssloc.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if unsquared.search(line)
+    ]
+    assert found == []
+
+
 def test_only_the_estimators_read_a_clock():
     # estimate_stack's stage clock is the one timing in rssloc: time-scaling
     # and the experiment's mean_time_s both read it.

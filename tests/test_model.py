@@ -425,6 +425,33 @@ class TestTrialStreams:
         with pytest.raises(InvalidInputError, match="master_seed"):
             trial_streams(seed)
 
+    def test_every_seek_is_a_fresh_philox_at_its_counter(self):
+        # The oracle of a seek: a fresh Philox4x64 keyed by the path length's
+        # SeedSequence, its counter [0, *path] zero-padded to four words.
+        # Partial draws, half-word float32 draws and seeks of other paths
+        # come between the seeks, so a stale counter word or buffer would show.
+        seed = 41
+        seek = trial_streams(seed)
+
+        def fresh(path):
+            key = np.random.SeedSequence(seed, spawn_key=(len(path),)).generate_state(2, np.uint64)
+            counter = np.array([0, *(int(word) for word in path)] + [0] * (3 - len(path)), dtype=np.uint64)
+            return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+        top = 2**64 - 1
+        paths = [
+            (7,), (top,), (np.uint64(3),), (0,),
+            (1, 2), (top, top), (np.int32(5), 0), (0, np.uint64(top)),
+            (0, 0, 0), (4, 9, 1), (top, 0, top), (np.int64(4), np.uint64(9), 0), (0, top, 0),
+        ]
+        for draws in (1, 3, 8):
+            for path in paths:
+                rng, want = seek(*path), fresh(path)
+                assert np.array_equal(rng.standard_normal(draws), want.standard_normal(draws)), path
+                assert rng.random(dtype=np.float32) == want.random(dtype=np.float32), path
+                assert np.array_equal(rng.integers(0, 2**64, size=draws, dtype=np.uint64),
+                                      want.integers(0, 2**64, size=draws, dtype=np.uint64)), path
+
     def test_numpy_integer_words_give_the_int_stream(self):
         a = trial_rng(np.int64(6), np.uint64(2**64 - 1), np.int32(7)).standard_normal(4)
         assert np.array_equal(a, trial_rng(6, 2**64 - 1, 7).standard_normal(4))
