@@ -8,8 +8,8 @@ The engine handles a sweep point in blocks of whole trials of about
 ``BLOCK_DOUBLES`` doubles (one trial at least). ``sweep_point`` draws the
 standard normals eps as blocks (trials, rounds, sensors) and reduces each
 block at once to per-sensor means of y and of 10**(2*y) over the rounds,
-in closed form from eps (``model.draw_means``: y = log10(d) - w*eps with
-w = sigma/(10*alpha), as ``model.generate_measurements`` draws a reading)
+in closed form from eps (``model.draw_means``, by the law of
+``model.NoiseModel``, as ``model.generate_measurements`` draws a reading)
 in the point's arrays, which fresh layouts are drawn into as well.
 The layouts are checked, their RCRLB computed and the estimators run in
 blocks sized by the largest design, k x (m+2) doubles per trial: 32 trials
@@ -229,7 +229,9 @@ class ExperimentConfig:
                 fixed_geometry=d.get("fixed_geometry", False),
                 measure_time=d.get("measure_time", True),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ConfigError(f"bad experiment config: missing required key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
 
 
@@ -299,8 +301,8 @@ class SweepPoint:
     ``sensors`` is (g, k, m): g = 1 when the geometry is shared by all
     trials, g = trials when each trial draws its own. ``ybar`` and ``zbar``
     are (trials, k): each trial's per-sensor means of y and of 10**(2*y)
-    over its rounds, in closed form from its standard normals eps (y =
-    log10(d) - w*eps, w = sigma/(10*alpha); see ``model.draw_means``).
+    over its rounds, in closed form from its standard normals eps (see
+    ``model.draw_means``); ``bias_b`` is its ``model.NoiseModel.bias_b``.
     """
 
     sensors: np.ndarray
@@ -333,7 +335,7 @@ def _point_array(shape: Tuple[int, ...], point: str) -> np.ndarray:
 def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     """Draw every trial of one sweep point and reduce it to its means.
 
-    The noise model (its lognormal bias b and w = sigma/(10*alpha)) is built
+    The point's ``model.NoiseModel`` is built and its lognormal bias b read
     first, so a bias that overflows raises NumericError before any draw.
     The point's trial streams (``model.trial_streams``) are keyed once; each
     trial is one counter seek of the one generator. Trial t's noise comes
@@ -359,6 +361,7 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     if not random:
         sc = sc.with_rounds(value) if cfg.sweep_param == "rounds" else sc.with_sigma(value)
     noise = NoiseModel(sigma_db=sc.sigma_db, alpha=sc.alpha)
+    bias_b = noise.bias_b
     rounds = 1 if random else sc.rounds
     point = f"a sweep point of {cfg.trials} trials x {rounds} rounds x {value if random else sc.n_sensors} sensors"
     if random:
@@ -368,17 +371,16 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     else:
         sensors = sc.sensors[None]
     source = sc.source
-    sigma, alpha = noise.sigma_db, noise.alpha
     _, k, m = sensors.shape
     layout_blocks = _blocks(len(sensors), k * (m + 2))
     sq_distances = np.empty(sensors.shape[:2])
     for a, b in layout_blocks:
-        source, rounds, sq_distances[a:b] = check_layouts(sensors[a:b], source, sigma, alpha, rounds)
+        source, rounds, sq_distances[a:b] = check_layouts(sensors[a:b], source, rounds)
     if k * rounds < m + 1:
         raise InvalidInputError(f"need at least m+1 = {m + 1} measurements")
     rcrlb = 0.0
-    if sigma > 0:
-        crlb = [crlb_stack(sensors[a:b], source, sq_distances[a:b], sigma, alpha, rounds)[1] for a, b in layout_blocks]
+    if noise.sigma_db > 0:
+        crlb = [crlb_stack(sensors[a:b], source, sq_distances[a:b], noise, rounds)[1] for a, b in layout_blocks]
         rcrlb = float(np.sqrt(np.mean(np.concatenate(crlb))))
     ybar, zbar = _point_array((cfg.trials, k), point), _point_array((cfg.trials, k), point)
     blocks = _blocks(cfg.trials, rounds * k)
@@ -387,13 +389,13 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
         paths = ((sweep_index, trial, 1) for trial in range(start, stop))
         rows = sq_distances if len(sensors) == 1 else sq_distances[start:stop]
         block = zbar[start:stop, None] if eps is None else eps[: stop - start]
-        draw_means(seek, paths, block, rows, noise.omega_std, ybar[start:stop], zbar[start:stop])
+        draw_means(seek, paths, block, rows, noise, ybar[start:stop], zbar[start:stop])
     return SweepPoint(
         sensors=sensors,
         source=source,
         ybar=ybar,
         zbar=zbar,
-        bias_b=noise.bias_b,
+        bias_b=bias_b,
         rcrlb=rcrlb,
         n=k * rounds,
     )

@@ -28,7 +28,7 @@ from .errors import (
     SingularPointError,
 )
 from .geometry import singular
-from .model import LN10, SENSOR_CLEARANCE, Scenario, floats, sq_norm
+from .model import LN10, SENSOR_CLEARANCE, NoiseModel, Scenario, floats, sq_norm
 
 _SWEEP_PARAMS = ("rounds", "sigma")
 
@@ -41,36 +41,20 @@ class FisherSummary:
     eval_point: np.ndarray
 
 
-def _information_scale(sigma_db: float, alpha: float) -> float:
-    """100 alpha^2 / sigma_db^2, the Fisher information a reading carries per
-    unit of grad log10 d grad log10 d^T. NumericError where that is not a
-    finite positive double: sigma_db so small that its square underflows or
-    the quotient overflows, or alpha or sigma_db so large that a square
-    overflows."""
-    try:
-        scale = 100.0 * alpha**2 / sigma_db**2
-    except (OverflowError, ZeroDivisionError):
-        scale = math.inf
-    if not (0.0 < scale < math.inf):
-        raise NumericError(f"Fisher information is not a finite positive double at sigma_db={sigma_db}, alpha={alpha}")
-    return scale
-
-
-def crlb_stack(sensors: np.ndarray, p: np.ndarray, sq_distances, sigma_db: float, alpha: float, rounds: int):
+def crlb_stack(sensors: np.ndarray, p: np.ndarray, sq_distances, noise: NoiseModel, rounds: int):
     """The one CRLB kernel: tr(F^-1) at ``p`` for each layout of a stack
-    (g, k, m), each sensor observed ``rounds`` times with noise ``sigma_db``.
+    (g, k, m), each sensor observed ``rounds`` times under ``noise``.
     ``sq_distances`` (g, k) is sq_norm(sensors - p), checked by the caller.
 
     The rows of grad (g, k, m) are the gradients of log10 d_i at p, which
     every round repeats. F = scale * rounds * G with G = grad^T grad and
-    scale = 100 alpha^2 / sigma^2, so the CRLB is a sum over the eigenvalues
+    scale = noise.information(), so the CRLB is a sum over the eigenvalues
     of G, which the library's one gate checks: it rejects e.g. collinear
     sensors with p on or next to their line (DegenerateGeometryError).
     Returns (G (g, m, m), crlb (g,)); grad is built coordinate-major, as the
-    Gauss-Newton Jacobian is. NumericError where the scale
-    (``_information_scale``) or a CRLB is not a finite positive double: the
-    information scale * rounds * eigenvalue can overflow, or underflow to 0,
-    at finite arguments.
+    Gauss-Newton Jacobian is. NumericError where the scale or a CRLB is not
+    a finite positive double: the information scale * rounds * eigenvalue
+    can overflow, or underflow to 0, at finite arguments.
     """
     g, k, m = sensors.shape
     gt = np.subtract(p[:, None], sensors.swapaxes(1, 2), out=np.empty((g, m, k)))
@@ -80,9 +64,9 @@ def crlb_stack(sensors: np.ndarray, p: np.ndarray, sq_distances, sigma_db: float
     if np.any(singular(lam, k)):
         raise DegenerateGeometryError("Fisher information matrix is singular")
     with np.errstate(over="ignore", divide="ignore"):
-        crlb = np.sum(1.0 / (_information_scale(sigma_db, alpha) * rounds * lam), axis=-1)
+        crlb = np.sum(1.0 / (noise.information() * rounds * lam), axis=-1)
     if not np.all((crlb > 0.0) & (crlb < math.inf)):
-        raise NumericError(f"CRLB is not a finite positive double at sigma_db={sigma_db}, alpha={alpha}")
+        raise NumericError(f"CRLB is not a finite positive double at sigma_db={noise.sigma_db}, alpha={noise.alpha}")
     return gram, crlb
 
 
@@ -103,9 +87,10 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
     sq_distances = sq_norm(scenario.sensors - p)[None]
     if np.any(sq_distances < SENSOR_CLEARANCE**2):
         raise SingularPointError("eval_point coincides with a sensor")
-    gram, crlb = crlb_stack(scenario.sensors[None], p, sq_distances, scenario.sigma_db, scenario.alpha, scenario.rounds)
+    noise = scenario.noise
+    gram, crlb = crlb_stack(scenario.sensors[None], p, sq_distances, noise, scenario.rounds)
     m_n = gram[0] / scenario.n_sensors
-    fisher = _information_scale(scenario.sigma_db, scenario.alpha) * scenario.n_measurements * m_n
+    fisher = noise.information() * scenario.n_measurements * m_n
     return FisherSummary(
         F=fisher,
         crlb=float(crlb[0]),

@@ -2,25 +2,21 @@
 
 A source is observed by n sensors; the received power in dB follows a
 log-distance law with additive Gaussian noise. Working in the "equivalent
-measurement" domain,
-
-    y_i = log10(d_i) + omega_i,      omega_i ~ N(0, (sigma/(10*alpha))^2),
-
-turns every downstream estimator into a function of (sensor coords, y) only;
-the transmit constant P0 cancels from y. This module owns the conversion of
-field readings in dB to y, synthetic measurement generation, and the
-lognormal moments of 10**(2*omega) that drive the closed-form least-squares
-estimators. Simulated readings have one formula, y = log10(d) - w*eps with
-w = sigma/(10*alpha) and eps standard normal: :func:`generate_measurements`
-draws one problem's y by it, and :func:`draw_means` gives the Monte Carlo
-engine per-sensor means of the same readings straight from eps.
+measurement" domain, y_i = log10(d_i) + omega_i turns every downstream
+estimator into a function of (sensor coords, y) only; the transmit constant
+P0 cancels from y. :class:`NoiseModel` states the law of omega, and with it
+the lognormal bias that drives the closed-form least-squares estimators and
+the Fisher information behind the CRLB. This module owns the conversion of
+field readings in dB to y and synthetic measurement generation by that law:
+:func:`generate_measurements` draws one problem's y, and :func:`draw_means`
+gives the Monte Carlo engine per-sensor means of such readings.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -101,12 +97,12 @@ def _dimension(points: np.ndarray) -> int:
     return m
 
 
-def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, rounds):
-    """The checks of a :class:`Scenario`, run once on a stack of layouts
-    (..., k, m) that share one source and signal: at least one sensor, m in
-    {2, 3}, a finite source m-vector, alpha > 0, sigma_db >= 0,
-    whole rounds >= 1 and every sensor at least SENSOR_CLEARANCE from the
-    source. Returns (source, rounds, sq_distances), the last
+def check_layouts(sensors: np.ndarray, source, rounds):
+    """The geometry checks of a :class:`Scenario`, run once on a stack of
+    layouts (..., k, m) that share one source: at least one sensor, m in
+    {2, 3}, a finite source m-vector, whole rounds >= 1 and every sensor at
+    least SENSOR_CLEARANCE from the source (:class:`NoiseModel` checks the
+    signal). Returns (source, rounds, sq_distances), the last
     sq_norm(sensors - source) (..., k), the squared distances it checks.
     """
     if sensors.shape[-2] == 0:
@@ -115,10 +111,6 @@ def check_layouts(sensors: np.ndarray, source, sigma_db, alpha, rounds):
     source = floats(source, "source")
     if source.shape != (m,) or not np.all(np.isfinite(source)):
         raise InvalidInputError("source must be a finite m-vector")
-    if not (alpha > 0):
-        raise InvalidInputError("alpha must be positive")
-    if not (sigma_db >= 0):
-        raise InvalidInputError("sigma_db must be nonnegative")
     rounds = number(rounds, "rounds", whole=True)
     sq_distances = sq_norm(sensors - source)
     if np.any(sq_distances < SENSOR_CLEARANCE**2):
@@ -141,8 +133,8 @@ class Scenario:
         rounds: number of i.i.d. observation rounds per sensor, a whole
             number >= 1 (see :func:`number`).
 
-    sigma_db and alpha are stored as floats; a value that is not a
-    finite real number (a bool, a string) raises InvalidInputError.
+    sigma_db and alpha are checked and stored as :class:`NoiseModel`
+    checks and stores them.
     """
 
     sensors: np.ndarray
@@ -153,12 +145,17 @@ class Scenario:
 
     def __post_init__(self):
         sensors = _as_points(self.sensors, "sensors")
-        for name in ("sigma_db", "alpha"):
-            object.__setattr__(self, name, number(getattr(self, name), name))
-        source, rounds, _ = check_layouts(sensors, self.source, self.sigma_db, self.alpha, self.rounds)
+        noise = self.noise
+        object.__setattr__(self, "sigma_db", noise.sigma_db)
+        object.__setattr__(self, "alpha", noise.alpha)
+        source, rounds, _ = check_layouts(sensors, self.source, self.rounds)
         object.__setattr__(self, "sensors", sensors)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "rounds", rounds)
+
+    @property
+    def noise(self) -> "NoiseModel":
+        return NoiseModel(self.sigma_db, self.alpha)
 
     @property
     def dimension(self) -> int:
@@ -205,7 +202,9 @@ class Scenario:
                 rounds=d.get("rounds", 1),
             )
             dimension = number(d["dimension"], "dimension", whole=True) if "dimension" in d else scenario.dimension
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise InvalidInputError(f"bad scenario dict: missing required key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad scenario dict: {exc}") from exc
         if dimension != scenario.dimension:
             raise InvalidInputError("declared dimension does not match sensors")
@@ -280,23 +279,8 @@ def equivalent_measurement(raw_db, p0: float, alpha: float):
 
 
 def lognormal_bias(sigma_db: float, alpha: float) -> float:
-    """Mean b of 10**(2*omega) for omega ~ N(0, (sigma/(10*alpha))^2).
-
-    b = exp((ln 10)^2 * sigma^2 / (50 * alpha^2)) >= 1, with equality iff
-    sigma == 0. The matching variance is b^2 * (b^2 - 1); see
-    :func:`lognormal_variance`. NumericError where b overflows a double or
-    alpha^2 underflows to 0, and InvalidInputError where sigma_db or alpha
-    is not a finite number.
-    """
-    sigma_db, alpha = number(sigma_db, "sigma_db"), number(alpha, "alpha")
-    if not (sigma_db >= 0):
-        raise InvalidInputError("sigma_db must be nonnegative")
-    if not (alpha > 0):
-        raise InvalidInputError("alpha must be positive")
-    try:
-        return math.exp(LN10**2 * sigma_db**2 / (50.0 * alpha**2))
-    except (OverflowError, ZeroDivisionError):
-        raise NumericError(f"lognormal bias overflows at sigma_db={sigma_db}, alpha={alpha}") from None
+    """NoiseModel(sigma_db, alpha).bias_b, the mean b of 10**(2*omega)."""
+    return NoiseModel(sigma_db, alpha).bias_b
 
 
 def lognormal_variance(sigma_db: float, alpha: float) -> float:
@@ -310,23 +294,52 @@ def lognormal_variance(sigma_db: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Noise parameters and the derived lognormal moments.
+    """The law of a reading's noise, written out here alone.
 
-    Passing a NoiseModel to an estimator selects the known-variance path.
-    sigma_db and alpha are stored as floats; a value that is not a finite
-    real number (a bool, a string) raises InvalidInputError.
+    A reading is y = log10(d) - w*eps, eps standard normal, w = ``omega_std``
+    = sigma/(10*alpha). The known-variance LS divides out ``bias_b``, the mean
+    exp((ln 10)^2 sigma^2 / (50 alpha^2)) >= 1 of 10**(2*w*eps); a reading
+    carries Fisher information :meth:`information` = 100 alpha^2 / sigma^2 per
+    unit of grad log10 d grad log10 d^T. Both are computed when read and raise
+    NumericError where they overflow or underflow a double, so a model whose
+    bias overflows still draws and bounds. sigma_db and alpha are stored as
+    floats; a bool, a string, a non-finite value, sigma_db < 0 or alpha <= 0
+    raises InvalidInputError. Passing a NoiseModel to an estimator selects the
+    known-variance path.
     """
 
     sigma_db: float
     alpha: float = 2.0
-    omega_std: float = field(init=False)
-    bias_b: float = field(init=False)
 
     def __post_init__(self):
         for name in ("sigma_db", "alpha"):
             object.__setattr__(self, name, number(getattr(self, name), name))
-        object.__setattr__(self, "bias_b", lognormal_bias(self.sigma_db, self.alpha))
-        object.__setattr__(self, "omega_std", self.sigma_db / (10.0 * self.alpha))
+        if not (self.sigma_db >= 0):
+            raise InvalidInputError("sigma_db must be nonnegative")
+        if not (self.alpha > 0):
+            raise InvalidInputError("alpha must be positive")
+
+    @property
+    def omega_std(self) -> float:
+        return self.sigma_db / (10.0 * self.alpha)
+
+    @property
+    def bias_b(self) -> float:
+        try:
+            return math.exp(LN10**2 * self.sigma_db**2 / (50.0 * self.alpha**2))
+        except (OverflowError, ZeroDivisionError):
+            raise NumericError(f"lognormal bias overflows at sigma_db={self.sigma_db}, alpha={self.alpha}") from None
+
+    def information(self) -> float:
+        try:
+            scale = 100.0 * self.alpha**2 / self.sigma_db**2
+        except (OverflowError, ZeroDivisionError):
+            scale = math.inf
+        if not (0.0 < scale < math.inf):
+            raise NumericError(
+                f"Fisher information is not a finite positive double at sigma_db={self.sigma_db}, alpha={self.alpha}"
+            )
+        return scale
 
 
 # A trial stream's path has 1 to 3 words; the counter holds them above the
@@ -408,7 +421,7 @@ def _sum_rounds(eps: np.ndarray, out: np.ndarray) -> None:
         np.matmul(np.ones(eps.shape[1]), eps, out=out)
 
 
-def draw_means(seek, paths, eps: np.ndarray, sq_distances: np.ndarray, omega_std: float, ybar, zbar) -> None:
+def draw_means(seek, paths, eps: np.ndarray, sq_distances: np.ndarray, noise: NoiseModel, ybar, zbar) -> None:
     """Fill the block ``eps`` (trials, rounds, k) with standard normals, one
     trial per path of ``paths``, and write each trial's per-sensor means over
     its rounds of y and of 10**(2*y) into its rows of ``ybar``, ``zbar`` (trials,
@@ -418,8 +431,8 @@ def draw_means(seek, paths, eps: np.ndarray, sq_distances: np.ndarray, omega_std
     Trial t's slice is drawn from ``seek(*path)`` for the t-th path alone,
     right after that seek (``seek`` as from :func:`trial_streams`, which may
     reposition one generator per call), so a block of one trial gives the
-    engine's bits. With w = omega_std = sigma/(10*alpha), a reading is
-    y = log10(d) - w*eps, as :func:`generate_measurements` draws it; the
+    engine's bits. With w = noise.omega_std, a reading is y = log10(d) - w*eps
+    (:class:`NoiseModel`), as :func:`generate_measurements` draws it; the
     means come straight from eps:
 
         ybar = log10(d) - (w/T) * sum_r eps_r,
@@ -432,7 +445,7 @@ def draw_means(seek, paths, eps: np.ndarray, sq_distances: np.ndarray, omega_std
     """
     for block, path in zip(eps, paths):
         seek(*path).standard_normal(out=block)
-    rounds = eps.shape[1]
+    rounds, omega_std = eps.shape[1], noise.omega_std
     _sum_rounds(eps, ybar)
     ybar *= -omega_std / rounds
     ybar += np.log10(np.sqrt(sq_distances))
@@ -445,8 +458,8 @@ def draw_means(seek, paths, eps: np.ndarray, sq_distances: np.ndarray, omega_std
 def generate_measurements(scenario: Scenario, seed) -> MeasurementSet:
     """Draw one synthetic MeasurementSet from a scenario.
 
-    Each reading is y = log10(d) - w*eps with w = sigma/(10*alpha) and eps
-    a standard normal, the formula whose per-sensor means :func:`draw_means`
+    Each reading is y = log10(d) - w*eps by the scenario's
+    :class:`NoiseModel`, the formula whose per-sensor means :func:`draw_means`
     gives the engine. The normals are one (rounds, sensors) draw and the rows
     are flattened round-major: all sensors for round 0, then round 1, and so
     on. ``seed`` may be an int or a Generator.
@@ -455,7 +468,7 @@ def generate_measurements(scenario: Scenario, seed) -> MeasurementSet:
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     y = rng.standard_normal((scenario.rounds, scenario.n_sensors))
-    y *= -(scenario.sigma_db / (10.0 * scenario.alpha))
+    y *= -scenario.noise.omega_std
     y += np.log10(scenario.distances())
     coords = np.tile(scenario.sensors, (scenario.rounds, 1))
     return MeasurementSet(sensor_coords=coords, y=y.ravel())

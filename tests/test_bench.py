@@ -574,7 +574,7 @@ class TestBlockDraw:
                     [(sweep_index, trial, 1)],
                     np.empty((1, rounds, k)),
                     sq_norm(sc.sensors - sc.source)[None],
-                    NoiseModel(sc.sigma_db, sc.alpha).omega_std,
+                    sc.noise,
                     ybar,
                     zbar,
                 )
@@ -706,11 +706,11 @@ def _recompute_distances(monkeypatch):
         point["source"], rounds, sq_distances = model.check_layouts(sensors, *args)
         return point["source"], rounds, np.full_like(sq_distances, np.nan)
 
-    def recomputing_draw_means(seek, paths, eps, sq_distances, omega_std, ybar, zbar):
+    def recomputing_draw_means(seek, paths, eps, sq_distances, noise, ybar, zbar):
         point["drawn"], paths = True, list(paths)
         sensors = np.concatenate(point["sensors"])
         layouts = sensors if len(sensors) == 1 else sensors[paths[0][1] : paths[-1][1] + 1]
-        draw_means(seek, paths, eps, sq_norm(layouts - point["source"]), omega_std, ybar, zbar)
+        draw_means(seek, paths, eps, sq_norm(layouts - point["source"]), noise, ybar, zbar)
 
     def recomputing_crlb_stack(sensors, p, sq_distances, *args):
         return inference.crlb_stack(sensors, p, sq_norm(sensors - p), *args)
@@ -731,11 +731,11 @@ def _parent_draw_path(monkeypatch):
             rows[...] = rng.uniform(self.low, self.high, size=rows.shape)
         return out
 
-    def copied_means(seek, paths, eps, sq_distances, omega_std, ybar, zbar):
+    def copied_means(seek, paths, eps, sq_distances, noise, ybar, zbar):
         eps = np.empty(eps.shape)
         for block, path in zip(eps, paths):
             seek(*path).standard_normal(out=block)
-        rounds = eps.shape[1]
+        rounds, omega_std = eps.shape[1], noise.omega_std
 
         def sums(a):
             return a[:, 0].copy() if rounds == 1 else np.ones(rounds) @ a
@@ -802,9 +802,9 @@ class TestReportBits:
         t1 = [0] if case == "2d-fixed" else [0, 1]
         in_place = []
 
-        def spying_draw_means(seek, paths, eps, sq_distances, omega_std, ybar, zbar):
+        def spying_draw_means(seek, paths, eps, sq_distances, noise, ybar, zbar):
             in_place.append(np.shares_memory(eps, zbar))
-            draw_means(seek, paths, eps, sq_distances, omega_std, ybar, zbar)
+            draw_means(seek, paths, eps, sq_distances, noise, ybar, zbar)
 
         with monkeypatch.context() as patch:
             patch.setattr(bench, "draw_means", spying_draw_means)

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,6 +189,27 @@ class TestEstimate:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "numeric"
+
+    def test_overflowing_bias_leaves_the_bound_and_the_draw(self, capsys, tmp_path, scenario_2d):
+        # At sigma_db = 30 and alpha = 0.1 the lognormal bias b overflows a
+        # double, but w and the Fisher information do not: the bound prints
+        # and the readings draw, and only the known-variance LS, which
+        # divides by b, fails.
+        sc = replace(scenario_2d, sigma_db=30.0, alpha=0.1)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(sc.to_dict()))
+        code, out, err = _run(capsys, ["crlb", "--config", str(path), "--sweep-values", "1"])
+        (_, rcrlb), = rcrlb_curve(sc, [1])
+        assert (code, out, err) == (0, f"rounds,rcrlb_m\n1,{rcrlb:.17g}\n", "")
+        assert rcrlb == pytest.approx(2549.7337802231373, rel=1e-12)
+        ms = generate_measurements(sc, 0)
+        assert np.all(np.isfinite(ms.y))
+        path = tmp_path / "measurements.json"
+        path.write_text(json.dumps({"sensors": ms.sensor_coords.tolist(), "y": ms.y.tolist(), "sigma_db": 30.0,
+                                    "alpha": 0.1}))
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "numeric", "message": "lognormal bias overflows at sigma_db=30.0, alpha=0.1"}
 
     @pytest.mark.parametrize("field, value", [("alpha", "x"), ("sigma_db", "abc"), ("p0", None)])
     def test_malformed_number_field_exit_2_schema(
@@ -600,6 +622,17 @@ class TestExperiment:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "schema" and ("'round'" if inline else "'trial'") in error["message"]
+
+    @pytest.mark.parametrize("key", ["scenario", "sweep"])
+    def test_missing_required_key_exits_2_schema(self, capsys, tmp_path, key):
+        # The message was the bare KeyError, "bad experiment config: 'sweep'".
+        config = {"scenario": "2d-fixed", "sweep": {"rounds": [3]}}
+        del config[key]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(config))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "schema", "message": f"bad experiment config: missing required key '{key}'"}
 
     def test_inline_scenario_with_p0_exits_2_schema(self, capsys, tmp_path, scenario_2d):
         config = {"scenario": {**scenario_2d.to_dict(), "p0": 1e6}, "sweep": {"rounds": [3]}, "trials": 5}

@@ -346,8 +346,8 @@ class TestNearSensorThreshold:
             Scenario(sensors=scenario_2d.sensors, source=inside, sigma_db=2.0)
         Scenario(sensors=scenario_2d.sensors, source=outside, sigma_db=2.0)
         with pytest.raises(DegenerateGeometryError):
-            check_layouts(scenario_2d.sensors[None], inside, 2.0, 2.0, 1)
-        check_layouts(scenario_2d.sensors[None], outside, 2.0, 2.0, 1)
+            check_layouts(scenario_2d.sensors[None], inside, 1)
+        check_layouts(scenario_2d.sensors[None], outside, 1)
         ms = generate_measurements(scenario_2d, 0)
         with pytest.raises(SingularPointError):
             gn_step(inside, ms)
@@ -1067,7 +1067,7 @@ class TestCoordinateMajorKernels:
     def test_check_layouts(self, stack):
         p, sensors, _ = stack
         source = p[0]
-        got = outcome(check_layouts, sensors, source, 2.0, 2.0, 3)
+        got = outcome(check_layouts, sensors, source, 3)
         if np.any(np.linalg.norm(sensors - source, axis=-1) < SENSOR_CLEARANCE):
             assert got is DegenerateGeometryError
         else:

@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 from pathlib import Path
@@ -307,4 +308,30 @@ def test_only_the_estimators_read_a_clock():
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if clock.search(line)
     ]
+    assert found == []
+
+
+def test_the_noise_law_is_written_only_in_noise_model():
+    # NoiseModel states the law of a reading, y = log10 d - w*eps, and owns
+    # what follows from it: w = sigma/(10 alpha), the bias exponent, the
+    # information 100 alpha^2/sigma^2 and the checks on sigma and alpha.
+    # equivalent_measurement checks the alpha of a field file, and
+    # estimate_sigma_from_b the alpha it inverts the bias with.
+    law = re.compile(
+        r"sigma\w*\s*/\s*\(10(\.0)?\s*\*\s*[\w.]*alpha"
+        r"|sigma\w*\s*\*\*\s*2\s*/\s*\(50(\.0)?\s*\*\s*[\w.]*alpha"
+        r"|alpha\s*\*\*\s*2\s*/\s*[\w.]*sigma\w*\s*\*\*\s*2"
+    )
+    checks = re.compile(r"sigma_db must be nonnegative|alpha must be positive")
+    field_input = {("model.py", "equivalent_measurement"), ("estimators.py", "estimate_sigma_from_b")}
+    found = []
+    for path in sorted(Path(rssloc.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        spans = [(node.lineno, node.end_lineno, node.name) for node in ast.parse(text).body if hasattr(node, "name")]
+        for number, line in enumerate(text.splitlines(), 1):
+            owner = next((name for first, last, name in spans if first <= number <= last), None)
+            if owner == "NoiseModel":
+                continue
+            if law.search(line) or (checks.search(line) and (path.name, owner) not in field_input):
+                found.append(f"{path.name}:{number}: {line.strip()}")
     assert found == []

@@ -18,7 +18,7 @@ from rssloc.errors import (
 )
 from rssloc.geometry import singular
 from rssloc.inference import crlb_stack, fisher_information, rcrlb_curve
-from rssloc.model import LN10, SENSOR_CLEARANCE, Scenario, check_layouts, sq_norm
+from rssloc.model import LN10, SENSOR_CLEARANCE, NoiseModel, Scenario, check_layouts, sq_norm
 
 
 @pytest.fixture
@@ -138,7 +138,7 @@ class TestFisherInformation:
             fisher_information(sc)
         sq = sq_norm(sc.sensors - sc.source)[None]
         with pytest.raises(NumericError, match=re.escape(f"sigma_db={sigma_db}, alpha={alpha}")):
-            crlb_stack(sc.sensors[None], sc.source, sq, sigma_db, alpha, 1)
+            crlb_stack(sc.sensors[None], sc.source, sq, sc.noise, 1)
 
     @pytest.mark.parametrize(
         "sigma_db, alpha, scale, rounds",
@@ -221,12 +221,11 @@ class TestCrlbStack:
         # squared distances its caller checked: sweep_point has them from
         # check_layouts, which refuses a sensor on the point.
         p, sensors, _ = stack
-        args = (sensors, p[row], 3.0, 2.0, rounds)
-        want = outcome(_crlb_stack_by_rows, *args)
+        want = outcome(_crlb_stack_by_rows, sensors, p[row], 3.0, 2.0, rounds)
         if want is SingularPointError:
-            assert outcome(check_layouts, *args) is DegenerateGeometryError
+            assert outcome(check_layouts, sensors, p[row], rounds) is DegenerateGeometryError
             return
-        got = outcome(crlb_stack, sensors, p[row], sq_norm(sensors - p[row]), 3.0, 2.0, rounds)
+        got = outcome(crlb_stack, sensors, p[row], sq_norm(sensors - p[row]), NoiseModel(3.0, 2.0), rounds)
         if isinstance(want, type):
             assert got is want
         else:

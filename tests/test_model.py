@@ -232,6 +232,14 @@ class TestScenario:
         with pytest.raises(InvalidInputError, match="bad scenario dict"):
             Scenario.from_dict(d)
 
+    @pytest.mark.parametrize("key", ["sensors", "source", "sigma_db"])
+    def test_missing_required_key_is_named(self, scenario_2d, key):
+        # The message was the bare KeyError, "bad scenario dict: 'source'".
+        d = scenario_2d.to_dict()
+        del d[key]
+        with pytest.raises(InvalidInputError, match=f"^bad scenario dict: missing required key '{key}'$"):
+            Scenario.from_dict(d)
+
     @pytest.mark.parametrize(
         "field, value", [("sigma_db", True), ("sigma_db", "4"), ("alpha", False), ("alpha", "2")]
     )
@@ -463,9 +471,10 @@ class TestDrawMeans:
         # the general formula's, ones @ eps with the multiply and divide by T.
         seek = trial_streams(12)
         sq = np.array([[4.0e3, 2.5e3, 9.0, 1.0e4]])
-        for w in (0.0, 0.1, 0.3):
+        for noise in (NoiseModel(0.0), NoiseModel(2.0), NoiseModel(6.0)):
+            w = noise.omega_std
             eps, ybar, zbar = np.empty((13, 1, 4)), np.empty((13, 4)), np.empty((13, 4))
-            draw_means(seek, ((0, t, 1) for t in range(13)), eps, sq, w, ybar, zbar)
+            draw_means(seek, ((0, t, 1) for t in range(13)), eps, sq, noise, ybar, zbar)
             drawn = np.array([trial_rng(12, 0, t, 1).standard_normal((1, 4)) for t in range(13)])
             ones = np.ones(1)
             want_y = ones @ drawn
