@@ -68,6 +68,14 @@ _CONFIG_KEYS = ("scenario", "estimators", "sweep", "trials", "sigma_db", "alpha"
 # smaller slow the estimators at k = 1000.
 BLOCK_DOUBLES = 2**17
 
+_FIXED_LAYOUTS = {
+    "2d-fixed": (((0, 20), (0, 50), (50, 50), (50, 0), (50, -50), (0, -50), (0, -20), (-50, -50), (-50, 0),
+                  (-50, 50)), (70.0, 30.0)),
+    "3d-fixed": (((0, 20, 50), (0, 50, 0), (50, 50, -50), (50, 0, 0), (50, -50, 50), (0, -50, 0), (0, -20, -50),
+                  (-50, -50, 0), (-50, 0, 50), (-50, 50, -50)), (70.0, 30.0, 10.0)),
+}
+_SCENARIO_IDS = (*_FIXED_LAYOUTS, "2d-random")
+
 
 @dataclass(frozen=True)
 class RandomScenarioFamily:
@@ -80,7 +88,7 @@ class RandomScenarioFamily:
     alpha: float = 2.0
 
     def __post_init__(self):
-        for name in ("low", "high", "sigma_db", "alpha"):
+        for name in ("low", "high"):
             object.__setattr__(self, name, number(getattr(self, name), name))
         if not (self.low <= self.high and math.isfinite(self.high - self.low)):
             raise InvalidInputError(f"need low <= high with a finite range, got {self.low}, {self.high}")
@@ -88,6 +96,9 @@ class RandomScenarioFamily:
         if source.shape not in ((2,), (3,)) or not np.all(np.isfinite(source)):
             raise InvalidInputError("source must be a finite 2- or 3-vector")
         object.__setattr__(self, "source", tuple(source.tolist()))
+        noise = NoiseModel(self.sigma_db, self.alpha)
+        object.__setattr__(self, "sigma_db", noise.sigma_db)
+        object.__setattr__(self, "alpha", noise.alpha)
 
     @property
     def dimension(self) -> int:
@@ -115,39 +126,33 @@ class RandomScenarioFamily:
 
 
 def scenario_registry(sigma_db: float = 2.0, alpha: float = 2.0) -> dict:
-    """The three benchmark scenario families, keyed by id.
-
-    Fixed families are returned as Scenario objects with rounds=1; the
-    random family is a RandomScenarioFamily sampled per (n, rng).
-    """
-    sensors_2d = [
-        [0, 20], [0, 50], [50, 50], [50, 0], [50, -50],
-        [0, -50], [0, -20], [-50, -50], [-50, 0], [-50, 50],
-    ]
-    sensors_3d = [
-        [0, 20, 50], [0, 50, 0], [50, 50, -50], [50, 0, 0], [50, -50, 50],
-        [0, -50, 0], [0, -20, -50], [-50, -50, 0], [-50, 0, 50], [-50, 50, -50],
-    ]
-    return {
-        "2d-fixed": Scenario(
-            sensors=sensors_2d, source=[70.0, 30.0],
-            sigma_db=sigma_db, alpha=alpha,
-        ),
-        "3d-fixed": Scenario(
-            sensors=sensors_3d, source=[70.0, 30.0, 10.0],
-            sigma_db=sigma_db, alpha=alpha,
-        ),
-        "2d-random": RandomScenarioFamily(sigma_db=sigma_db, alpha=alpha),
-    }
+    """The three benchmark scenario families by id, one get_scenario each."""
+    return {scenario_id: get_scenario(scenario_id, sigma_db, alpha) for scenario_id in _SCENARIO_IDS}
 
 
 def get_scenario(scenario_id: str, sigma_db: float = 2.0, alpha: float = 2.0):
-    registry = scenario_registry(sigma_db=sigma_db, alpha=alpha)
-    if scenario_id not in registry:
-        raise ConfigError(
-            f"unknown scenario id {scenario_id!r}; known: {sorted(registry)}"
-        )
-    return registry[scenario_id]
+    """The registry family ``scenario_id`` alone, a Scenario with rounds=1 or
+    the RandomScenarioFamily; ConfigError, before any is built, if unknown."""
+    if scenario_id not in _SCENARIO_IDS:
+        raise ConfigError(f"unknown scenario id {scenario_id!r}; known: {sorted(_SCENARIO_IDS)}")
+    if scenario_id == "2d-random":
+        return RandomScenarioFamily(sigma_db=sigma_db, alpha=alpha)
+    sensors, source = _FIXED_LAYOUTS[scenario_id]
+    return Scenario(sensors=sensors, source=source, sigma_db=sigma_db, alpha=alpha)
+
+
+def resolve_scenario(spec, noise: dict):
+    """The scenario ``spec`` names: a registry id, built with ``noise`` (its
+    sigma_db and alpha, where given), or an inline scenario object, which sets
+    its own; a ``noise`` key beside one, or a malformed one, is a ConfigError."""
+    if isinstance(spec, str):
+        return get_scenario(spec, **noise)
+    if noise:
+        raise ConfigError(f"{sorted(noise)} parameterise a registry scenario id; an inline scenario sets its own")
+    try:
+        return Scenario.from_dict(spec)
+    except InvalidInputError as exc:
+        raise ConfigError(f"bad inline scenario: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -174,14 +179,13 @@ class ExperimentConfig:
         if not (known and len(set(ids)) == len(ids)):
             raise ConfigError(f"estimators must list distinct ids of {list(ESTIMATOR_IDS)}, got {ids!r}")
         object.__setattr__(self, "estimators", tuple(ids))
-        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         object.__setattr__(self, "master_seed", number(self.master_seed, "master_seed", True, ConfigError, low=0))
         if self.sweep_param not in SWEEP_PARAMS:
             raise ConfigError(f"sweep_param must be one of {SWEEP_PARAMS}")
-        if not self.sweep_values:
-            raise ConfigError("sweep is empty")
         whole = self.sweep_param != "sigma"
         values = tuple(number(v, self.sweep_param, whole, ConfigError) for v in self.sweep_values)
+        if not values:
+            raise ConfigError("sweep is empty")
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "trials", number(self.trials, "trials", True, ConfigError))
         flags = {"fixed_geometry": self.fixed_geometry, "measure_time": self.measure_time}
@@ -198,24 +202,13 @@ class ExperimentConfig:
         try:
             known_keys(d, _CONFIG_KEYS, "experiment config", ConfigError)
             sweep = d["sweep"]
+            if not isinstance(sweep, dict):
+                raise ConfigError(f"sweep must be an object of one parameter, got {type(sweep).__name__}")
             if len(sweep) != 1:
                 raise ConfigError("sweep must contain exactly one parameter")
             (param, values), = sweep.items()
-            sigma = number(d.get("sigma_db", 2.0), "sigma_db", error=ConfigError)
-            alpha = number(d.get("alpha", 2.0), "alpha", error=ConfigError)
-            scenario_spec = d["scenario"]
-            if isinstance(scenario_spec, str):
-                scenario = get_scenario(scenario_spec, sigma_db=sigma, alpha=alpha)
-            else:
-                ignored = sorted({"sigma_db", "alpha"} & d.keys())
-                if ignored:
-                    raise ConfigError(
-                        f"{ignored} parameterise a registry scenario id; an inline scenario sets its own"
-                    )
-                try:
-                    scenario = Scenario.from_dict(scenario_spec)
-                except InvalidInputError as exc:
-                    raise ConfigError(f"bad inline scenario: {exc}") from exc
+            noise = {key: number(d[key], key, error=ConfigError) for key in ("sigma_db", "alpha") if key in d}
+            scenario = resolve_scenario(d["scenario"], noise)
             master_seed = seed if seed is not None else d.get("master_seed")
             if master_seed is None:
                 raise ConfigError("a master seed is required")
@@ -335,8 +328,8 @@ def _point_array(shape: Tuple[int, ...], point: str) -> np.ndarray:
 def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     """Draw every trial of one sweep point and reduce it to its means.
 
-    The point's ``model.NoiseModel`` is built and its lognormal bias b read
-    first, so a bias that overflows raises NumericError before any draw.
+    The point's ``model.NoiseModel`` and rounds come from the sweep value,
+    no Scenario rebuilt; the bias b is read first, so it raises before any draw.
     The point's trial streams (``model.trial_streams``) are keyed once; each
     trial is one counter seek of the one generator. Trial t's noise comes
     from the path (sweep_index, t, 1); fresh random geometry from
@@ -358,11 +351,9 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     seek = trial_streams(cfg.master_seed)
     random = cfg.sweep_param == "n_random"
     sc = cfg.scenario
-    if not random:
-        sc = sc.with_rounds(value) if cfg.sweep_param == "rounds" else sc.with_sigma(value)
-    noise = NoiseModel(sigma_db=sc.sigma_db, alpha=sc.alpha)
+    noise = NoiseModel(value if cfg.sweep_param == "sigma" else sc.sigma_db, sc.alpha)
     bias_b = noise.bias_b
-    rounds = 1 if random else sc.rounds
+    rounds = value if cfg.sweep_param == "rounds" else 1 if random else sc.rounds
     point = f"a sweep point of {cfg.trials} trials x {rounds} rounds x {value if random else sc.n_sensors} sensors"
     if random:
         layouts = 1 if cfg.fixed_geometry else cfg.trials
@@ -461,11 +452,8 @@ def time_scaling(n_values: Sequence[int], runs: int = 100, master_seed: int = 0)
     deployment of the random family at its 2 dB and alpha = 2. Returns
     (n, mean_time_s) pairs of its rows, the engine's charge per trial for
     the estimator's stages (None where every trial failed); drawing the
-    measurements and the per-call overhead are not included. ``runs`` and
-    each n must be whole numbers >= 1 (InvalidInputError otherwise),
-    ``master_seed`` a whole number >= 0 (ConfigError otherwise).
+    measurements and the per-call overhead are not included. Its
+    ExperimentConfig checks ``runs``, each n and ``master_seed``.
     """
-    runs = number(runs, "runs", True)
-    n_values = [number(n, "n", True) for n in n_values]
     cfg = ExperimentConfig(RandomScenarioFamily(), ("ls+gn",), "n_random", n_values, runs, master_seed)
     return [(row.n, row.mean_time_s) for row in run_experiment(cfg).rows]

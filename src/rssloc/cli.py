@@ -28,7 +28,7 @@ from .errors import ConfigError, InsufficientSensorsError, InvalidInputError, Rs
 from .estimators import two_step
 from .geometry import localizability
 from .inference import rcrlb_curve
-from .model import MeasurementSet, NoiseModel, Scenario, equivalent_measurement, floats, known_keys, number
+from .model import MeasurementSet, NoiseModel, equivalent_measurement, floats, known_keys, number
 
 
 def _load_json(path: str) -> dict:
@@ -89,7 +89,7 @@ def _measurements_from_file(payload: dict):
     try:
         alpha = number(payload.get("alpha", 2.0), "alpha")
         p0 = number(payload.get("p0", 1.0), "p0")
-        sigma_db = None if payload.get("sigma_db") is None else number(payload["sigma_db"], "sigma_db")
+        noise = None if payload.get("sigma_db") is None else NoiseModel(payload["sigma_db"], alpha)
         if "raw_db" in payload:
             raw_db = floats(payload["raw_db"], "raw_db")
             y = equivalent_measurement(raw_db, p0, alpha)
@@ -100,7 +100,7 @@ def _measurements_from_file(payload: dict):
             raise ConfigError("measurement file needs 'raw_db' or 'y'")
     except (TypeError, ValueError, InvalidInputError) as exc:
         raise ConfigError(f"malformed measurement file: {exc}") from exc
-    return ms, None if sigma_db is None else NoiseModel(sigma_db=sigma_db, alpha=alpha)
+    return ms, noise
 
 
 def _geometry_from_file(payload: dict):
@@ -126,15 +126,18 @@ def _cmd_check_geometry(args) -> int:
     return 0
 
 
+def _inline_scenario(spec, resolve):
+    if isinstance(spec, str):  # a scenario file holds no registry id
+        raise ConfigError("bad inline scenario: scenario must be an object, got str")
+    return resolve(spec)
+
+
 def _cmd_crlb(args) -> int:
-    if args.config:
-        if args.sigma is not None:
-            raise ConfigError("--sigma parameterises a registry scenario id; an inline scenario sets its own sigma_db")
-        scenario = _read(args.config, Scenario.from_dict)
-    else:
-        scenario = bench.get_scenario(args.scenario, sigma_db=2.0 if args.sigma is None else args.sigma)
-        if isinstance(scenario, bench.RandomScenarioFamily):
-            raise ConfigError("crlb needs a fixed scenario, not the random family")
+    resolve = functools.partial(bench.resolve_scenario, noise={} if args.sigma is None else {"sigma_db": args.sigma})
+    parse = functools.partial(_inline_scenario, resolve=resolve)
+    scenario = _read(args.config, parse) if args.config else resolve(args.scenario)
+    if isinstance(scenario, bench.RandomScenarioFamily):
+        raise ConfigError("crlb needs a fixed scenario, not the random family")
     try:
         values = [number(float(v), "--sweep-values", error=ConfigError) for v in args.sweep_values.split(",")]
     except ValueError as exc:

@@ -103,8 +103,8 @@ def check_layouts(sensors: np.ndarray, source, rounds):
     {2, 3}, a finite source m-vector, whole rounds >= 1 and every sensor at
     least SENSOR_CLEARANCE from the source (:class:`NoiseModel` checks the
     signal). Returns (source, rounds, sq_distances), the last
-    sq_norm(sensors - source) (..., k), the squared distances it checks.
-    """
+    sq_norm(sensors - source) (..., k), the squared distances it checks
+    (NumericError where one overflows, at coordinates past about 1e154)."""
     if sensors.shape[-2] == 0:
         raise InvalidInputError("sensors list is empty")
     m = _dimension(sensors)
@@ -112,7 +112,10 @@ def check_layouts(sensors: np.ndarray, source, rounds):
     if source.shape != (m,) or not np.all(np.isfinite(source)):
         raise InvalidInputError("source must be a finite m-vector")
     rounds = number(rounds, "rounds", whole=True)
-    sq_distances = sq_norm(sensors - source)
+    with np.errstate(over="ignore"):
+        sq_distances = sq_norm(sensors - source)
+    if not sq_distances.max() < math.inf:
+        raise NumericError("a squared sensor-source distance overflows a double")
     if np.any(sq_distances < SENSOR_CLEARANCE**2):
         raise DegenerateGeometryError(
             "a sensor coincides with the source (distance < "

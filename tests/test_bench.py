@@ -100,6 +100,34 @@ class TestScenarioRegistry:
     def test_registry_keys(self):
         assert set(scenario_registry()) == {"2d-fixed", "2d-random", "3d-fixed"}
 
+    @pytest.mark.parametrize("scenario_id", ["2d-fixed", "3d-fixed", "2d-random"])
+    def test_get_scenario_builds_only_the_family_it_names(self, monkeypatch, scenario_id):
+        # It built all three families, and a bad sigma_db for 2d-random was
+        # reported by the unused 2d-fixed Scenario.
+        built = []
+        for family in (Scenario, RandomScenarioFamily):
+            def post_init(self, _parent=family.__post_init__):
+                built.append(type(self))
+                _parent(self)
+            monkeypatch.setattr(family, "__post_init__", post_init)
+        sc = get_scenario(scenario_id, sigma_db=3.0)
+        assert built == [type(sc)] and sc.sigma_db == 3.0
+
+    def test_unknown_id_is_reported_before_any_family_is_built(self):
+        with pytest.raises(ConfigError, match="unknown scenario id 'nope'"):
+            get_scenario("nope", sigma_db=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [(dict(sigma_db=-1.0), "sigma_db must be nonnegative"), (dict(alpha=0.0), "alpha must be positive"),
+         (dict(alpha=-2.0), "alpha must be positive")],
+    )
+    def test_random_family_checks_its_noise_as_noise_model_does(self, kwargs, message):
+        # Neither sign was checked: the family built, and only a sweep
+        # point's NoiseModel would have refused it.
+        with pytest.raises(InvalidInputError, match=message):
+            RandomScenarioFamily(**kwargs)
+
 
 class TestExperimentConfig:
     def test_validation(self, scenario_2d, random_family):
@@ -249,6 +277,26 @@ class TestRunExperiment:
         # The point's RCRLB raised ZeroDivisionError: 1e-200 squared is 0.
         cfg = ExperimentConfig.from_dict({"scenario": "2d-fixed", "sigma_db": 1e-200, "sweep": {"rounds": [3]}}, seed=1)
         with pytest.raises(NumericError, match="sigma_db=1e-200, alpha=2.0"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "sweep", [dict(sweep_values=(1, 3, 30)), dict(sweep_param="sigma", sweep_values=(0, 2, 6.0))], ids=["rounds", "sigma"]
+    )
+    def test_a_fixed_sweep_point_builds_no_scenario(self, monkeypatch, scenario_2d, sweep):
+        # Each point rebuilt and rechecked the Scenario (with_rounds or
+        # with_sigma) to read its rounds and sigma_db; the report is the same.
+        cfg = _cfg(scenario_2d, trials=4, **sweep)
+        want = run_experiment(cfg)
+        built = []
+        monkeypatch.setattr(Scenario, "__post_init__", lambda self: built.append(self))
+        assert run_experiment(cfg) == want
+        assert built == []
+
+    def test_overflowing_random_layouts_raise_numeric(self):
+        # Their squared distances overflowed with a RuntimeWarning, and the
+        # point's RCRLB reported a singular Fisher matrix.
+        cfg = _cfg(RandomScenarioFamily(low=-1e200, high=1e200), sweep_param="n_random", sweep_values=(10,), trials=3)
+        with pytest.raises(NumericError, match="squared sensor-source distance overflows"):
             run_experiment(cfg)
 
     def test_random_geometry_rcrlb_is_the_root_of_the_mean_crlb(self):
@@ -884,12 +932,14 @@ class TestTimeScaling:
 
     @pytest.mark.parametrize("n", [-5, 0, 10.5, True, float("nan"), "10"])
     def test_each_n_is_a_whole_number_from_one(self, n):
-        with pytest.raises(InvalidInputError, match="n must be a whole number"):
+        # The ExperimentConfig that time_scaling builds checks each n.
+        with pytest.raises(ConfigError, match="n_random must be a whole number"):
             time_scaling([20, n], runs=1)
 
     @pytest.mark.parametrize("runs", [2.5, 0, -1, True, None])
     def test_runs_is_a_whole_number_from_one(self, runs):
-        with pytest.raises(InvalidInputError, match="runs must be a whole number"):
+        # runs is the ExperimentConfig's trials.
+        with pytest.raises(ConfigError, match="trials must be a whole number"):
             time_scaling([10], runs=runs)
 
     @pytest.mark.parametrize("n", [10**15, 10**19], ids=["malloc", "past-the-size-limit"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import COLLINEAR_2D, SQUARE_CORNERS
-from rssloc import estimators
+from rssloc import bench, estimators
 from rssloc.bench import ExperimentConfig, run_experiment, strict_json
 from rssloc.cli import main
 from rssloc.estimators import two_step
@@ -250,16 +250,29 @@ class TestEstimate:
         error = json.loads(err)
         assert error["error"] == "schema" and "alpha must be a finite number" in error["message"]
 
-    def test_zero_alpha_with_sigma_exits_2_invalid_input(self, capsys, tmp_path, scenario_2d):
+    def test_zero_alpha_with_sigma_exits_2_schema(self, capsys, tmp_path, scenario_2d):
         # A y file never converts with alpha, but sigma_db makes a NoiseModel
         # of it, whose division by alpha raised ZeroDivisionError (exit 1).
+        # The NoiseModel is built with the file's other fields, so its
+        # fault is a malformed file, as the same alpha with raw_db is.
         payload = {"sensors": scenario_2d.sensors.tolist(), "y": np.log10(scenario_2d.distances()).tolist()}
         path = tmp_path / "alpha0.json"
         path.write_text(json.dumps({**payload, "alpha": 0, "sigma_db": 2.0}))
         code, out, err = _run(capsys, ["estimate", "--input", str(path)])
         assert code == 2
         assert out == ""
-        assert json.loads(err) == {"error": "invalid-input", "message": "alpha must be positive"}
+        assert json.loads(err) == {"error": "schema", "message": "malformed measurement file: alpha must be positive"}
+
+    def test_negative_sigma_exits_2_schema(self, capsys, clean_measurement_file, tmp_path):
+        # The NoiseModel was built after the file was read, so its faults
+        # exited with "invalid-input", where a bad alpha with raw_db alone
+        # exited with "schema".
+        _, payload = clean_measurement_file
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({**payload, "sigma_db": -2.0}))
+        code, out, err = _run(capsys, ["estimate", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "schema", "message": "malformed measurement file: sigma_db must be nonnegative"}
 
     @pytest.mark.parametrize(
         "sensors",
@@ -460,9 +473,9 @@ class TestCrlb:
         code, out, err = _run(capsys, ["crlb", "--config", str(path), "--sweep-values", "3"])
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "invalid-input"
+        assert json.loads(err)["error"] == "schema"
 
-    def test_huge_integer_rounds_exits_2_invalid_input(self, capsys, tmp_path, scenario_2d):
+    def test_huge_integer_rounds_exits_2_schema(self, capsys, tmp_path, scenario_2d):
         # It exited 1 with an OverflowError traceback.
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({**scenario_2d.to_dict(), "rounds": HUGE}))
@@ -470,7 +483,7 @@ class TestCrlb:
         assert code == 2
         assert out == ""
         error = json.loads(err)
-        assert error["error"] == "invalid-input" and "rounds must be a whole number" in error["message"]
+        assert error["error"] == "schema" and "rounds must be a whole number" in error["message"]
 
     @pytest.mark.parametrize("values", ["1e-200", "2,1e200"])
     def test_extreme_sigma_exits_1_numeric(self, capsys, values):
@@ -490,14 +503,14 @@ class TestCrlb:
         error = json.loads(err)
         assert error["error"] == "schema" and "not the random family" in error["message"]
 
-    def test_unknown_scenario_key_exits_2_invalid_input(self, capsys, tmp_path, scenario_2d):
+    def test_unknown_scenario_key_exits_2_schema(self, capsys, tmp_path, scenario_2d):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({**scenario_2d.to_dict(), "round": 30}))
         code, out, err = _run(capsys, ["crlb", "--config", str(path), "--sweep-values", "3"])
         assert code == 2
         assert out == ""
         error = json.loads(err)
-        assert error["error"] == "invalid-input" and "'round'" in error["message"]
+        assert error["error"] == "schema" and "'round'" in error["message"]
 
     @pytest.mark.parametrize("config", [False, True], ids=["scenario", "config"])
     def test_crlb_that_overflows_to_zero_exits_1_numeric(self, capsys, tmp_path, scenario_2d, config):
@@ -523,9 +536,44 @@ class TestCrlb:
         assert code == 2
         assert out == ""
         error = json.loads(err)
-        assert error["error"] == "schema" and "--sigma" in error["message"]
+        assert error["error"] == "schema" and "['sigma_db'] parameterise a registry scenario id" in error["message"]
         code, out, _ = _run(capsys, ["crlb", "--config", str(path), "--sweep-values", "3"])
         assert code == 0 and float(out.split()[1].split(",")[1]) == rcrlb_curve(scenario_2d, [3])[0][1]
+
+    def test_overflowing_scenario_file_exits_1_numeric(self, capsys, tmp_path):
+        # The squared distances overflowed with a RuntimeWarning, and the
+        # run exited 1 with "degenerate-geometry", a singular Fisher matrix.
+        corners = [[-1e200, -1e200], [1e200, -1e200], [1e200, 1e200], [-1e200, 1e200]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"sensors": corners, "source": [3e199, 1e199], "sigma_db": 2.0}))
+        code, out, err = _run(capsys, ["crlb", "--config", str(path), "--sweep-values", "3"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "numeric", "message": "a squared sensor-source distance overflows a double"}
+
+    def test_scenario_file_and_experiment_config_share_one_resolver(self, monkeypatch, capsys, tmp_path, scenario_2d):
+        # Each parsed its scenario spec on its own: a malformed scenario file
+        # exited with "invalid-input" here and "schema" inline.
+        specs, resolve_scenario = [], bench.resolve_scenario
+
+        def resolve(spec, noise):
+            specs.append((spec, noise))
+            return resolve_scenario(spec, noise)
+
+        monkeypatch.setattr(bench, "resolve_scenario", resolve)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_2d.to_dict()))
+        assert _run(capsys, ["crlb", "--config", str(path), "--sweep-values", "3"])[0] == 0
+        assert _run(capsys, ["crlb", "--scenario", "3d-fixed", "--sigma", "4", "--sweep-values", "3"])[0] == 0
+        ExperimentConfig.from_dict({"scenario": "2d-random", "alpha": 3, "sweep": {"n_random": [10]}}, seed=1)
+        assert specs == [(scenario_2d.to_dict(), {}), ("3d-fixed", {"sigma_db": 4.0}), ("2d-random", {"alpha": 3.0})]
+
+    def test_registry_id_as_a_scenario_file_exits_2_schema(self, capsys, tmp_path):
+        # A scenario file holds an inline scenario; only --scenario names an id.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps("2d-fixed"))
+        code, out, err = _run(capsys, ["crlb", "--config", str(path), "--sweep-values", "3"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "schema", "message": "bad inline scenario: scenario must be an object, got str"}
 
     def test_sigma_parameterises_the_registry_scenario(self, capsys, scenario_2d):
         code, out, _ = _run(capsys, ["crlb", "--sigma", "8", "--sweep-values", "3"])
@@ -654,6 +702,25 @@ class TestExperiment:
         assert out == ""
         error = json.loads(err)
         assert error["error"] == "schema" and "must be an object" in error["message"]
+
+    @pytest.mark.parametrize("sweep", [[1], "r"], ids=["list", "string"])
+    def test_sweep_that_is_not_an_object_exits_2_schema(self, capsys, tmp_path, sweep):
+        # Both have one element, so sweep.items() raised AttributeError, a
+        # traceback and exit 1.
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"scenario": "2d-fixed", "sweep": sweep}))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert (code, out) == (2, "")
+        error = json.loads(err)
+        assert error["error"] == "schema" and "sweep must be an object" in error["message"]
+
+    def test_overflowing_inline_scenario_exits_1_numeric(self, capsys, tmp_path):
+        scenario = {"sensors": [[-1e200, -1e200], [1e200, -1e200], [1e200, 1e200]], "source": [0, 0], "sigma_db": 2.0}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"scenario": scenario, "sweep": {"rounds": [3]}, "trials": 2}))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "numeric"
 
     def test_unknown_scenario_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -798,11 +865,11 @@ class TestTimeScaling:
         assert json.loads(err)["error"] == "schema"
 
     @pytest.mark.parametrize("n", ["-5", "0"])
-    def test_n_below_one_exits_2_invalid_input(self, capsys, n):
+    def test_n_below_one_exits_2_schema(self, capsys, n):
         code, out, err = _run(capsys, ["time-scaling", "--n", "50", n, "--runs", "2"])
         assert code == 2
         assert out == ""
-        assert json.loads(err)["error"] == "invalid-input"
+        assert json.loads(err)["error"] == "schema"
 
 
     @pytest.mark.parametrize("n", [10**15, 10**19], ids=["malloc", "past-the-size-limit"])

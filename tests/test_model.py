@@ -203,6 +203,14 @@ class TestScenario:
             with pytest.raises(InvalidInputError, match="alpha must be positive"):
                 Scenario(sensors=[[0.0, 1.0]], source=[5.0, 5.0], sigma_db=1.0, alpha=alpha)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e308])
+    def test_overflowing_squared_distance_is_a_numeric_error(self, scale):
+        # The squares overflowed with a RuntimeWarning, and the infinite
+        # distances were later reported as a singular Fisher matrix.
+        sensors = scale * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        with pytest.raises(NumericError, match="squared sensor-source distance overflows"):
+            Scenario(sensors=sensors, source=[0.3 * scale, 0.1 * scale], sigma_db=2.0)
+
     def test_rounds_is_a_whole_number(self):
         # An integral float is accepted and stored as an int; a fractional,
         # non-finite, bool or string value is rejected, also via from_dict.
