@@ -13,16 +13,20 @@ in closed form from eps (``model.draw_means``, by the law of
 in the point's arrays, which fresh layouts are drawn into as well.
 The layouts are checked, their RCRLB computed and the estimators run in
 blocks sized by the largest design, k x (m+2) doubles per trial: 32 trials
-at k = 1000, a whole fixed-layout point at k = 10. Each block runs one
-``estimators.estimate_stack`` call for all the requested estimators, which
-runs the stages they share (the normalised layouts, each LS design, the
-first Gauss-Newton step) once. A problem's arithmetic does not depend on its
-stack-mates or on the other estimators of the call, so neither the blocks
+at k = 1000, a whole fixed-layout point at k = 10. Consecutive points of
+one fixed layout and one bias b (a rounds sweep) are stacked while their
+trials fit in one block: the five 100-trial points of a rounds sweep at
+k = 10 are one block. Each block runs one ``estimators.estimate_stack``
+call for all the requested estimators, which runs the stages they share
+(the normalised layouts, each LS design, the first Gauss-Newton step)
+once. A problem's arithmetic does not depend on its stack-mates or on the
+other estimators of the call, so neither the blocks, the stacked points
 nor the sharing change reports, and memory grows only with the layouts and
-means of the point: 2d-random at n = 1000 and 1000 trials peaks at about
-44 MB traced. ``estimate_stack`` is the one implementation of the estimator
-policy, which the per-call API also runs, with one estimator, on a trial's n
-tiled measurements; in exact arithmetic the two give the same estimates.
+means of the point, plus at most one block of stacked means: 2d-random at
+n = 1000 and 1000 trials peaks at about 44 MB traced. ``estimate_stack`` is
+the one implementation of the estimator policy, which the per-call API
+also runs, with one estimator, on a trial's n tiled measurements; in exact
+arithmetic the two give the same estimates.
 
 Per-trial randomness is a counter-based stream (``model.trial_streams``):
 one Philox generator per sweep point, keyed once by the master seed, seeks
@@ -144,9 +148,13 @@ def get_scenario(scenario_id: str, sigma_db: float = 2.0, alpha: float = 2.0):
 def resolve_scenario(spec, noise: dict):
     """The scenario ``spec`` names: a registry id, built with ``noise`` (its
     sigma_db and alpha, where given), or an inline scenario object, which sets
-    its own; a ``noise`` key beside one, or a malformed one, is a ConfigError."""
+    its own; a ``noise`` key beside one, a noise the id's family rejects, or a
+    malformed object is a ConfigError."""
     if isinstance(spec, str):
-        return get_scenario(spec, **noise)
+        try:
+            return get_scenario(spec, **noise)
+        except InvalidInputError as exc:
+            raise ConfigError(f"bad noise for scenario {spec!r}: {exc}") from exc
     if noise:
         raise ConfigError(f"{sorted(noise)} parameterise a registry scenario id; an inline scenario sets its own")
     try:
@@ -392,55 +400,70 @@ def sweep_point(cfg: ExperimentConfig, sweep_index: int) -> SweepPoint:
     )
 
 
+def _point_groups(cfg: ExperimentConfig):
+    """The sweep points as runs of consecutive (value, SweepPoint) that share
+    one layout and one b: a fixed Scenario's points of equal ``bias_b``, while
+    their trials fit in one estimator block. A random family's point is alone."""
+    group = []
+    for sweep_index, value in enumerate(cfg.sweep_values):
+        point = sweep_point(cfg, sweep_index)
+        if group and point.bias_b != group[0][1].bias_b:
+            yield group
+            group = []
+        group.append((value, point))
+        _, k, m = point.sensors.shape
+        if not isinstance(cfg.scenario, Scenario) or len(_blocks((len(group) + 1) * cfg.trials, k * (m + 2))) > 1:
+            yield group
+            group = []
+    if group:
+        yield group
+
+
 def run_experiment(cfg: ExperimentConfig) -> TrialReport:
     """Run all trials at every sweep point and aggregate bias/RMSE/RCRLB.
 
     Bias is the sum of componentwise absolute mean errors; RMSE the root mean
     squared Euclidean error. Trials where an estimator fails are excluded
     from that estimator's statistics and counted as failed. The estimators
-    run on the point in the blocks of whole trials that sweep_point checks
-    the layouts in, as one estimate_stack call per block. With
+    run on each group of points (_point_groups) in the blocks of whole trials
+    that sweep_point checks the layouts in, one estimate_stack call per
+    block: a fixed-layout group of several points in one call on their
+    stacked means, which leaves each estimate unchanged. With
     ``measure_time``, ``mean_time_s`` is the wall time of the estimator's
-    computation summed over the blocks of the point, divided by the trial
-    count: the stages it used, a stage shared with other estimators charged
+    computation summed over the blocks of the group, divided by the group's
+    trials: the stages it used, a stage shared with other estimators charged
     in full to each of them, so that it reads what the estimator alone would
     cost. Drawing and reducing the measurements is not included.
     """
     rows: List[ReportRow] = []
-    for sweep_index, value in enumerate(cfg.sweep_values):
-        point = sweep_point(cfg, sweep_index)
-        _, k, m = point.sensors.shape
+    for group in _point_groups(cfg):
+        first = group[0][1]
+        _, k, m = first.sensors.shape
+        ybar, zbar = (first.ybar, first.zbar) if len(group) == 1 else (
+            np.concatenate([point.ybar for _, point in group]), np.concatenate([point.zbar for _, point in group]))
         outcomes = []
-        for start, stop in _blocks(cfg.trials, k * (m + 2)):
-            sensors = point.sensors if len(point.sensors) == 1 else point.sensors[start:stop]
-            outcomes.append(
-                estimate_stack(cfg.estimators, sensors, point.ybar[start:stop], point.zbar[start:stop], point.bias_b)
-            )
-        for est_id, blocks in zip(cfg.estimators, zip(*outcomes)):
-            ok = np.concatenate([out.failure for out in blocks]) == 0
-            if ok.any():
-                errors = np.concatenate([out.p_hat for out in blocks])[ok] - point.source
-                bias = float(np.sum(np.abs(errors.mean(axis=0))))
-                rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
-                mean_time = sum(out.seconds for out in blocks) / cfg.trials if cfg.measure_time else None
-            else:
-                bias = rmse = math.nan
-                mean_time = None
-            rows.append(
-                ReportRow(
-                    estimator=est_id,
-                    sweep_param=cfg.sweep_param,
-                    sweep_value=float(value),
-                    n=point.n,
-                    trials_ok=int(ok.sum()),
-                    trials_failed=int(cfg.trials - ok.sum()),
-                    bias_m=bias,
-                    rmse_m=rmse,
-                    rcrlb_m=point.rcrlb,
-                    mean_time_s=mean_time,
-                    master_seed=cfg.master_seed,
-                )
-            )
+        for start, stop in _blocks(len(ybar), k * (m + 2)):
+            sensors = first.sensors if len(first.sensors) == 1 else first.sensors[start:stop]
+            outcomes.append(estimate_stack(cfg.estimators, sensors, ybar[start:stop], zbar[start:stop], first.bias_b))
+        merged = [(np.concatenate([out.failure for out in blocks]) == 0, np.concatenate([out.p_hat for out in blocks]),
+                   sum(out.seconds for out in blocks) / len(ybar)) for blocks in zip(*outcomes)]
+        for index, (value, point) in enumerate(group):
+            trials = slice(index * cfg.trials, (index + 1) * cfg.trials)
+            for est_id, (solved, p_hat, seconds) in zip(cfg.estimators, merged):
+                ok = solved[trials]
+                if ok.any():
+                    errors = p_hat[trials][ok] - point.source
+                    bias = float(np.sum(np.abs(errors.mean(axis=0))))
+                    rmse = float(np.sqrt(np.mean(np.sum(errors**2, axis=1))))
+                    mean_time = seconds if cfg.measure_time else None
+                else:
+                    bias = rmse = math.nan
+                    mean_time = None
+                rows.append(ReportRow(
+                    estimator=est_id, sweep_param=cfg.sweep_param, sweep_value=float(value), n=point.n,
+                    trials_ok=int(ok.sum()), trials_failed=int(cfg.trials - ok.sum()), bias_m=bias, rmse_m=rmse,
+                    rcrlb_m=point.rcrlb, mean_time_s=mean_time, master_seed=cfg.master_seed,
+                ))
     return TrialReport(rows=tuple(rows))
 
 

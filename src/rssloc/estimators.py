@@ -80,7 +80,7 @@ from .errors import (
     SingularPointError,
 )
 from .geometry import normal_equations, normalise, singular
-from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel, floats, number, sq_norm
+from .model import LN10, SENSOR_CLEARANCE, MeasurementSet, NoiseModel, floats, number, sensor_sq_distances, sq_norm
 
 ESTIMATOR_IDS = ("ls", "ls+gn", "ls-u", "ls-u+gn", "ml")
 _IDS = frozenset(ESTIMATOR_IDS)
@@ -181,10 +181,12 @@ def _least_squares(frame, gram: np.ndarray, h: np.ndarray, b: Optional[float]):
 
 
 def _start(p, ms: MeasurementSet) -> np.ndarray:
-    """p as a stack (1, m) if it is m finite coordinates, else InvalidInputError."""
+    """p as a stack (1, m) if it is m finite coordinates, else InvalidInputError;
+    NumericError where its squared distance to a sensor overflows a double."""
     p = floats(p, "start point")
     if p.shape != ms.sensor_coords.shape[1:] or not np.isfinite(p).all():
         raise InvalidInputError(f"start point must be {ms.dimension} finite coordinates, got {p.tolist()}")
+    sensor_sq_distances(ms.sensor_coords, p, "start point")
     return p[None]
 
 

@@ -28,7 +28,7 @@ from .errors import (
     SingularPointError,
 )
 from .geometry import singular
-from .model import LN10, SENSOR_CLEARANCE, NoiseModel, Scenario, floats, sq_norm
+from .model import LN10, SENSOR_CLEARANCE, NoiseModel, Scenario, floats, sensor_sq_distances
 
 _SWEEP_PARAMS = ("rounds", "sigma")
 
@@ -84,7 +84,7 @@ def fisher_information(scenario: Scenario, eval_point=None) -> FisherSummary:
     p = scenario.source if eval_point is None else floats(eval_point, "eval_point")
     if p.shape != (scenario.dimension,) or not np.all(np.isfinite(p)):
         raise InvalidInputError("eval_point must be a finite m-vector")
-    sq_distances = sq_norm(scenario.sensors - p)[None]
+    sq_distances = sensor_sq_distances(scenario.sensors, p, "eval_point")[None]
     if np.any(sq_distances < SENSOR_CLEARANCE**2):
         raise SingularPointError("eval_point coincides with a sensor")
     noise = scenario.noise

@@ -97,6 +97,17 @@ def _dimension(points: np.ndarray) -> int:
     return m
 
 
+def sensor_sq_distances(sensors: np.ndarray, p: np.ndarray, point: str) -> np.ndarray:
+    """sq_norm(sensors - p), the squared sensor distances of a finite p that
+    errors call ``point``; NumericError where one overflows a double
+    (coordinates past about 1e154)."""
+    with np.errstate(over="ignore"):
+        sq_distances = sq_norm(sensors - p)
+    if not sq_distances.max() < math.inf:
+        raise NumericError(f"a squared sensor-{point} distance overflows a double")
+    return sq_distances
+
+
 def check_layouts(sensors: np.ndarray, source, rounds):
     """The geometry checks of a :class:`Scenario`, run once on a stack of
     layouts (..., k, m) that share one source: at least one sensor, m in
@@ -104,7 +115,7 @@ def check_layouts(sensors: np.ndarray, source, rounds):
     least SENSOR_CLEARANCE from the source (:class:`NoiseModel` checks the
     signal). Returns (source, rounds, sq_distances), the last
     sq_norm(sensors - source) (..., k), the squared distances it checks
-    (NumericError where one overflows, at coordinates past about 1e154)."""
+    (``sensor_sq_distances``)."""
     if sensors.shape[-2] == 0:
         raise InvalidInputError("sensors list is empty")
     m = _dimension(sensors)
@@ -112,10 +123,7 @@ def check_layouts(sensors: np.ndarray, source, rounds):
     if source.shape != (m,) or not np.all(np.isfinite(source)):
         raise InvalidInputError("source must be a finite m-vector")
     rounds = number(rounds, "rounds", whole=True)
-    with np.errstate(over="ignore"):
-        sq_distances = sq_norm(sensors - source)
-    if not sq_distances.max() < math.inf:
-        raise NumericError("a squared sensor-source distance overflows a double")
+    sq_distances = sensor_sq_distances(sensors, source, "source")
     if np.any(sq_distances < SENSOR_CLEARANCE**2):
         raise DegenerateGeometryError(
             "a sensor coincides with the source (distance < "

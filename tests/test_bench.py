@@ -731,6 +731,98 @@ class TestEstimatorBlocks:
         assert peak <= 48e6
 
 
+def _counting_stack(monkeypatch):
+    """Patch bench.estimate_stack to record the problem count of each call."""
+    calls = []
+
+    def counting(est_ids, sensors, ybar, zbar, b):
+        calls.append(len(ybar))
+        return estimate_stack(est_ids, sensors, ybar, zbar, b)
+
+    monkeypatch.setattr(bench, "estimate_stack", counting)
+    return calls
+
+
+class TestPointGroups:
+    """Consecutive points of one fixed layout and one bias b run their
+    estimators as one estimate_stack call while their trials fit in one
+    block, 2**17 // (k (m+2)) trials: 3276 at 2d-fixed, 2621 at 3d-fixed."""
+
+    ROUNDS = (3, 30, 100, 200, 400)
+    CASES = {
+        "2d-fixed": dict(scenario=scenario_registry(sigma_db=6.0)["2d-fixed"], sweep_values=ROUNDS),
+        "3d-fixed": dict(scenario=scenario_registry(sigma_db=8.0)["3d-fixed"], sweep_values=(1, 3, 30)),
+        "inline": dict(scenario=Scenario(sensors=10 * SQUARE_CORNERS, source=[3.0, 4.0], sigma_db=2.0),
+                       sweep_values=(1, 4, 4)),
+    }
+
+    @pytest.mark.parametrize("trials, calls", [(100, [500]), (1000, [3000, 2000])], ids=["100", "1000"])
+    def test_a_rounds_sweep_runs_as_few_stacks_as_one_block_allows(self, monkeypatch, scenario_2d, trials, calls):
+        # One call per point, five in all, before points were stacked.
+        cfg = _cfg(scenario_2d, sweep_values=self.ROUNDS, trials=trials)
+        counted = _counting_stack(monkeypatch)
+        run_experiment(cfg)
+        assert counted == calls
+
+    @pytest.mark.parametrize(
+        "sweep, calls",
+        [
+            (dict(sweep_param="sigma", sweep_values=(1.0, 2.0, 6.0)), [100, 100, 100]),
+            (dict(scenario=RandomScenarioFamily(), sweep_param="n_random", sweep_values=(10, 1000)),
+             [100, 32, 32, 32, 4]),
+            (dict(scenario=RandomScenarioFamily(), sweep_param="n_random", sweep_values=(10, 10), fixed_geometry=True),
+             [100, 100]),
+        ],
+        ids=["sigma", "n_random", "n_random-pinned"],
+    )
+    def test_points_of_other_b_or_layouts_run_alone(self, monkeypatch, scenario_2d, sweep, calls):
+        # A sigma sweep's points differ in b, a random family's in layout
+        # (pinned or not): each runs in its own blocks.
+        cfg = _cfg(**{"scenario": scenario_2d, "trials": 100, **sweep})
+        counted = _counting_stack(monkeypatch)
+        run_experiment(cfg)
+        assert counted == calls
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_stacking_leaves_the_report_unchanged(self, monkeypatch, case):
+        cfg = _cfg(estimators=ESTIMATOR_IDS, trials=60, master_seed=41, **self.CASES[case])
+        _, k, m = sweep_point(cfg, 0).sensors.shape
+        counted = _counting_stack(monkeypatch)
+        stacked = run_experiment(cfg)
+        # A block of one point's trials: no two points share a call.
+        monkeypatch.setattr(bench, "BLOCK_DOUBLES", cfg.trials * k * (m + 2))
+        alone = run_experiment(cfg)
+        assert counted == [len(cfg.sweep_values) * cfg.trials] + [cfg.trials] * len(cfg.sweep_values)
+        assert alone.to_csv() == stacked.to_csv()
+        assert alone.to_json() == stacked.to_json()
+
+    def test_each_failure_is_counted_at_its_own_point(self, monkeypatch, scenario_2d):
+        # Fail about a third of the problems of each call, chosen by their
+        # means alone, so that a stacked and a lone call fail the same trials.
+        def failing(est_ids, sensors, ybar, zbar, b):
+            fail = np.floor(ybar[:, 0] * 1e6) % 3 == 0
+            return [out._replace(failure=np.where(fail, 1, out.failure))
+                    for out in estimate_stack(est_ids, sensors, ybar, zbar, b)]
+
+        monkeypatch.setattr(bench, "estimate_stack", failing)
+        cfg = _cfg(scenario_2d, sweep_values=self.ROUNDS, trials=90)
+        stacked = run_experiment(cfg)
+        monkeypatch.setattr(bench, "BLOCK_DOUBLES", cfg.trials * 10 * 4)
+        assert run_experiment(cfg).to_csv() == stacked.to_csv()
+        failed = {row.sweep_value: row.trials_failed for row in stacked.rows}
+        assert all(10 < count < 50 for count in failed.values()) and len(set(failed.values())) > 1
+
+    def test_mean_time_is_the_groups_seconds_over_its_trials(self, monkeypatch, scenario_2d):
+        # Each call is charged 6 s per estimator: 6 s over the 500 trials of
+        # the one stacked call, not over each point's 100.
+        def timed(est_ids, sensors, ybar, zbar, b):
+            return [out._replace(seconds=6.0) for out in estimate_stack(est_ids, sensors, ybar, zbar, b)]
+
+        monkeypatch.setattr(bench, "estimate_stack", timed)
+        cfg = _cfg(scenario_2d, sweep_values=self.ROUNDS, trials=100, measure_time=True)
+        assert [row.mean_time_s for row in run_experiment(cfg).rows] == [6.0 / 500] * 10
+
+
 def _mean_normalise(sensors):
     # geometry.normalise with its centroid taken as sensors.mean(axis=-2).
     c = sensors.mean(axis=-2)

@@ -9,8 +9,9 @@ import pytest
 
 from conftest import COLLINEAR_2D, SQUARE_CORNERS
 from rssloc import bench, estimators
-from rssloc.bench import ExperimentConfig, run_experiment, strict_json
+from rssloc.bench import ExperimentConfig, get_scenario, run_experiment, strict_json
 from rssloc.cli import main
+from rssloc.errors import InvalidInputError
 from rssloc.estimators import two_step
 from rssloc.inference import rcrlb_curve
 from rssloc.model import MeasurementSet, NoiseModel, generate_measurements
@@ -575,6 +576,15 @@ class TestCrlb:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "schema", "message": "bad inline scenario: scenario must be an object, got str"}
 
+    @pytest.mark.parametrize("scenario, sigma", [("2d-fixed", "-1"), ("3d-fixed", "-0.5")])
+    def test_bad_registry_sigma_exits_2_schema(self, capsys, scenario, sigma):
+        # The registry Scenario's NoiseModel raised it as "invalid-input",
+        # where the same sigma_db in a scenario file exits "schema".
+        code, out, err = _run(capsys, ["crlb", "--scenario", scenario, "--sigma", sigma, "--sweep-values", "3"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "schema",
+                                   "message": f"bad noise for scenario {scenario!r}: sigma_db must be nonnegative"}
+
     def test_sigma_parameterises_the_registry_scenario(self, capsys, scenario_2d):
         code, out, _ = _run(capsys, ["crlb", "--sigma", "8", "--sweep-values", "3"])
         assert code == 0
@@ -643,6 +653,28 @@ class TestExperiment:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "schema"
+
+    @pytest.mark.parametrize(
+        "scenario, noise, message",
+        [
+            ("2d-fixed", {"sigma_db": -1}, "sigma_db must be nonnegative"),
+            ("2d-fixed", {"alpha": 0}, "alpha must be positive"),
+            ("3d-fixed", {"alpha": -2.0}, "alpha must be positive"),
+            ("2d-random", {"sigma_db": -1}, "sigma_db must be nonnegative"),
+        ],
+    )
+    def test_bad_registry_noise_exits_2_schema(self, capsys, tmp_path, scenario, noise, message):
+        # The registry family's NoiseModel raised it as "invalid-input",
+        # where the same value inside an inline scenario exits "schema". The
+        # library's get_scenario keeps its InvalidInputError.
+        sweep = {"n_random": [10]} if scenario == "2d-random" else {"rounds": [3]}
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({"scenario": scenario, **noise, "sweep": sweep, "trials": 5}))
+        code, out, err = _run(capsys, ["experiment", "--config", str(path), "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "schema", "message": f"bad noise for scenario {scenario!r}: {message}"}
+        with pytest.raises(InvalidInputError, match=message):
+            get_scenario(scenario, **noise)
 
     @pytest.mark.parametrize(
         "field", [{"dimension": "two"}, {"dimension": None}, {"dimension": 2.5}, {"sigma_db": -1.0}]

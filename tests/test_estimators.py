@@ -652,6 +652,17 @@ class TestStartPoints:
         with pytest.raises(InvalidInputError, match="start point"):
             ml_objective(start, ms)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    @pytest.mark.parametrize("call", ["gn_step", "ml_reference", "ml_objective"])
+    def test_far_start_is_a_numeric_error(self, scenario_2d, call, scale):
+        # Its squared distances to the sensors overflowed with a RuntimeWarning;
+        # gn_step and ml_reference then raised DegenerateJacobianError and
+        # ml_objective returned inf.
+        ms = generate_measurements(scenario_2d, 0)
+        run = {"gn_step": gn_step, "ml_reference": lambda p, ms: ml_reference(ms, p), "ml_objective": ml_objective}[call]
+        with pytest.raises(NumericError, match="squared sensor-start point distance overflows"):
+            run([scale, 0.0], ms)
+
     def test_a_list_start_is_accepted(self, scenario_2d):
         ms = generate_measurements(scenario_2d, 0)
         start = [60.0, 25.0]

@@ -112,6 +112,13 @@ class TestFisherInformation:
         with pytest.raises(InvalidInputError, match="eval_point must be a finite m-vector"):
             fisher_information(scenario_2d, eval_point=[bad, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_far_eval_point_is_a_numeric_error(self, scenario_2d, scale):
+        # Its squared distances overflowed with a RuntimeWarning, and the
+        # infinite distances were reported as a singular Fisher matrix.
+        with pytest.raises(NumericError, match="squared sensor-eval_point distance overflows"):
+            fisher_information(scenario_2d, eval_point=[scale, 0.0])
+
     def test_nearly_collinear_layout_rejected(self):
         # The x = 0 sensors of the 2-D fixed layout with the source 1e-7 m
         # off their line: F is singular to within rounding, and an explicit
