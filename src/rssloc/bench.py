@@ -1,4 +1,4 @@
-"""Monte Carlo benchmark harness, and the one owner of rssloc's output format.
+"""Monte Carlo benchmark harness.
 
 Reproduces the bias/RMSE/timing experiment protocol: a registry of the three
 scenario families (2-D fixed ring, 2-D random square, 3-D fixed) and sweeps
@@ -35,13 +35,13 @@ can be replayed on its own with ``model.trial_rng``. Wall-clock timing is
 the one nondeterministic output; configs can disable it
 (``measure_time=False``) when byte-identical reports are required.
 
-Every table rssloc prints is written by :func:`table` (CSV at %.17g, or JSON),
-every JSON document by :func:`strict_json`, which prints non-finite as null.
+Reports are written by ``model.table`` (CSV at %.17g, or JSON), the writer
+of every table rssloc prints; ``model.strict_json`` writes every JSON
+document, with non-finite as null. This module re-exports both.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import astuple, dataclass, fields
 from typing import List, Optional, Sequence, Tuple, Union
@@ -59,6 +59,8 @@ from .model import (
     floats,
     known_keys,
     number,
+    strict_json,  # noqa: F401  (rssloc.bench.strict_json stays importable)
+    table,
     trial_streams,
 )
 
@@ -252,34 +254,6 @@ class ReportRow:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
-
-
-def _finite(value):
-    if isinstance(value, dict):
-        return {k: _finite(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
-def strict_json(payload) -> str:
-    """The one JSON encoder of rssloc output: indent 2, and a non-finite float
-    (the NaN bias of an all-failed row, an infinite condition) becomes null."""
-    return json.dumps(_finite(payload), indent=2, allow_nan=False)
-
-
-def _cell(value) -> str:
-    return "" if value is None else format(value, ".17g") if isinstance(value, float) else str(value)
-
-
-def table(columns: Sequence[str], rows, fmt: str) -> str:
-    """The one table writer: ``fmt`` "csv" gives a header line and one line
-    per row, floats at %.17g and None as an empty cell; "json" gives a
-    strict JSON list of objects keyed by ``columns``."""
-    if fmt == "json":
-        return strict_json([dict(zip(columns, row)) for row in rows])
-    lines = [",".join(columns)] + [",".join(_cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,10 @@ Subcommands:
 Every subcommand is a thin shell over the library; numeric output always
 equals the corresponding library call. Exit codes: 0 success, 1 runtime or
 numeric failure, 2 invalid input. Errors are emitted as JSON on stderr.
-Output is written by ``bench.table`` and ``bench.strict_json`` (strict JSON).
+Output is written by ``model.table`` and ``model.strict_json`` (strict JSON).
+``estimate`` and ``check-geometry`` load only ``errors``, ``model``,
+``geometry`` and ``estimators``; ``bench`` and ``inference`` are imported by
+the subcommands that run them.
 """
 
 from __future__ import annotations
@@ -23,12 +26,10 @@ import json
 import sys
 from typing import Optional
 
-from . import bench
 from .errors import ConfigError, InsufficientSensorsError, InvalidInputError, RssLocError
 from .estimators import two_step
 from .geometry import localizability
-from .inference import rcrlb_curve
-from .model import MeasurementSet, NoiseModel, equivalent_measurement, floats, known_keys, number
+from .model import MeasurementSet, NoiseModel, equivalent_measurement, floats, known_keys, number, strict_json, table
 
 
 def _load_json(path: str) -> dict:
@@ -117,12 +118,12 @@ def _geometry_from_file(payload: dict):
 
 def _cmd_estimate(args) -> int:
     ms, noise = _read(args.input, _measurements_from_file)
-    _emit(bench.strict_json(two_step(ms, noise).to_dict()), args.out)
+    _emit(strict_json(two_step(ms, noise).to_dict()), args.out)
     return 0
 
 
 def _cmd_check_geometry(args) -> int:
-    _emit(bench.strict_json(_read(args.input, _geometry_from_file).to_dict()), args.out)
+    _emit(strict_json(_read(args.input, _geometry_from_file).to_dict()), args.out)
     return 0
 
 
@@ -133,6 +134,9 @@ def _inline_scenario(spec, resolve):
 
 
 def _cmd_crlb(args) -> int:
+    from . import bench
+    from .inference import rcrlb_curve
+
     resolve = functools.partial(bench.resolve_scenario, noise={} if args.sigma is None else {"sigma_db": args.sigma})
     parse = functools.partial(_inline_scenario, resolve=resolve)
     scenario = _read(args.config, parse) if args.config else resolve(args.scenario)
@@ -143,13 +147,15 @@ def _cmd_crlb(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--sweep-values must be comma-separated finite numbers: {exc}") from exc
     curve = rcrlb_curve(scenario, values, param=args.sweep_param)
-    _emit(bench.table((args.sweep_param, "rcrlb_m"), curve, args.format), args.out)
+    _emit(table((args.sweep_param, "rcrlb_m"), curve, args.format), args.out)
     return 0
 
 
 def _cmd_experiment(args) -> int:
+    from . import bench
+
     cfg = _read(args.config, functools.partial(bench.ExperimentConfig.from_dict, seed=args.seed))
-    if args.estimators:
+    if args.estimators is not None:
         cfg = dataclasses.replace(cfg, estimators=args.estimators.split(","))
     if args.fixed_geometry:
         cfg = dataclasses.replace(cfg, fixed_geometry=True)
@@ -159,8 +165,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_time_scaling(args) -> int:
+    from . import bench
+
     results = bench.time_scaling(args.n, runs=args.runs, master_seed=args.seed)
-    _emit(bench.table(("n", "mean_time_s"), results, args.format), args.out)
+    _emit(table(("n", "mean_time_s"), results, args.format), args.out)
     return 0
 
 

@@ -10,14 +10,19 @@ the Fisher information behind the CRLB. This module owns the conversion of
 field readings in dB to y and synthetic measurement generation by that law:
 :func:`generate_measurements` draws one problem's y, and :func:`draw_means`
 gives the Monte Carlo engine per-sensor means of such readings.
+
+It also holds the JSON boundary both ways: :func:`floats`, :func:`number`
+and :func:`known_keys` check what comes in, and :func:`table` and
+:func:`strict_json` write every table and JSON document rssloc prints.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -76,6 +81,34 @@ def known_keys(d, known, what: str, error=InvalidInputError) -> None:
     unknown = d.keys() - known
     if unknown:
         raise error(f"unknown {what} keys {sorted(unknown)}; known: {sorted(known)}")
+
+
+def _finite(value):
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def strict_json(payload) -> str:
+    """The one JSON encoder of rssloc output: indent 2, and a non-finite float
+    (the NaN bias of an all-failed row, an infinite condition) becomes null."""
+    return json.dumps(_finite(payload), indent=2, allow_nan=False)
+
+
+def _cell(value) -> str:
+    return "" if value is None else format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def table(columns: Sequence[str], rows, fmt: str) -> str:
+    """The one table writer: ``fmt`` "csv" gives a header line and one line
+    per row, floats at %.17g and None as an empty cell; "json" gives a
+    strict JSON list of objects keyed by ``columns``."""
+    if fmt == "json":
+        return strict_json([dict(zip(columns, row)) for row in rows])
+    lines = [",".join(columns)] + [",".join(_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def sq_norm(x: np.ndarray) -> np.ndarray:

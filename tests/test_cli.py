@@ -767,6 +767,9 @@ class TestExperiment:
             ["--seed", "-5"],
             ["--seed", "1", "--estimators", "ls,ls"],
             ["--seed", "1", "--estimators", "ls,ml,ls"],
+            # An empty flag names an empty id; it does not leave the
+            # config's estimators in place.
+            ["--seed", "1", "--estimators", ""],
         ],
     )
     def test_negative_seed_or_repeated_estimator_exits_2_schema(self, capsys, experiment_config_file, argv):
